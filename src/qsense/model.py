@@ -29,6 +29,7 @@ __all__ = [
     "alpha_single_unit",
     "alpha_cpmg",
     "interference_factor",
+    "cpmg_displacement_abs",
     "total_displacement",
     "total_displacement_direct",
     "zeta",
@@ -206,6 +207,36 @@ def interference_factor(n_units: int, omega, tau: float):
         k[near] = direct
         k = k.reshape(np.shape(x))
     return k if np.shape(x) else complex(k)
+
+
+def cpmg_displacement_abs(coupling: Coupling, n_units: int, omega, tau: float):
+    """|alpha_1 * K| for N two-pulse units, in real arithmetic.
+
+    With x = omega*tau/8, |alpha_1| = (8*lam/omega)*|cos x sin^3 x| and
+    |K| = |sin(4Nx)/sin(4x)|; the identity sin 4x = 4 sin x cos x cos 2x
+    cancels the cos x sin x factor, leaving
+    (2*lam/omega) * sin^2 x * |sin(4Nx)/cos 2x|. Where |cos 2x| < 1e-12
+    (the major peaks omega*tau = 2*pi*(2m+1)) the ratio takes its limit
+    2N. This is the fringe amplitude the likelihood needs; it agrees
+    with |alpha_cpmg * interference_factor| to round-off.
+    """
+    if n_units < 1:
+        raise ValueError(f"n_units must be >= 1, got {n_units}")
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= 0):
+        raise ValueError("omega must be positive")
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    x = omega * (tau / 8.0)
+    c = np.cos(2.0 * x)
+    s = np.sin(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(np.sin(4 * n_units * x) / c)
+    near = np.abs(c) < 1e-12
+    if near.any():
+        ratio = np.where(near, 2.0 * n_units, ratio)
+    out = (2.0 * coupling.lam / omega) * (s * s) * ratio
+    return out if out.shape else float(out)
 
 
 def total_displacement(sched: ControlSchedule, coupling: Coupling, omega) -> complex:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .estimation import Estimate, Posterior
 from .information import G_RMS1
-from .model import Coupling, PulseSequence, alpha_cpmg, alpha_single_unit
+from .model import Coupling, PulseSequence, alpha_cpmg, alpha_single_unit, cpmg_displacement_abs
 
 STAGE_I = 1
 STAGE_II = 2
@@ -96,6 +96,10 @@ class AdaptiveConfig:
             problems.append(f"kappa must be > 1, got {self.kappa}")
         if not self.delta_omega0 < self.omega0:
             problems.append("delta_omega0 must be below omega0")
+        if not self.omega0 - self.span_sigmas * self.delta_omega0 > 0:
+            problems.append("prior grid must stay above omega = 0: need "
+                            "omega0 - span_sigmas*delta_omega0 > 0, got "
+                            f"{self.omega0 - self.span_sigmas * self.delta_omega0}")
         if self.max_steps < 1:
             problems.append(f"max_steps must be >= 1, got {self.max_steps}")
         if self.target_precision is not None and not self.target_precision > 0:
@@ -241,14 +245,16 @@ def stage_transition(delta_omega_k: float, lambda_tilde_k: float) -> bool:
     return delta_omega_k < lambda_tilde_k
 
 
-def _k_abs(n_units: int, omega, tau: float):
-    """|sum_n e^{i omega n tau}| with the resonance limit N at the singular points."""
-    x = np.asarray(omega) * tau / 2
-    s = np.sin(x)
-    num = np.sin(n_units * x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.abs(num / s)
-    return np.where(np.abs(s) < 1e-12, float(n_units), r)
+def _normalized(logw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized log-weights and the weights themselves, from one exp.
+
+    The weights are exp(logw - max) / total rather than a second
+    exp of the normalized log-weights.
+    """
+    logw = logw - logw.max()
+    wts = np.exp(logw)
+    total = wts.sum()
+    return logw - np.log(total), wts / total
 
 
 def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None,
@@ -266,9 +272,7 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None,
     n_pts = cfg.n_points
     grid = np.linspace(cfg.omega0 - cfg.span_sigmas * cfg.delta_omega0,
                        cfg.omega0 + cfg.span_sigmas * cfg.delta_omega0, n_pts)
-    logw = -((grid - cfg.omega0) ** 2) / (2 * cfg.delta_omega0**2)
-    logw -= logw.max()
-    logw -= np.log(np.exp(logw).sum())
+    logw, wts = _normalized(-((grid - cfg.omega0) ** 2) / (2 * cfg.delta_omega0**2))
 
     w_est, dw_est = cfg.omega0, cfg.delta_omega0
     stage = STAGE_II if stage_transition(cfg.delta_omega0, lt_cpmg) else STAGE_I
@@ -282,29 +286,27 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None,
     def measure(N, tau, nu):
         """Apply nu shots of the (N, tau) schedule: sample at the true
         frequency, fold the likelihood into the posterior, advance time."""
-        nonlocal logw, t_total
-        a1 = alpha_cpmg(coupling, grid, tau)
-        Ka = _k_abs(N, grid, tau)
-        L = np.exp(-2 * Q * (np.abs(a1) * Ka) ** 2)
+        nonlocal logw, wts, t_total
+        L = np.exp(-2 * Q * cpmg_displacement_abs(coupling, N, grid, tau) ** 2)
         p_plus = (1 + L) / 2
-        a1t = alpha_cpmg(coupling, cfg.omega_true, tau)
-        Kt = float(_k_abs(N, cfg.omega_true, tau))
-        sa_t = np.sqrt(Q) * abs(a1t) * Kt
+        sa_t = np.sqrt(Q) * cpmg_displacement_abs(coupling, N, cfg.omega_true, tau)
         Lt = np.exp(-2 * sa_t**2)
         pt = (1 + Lt) / 2
         npl = rng.binomial(nu, pt)
         nmi = nu - npl
         pc = np.clip(p_plus, 1e-12, 1 - 1e-12)
-        logw = logw + npl * np.log(pc) + nmi * np.log1p(-pc)
-        logw -= logw.max()
-        logw -= np.log(np.exp(logw).sum())
+        # a zero count adds 0*x exactly, so its term is skipped
+        if npl:
+            logw = logw + npl * np.log(pc)
+        if nmi:
+            logw = logw + nmi * np.log1p(-pc)
+        logw, wts = _normalized(logw)
         t_total += nu * N * tau
         return float(sa_t), int(npl), int(nmi)
 
     def mle_and_width(T):
         """Point estimate (parabola-refined argmax) and windowed width:
         posterior RMS within half a fringe period, floored at one cell."""
-        wts = np.exp(logw)
         i = int(np.argmax(wts))
         w_hat = grid[i]
         dx = grid[1] - grid[0]
@@ -320,7 +322,7 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None,
         wsel = wts[sel]
         dw_hat = max(np.sqrt(np.sum(wsel * (w_hat - grid[sel]) ** 2) / np.sum(wsel)),
                      dx / np.sqrt(12))
-        return w_hat, dw_hat, r, wts
+        return w_hat, dw_hat, r
 
     for k in range(cfg.max_steps):
         if stage == STAGE_I:
@@ -332,7 +334,7 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None,
         zt = N * (cfg.omega_true * tau / (2 * np.pi) - 1)
         t_before = t_total
         sa_t, n_plus, n_minus = measure(N, tau, nu)
-        w_hat, dw_hat, r, wts = mle_and_width(T)
+        w_hat, dw_hat, r = mle_and_width(T)
 
         out = r > max(np.pi / T, 6 * dw_hat)
         if float(wts[out].sum()) > PROBE_ON:
@@ -350,7 +352,7 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None,
                 m = max(nint(abs(delta) * T / (2 * np.pi)), 1)
                 N_p = max(nint(m * w_r / abs(delta)), 2)
                 measure(N_p, tau_p, NU_PROBE)
-                w_hat, dw_hat, r, wts = mle_and_width(T)
+                w_hat, dw_hat, r = mle_and_width(T)
         probe_time = t_total - t_probe_start
 
         if not (np.isfinite(w_hat) and np.isfinite(dw_hat)):
@@ -379,10 +381,8 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None,
             hw = max(cfg.regrid_halfwidth_sigmas * dw_hat, 1.05 * float(r[keep].max()))
             if hw < (grid[-1] - grid[0]) / 2:
                 newg = np.linspace(w_hat - hw, w_hat + hw, n_pts)
-                logw = np.interp(newg, grid, logw, left=-745.0, right=-745.0)
+                logw, wts = _normalized(np.interp(newg, grid, logw, left=-745.0, right=-745.0))
                 grid = newg
-                logw -= logw.max()
-                logw -= np.log(np.exp(logw).sum())
 
         if cfg.target_precision is not None and dw_est < cfg.target_precision:
             break

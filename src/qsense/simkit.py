@@ -19,6 +19,7 @@ import numpy as np
 from .information import g_finite, g_sq_mean, g_universal
 from .model import interference_factor
 from .protocol import STAGE_II, AdaptiveConfig, Trajectory, run_adaptive
+from .runconfig import ConfigError
 
 __all__ = [
     "ScanResult",
@@ -102,7 +103,12 @@ def resolve_workers(n_workers: int | None, n_jobs: int) -> int:
     if n_workers is None:
         env = os.environ.get("QSENSE_THREADS", "").strip()
         if env:
-            n_workers = int(env)
+            try:
+                n_workers = int(env)
+            except ValueError:
+                raise ConfigError(
+                    [f"QSENSE_THREADS: expected an integer worker count, got {env!r}"]
+                ) from None
         else:
             n_workers = os.cpu_count() or 1
     return max(1, min(n_workers, n_jobs))

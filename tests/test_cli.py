@@ -207,6 +207,24 @@ class TestAdapt:
                        "--out-prefix", str(tmp_path / "t")])
         assert rc == 0
 
+    def test_malformed_threads_env_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QSENSE_THREADS", "abc")
+        cfg = write_adapt_config(tmp_path / "cfg.json")
+        rc = cli.main(["adapt", "--config", str(cfg),
+                       "--out-prefix", str(tmp_path / "t")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: QSENSE_THREADS" in err and "'abc'" in err
+        assert not (tmp_path / "t_steps.csv").exists()
+
+    def test_prior_grid_below_zero_exits_2(self, tmp_path, capsys):
+        cfg = write_adapt_config(tmp_path / "cfg.json", omega_true=1.0, omega0=1.0,
+                                 delta_omega0=0.5, nbar=0.0)
+        rc = cli.main(["adapt", "--config", str(cfg),
+                       "--out-prefix", str(tmp_path / "z")])
+        assert rc == 2
+        assert "config error: prior grid must stay above omega = 0" in capsys.readouterr().err
+
 
 class TestCompare:
     OMEGA = 2 * np.pi * 1e8

@@ -24,6 +24,7 @@ from qsense.model import (
     alpha_single_unit,
     coherence_small_alpha,
     coherence_thermal,
+    cpmg_displacement_abs,
     interference_factor,
     modulation_value,
     outcome_probability,
@@ -236,6 +237,86 @@ class TestInterferenceFactor:
         assert zeta(n_units, 50.0, tau) == pytest.approx(0.0, abs=1e-12)
         omega = (2 * np.pi / tau) * (1 + 3.0 / n_units)
         assert zeta(n_units, omega, tau) == pytest.approx(3.0, abs=1e-10)
+
+
+def magnitude_grid(n_units, tau):
+    """Frequencies around and between the first two multiples of 2*pi/tau.
+
+    Holds the exact major peak omega*tau = 2*pi, where the closed form
+    takes its 2N limit, omega*tau = 4*pi (x = pi/2, alpha_1 = 0), the
+    nodes zeta = +-1..+-5 of K, and a dense sweep across both.
+    """
+    w0 = 2 * np.pi / tau
+    nodes = w0 * (1 + np.arange(-5, 6) / n_units)
+    sweep = np.linspace(0.2 * w0, 2.6 * w0, 3001)
+    grid = np.concatenate([[w0, 2 * w0], nodes, sweep])
+    return grid[grid > 0]
+
+
+class TestDisplacementMagnitude:
+    """cpmg_displacement_abs against the complex displacement it replaces."""
+
+    @pytest.mark.parametrize("n_units", [1, 2, 3, 7, 16, 64])
+    @pytest.mark.parametrize("tau", [2 * np.pi / 50.0 * 1.02, 0.37, 1.3])
+    def test_matches_segment_sum(self, n_units, tau):
+        coupling = Coupling(0.1)
+        omega = magnitude_grid(n_units, tau)
+        got = cpmg_displacement_abs(coupling, n_units, omega, tau)
+        sched = ControlSchedule(unit=PulseSequence.cpmg(tau), n_units=n_units)
+        want = np.abs(total_displacement_direct(sched, coupling, omega))
+        # the segment sum carries the round-off floor calibrated in
+        # test_factorized_equals_direct; elsewhere the two agree to 1e-13
+        s = np.abs(np.sin(omega * tau / 2.0))
+        floor = (1.5e-14 * (coupling.lam / omega) * np.maximum(1.0, omega * n_units * tau)
+                 * (1.0 + 1.0 / np.maximum(s, 1e-8)))
+        assert np.all(np.abs(got - want) <= 1e-13 * want + floor)
+
+    @pytest.mark.parametrize("n_units", [1, 2, 5, 50, 997, 5000])
+    def test_matches_factorized_form(self, n_units):
+        coupling = Coupling(0.37)
+        tau = 2 * np.pi / 50.0 * (1 + 1 / n_units)
+        omega = magnitude_grid(n_units, tau)
+        got = cpmg_displacement_abs(coupling, n_units, omega, tau)
+        want = np.abs(alpha_cpmg(coupling, omega, tau)
+                      * interference_factor(n_units, omega, tau))
+        peak = want.max()
+        big = want > 1e-8 * peak
+        assert np.all(np.abs(got[big] - want[big]) <= 1e-13 * want[big])
+        # near the nodes both sides are round-off of a zero
+        assert np.all(np.abs(got[~big] - want[~big]) <= 1e-14 * peak)
+
+    def test_resonance_limits(self):
+        coupling, tau = Coupling(0.1), 2 * np.pi / 50.0
+        for n_units in (1, 7, 5000):
+            # major peak: |alpha_1| = 2*lam/omega and |K| = N
+            peak = cpmg_displacement_abs(coupling, n_units, 50.0, tau)
+            assert peak == pytest.approx(2 * 0.1 / 50.0 * n_units, rel=1e-14)
+            # omega*tau = 4*pi: cos x = 0, so alpha_1 vanishes
+            assert cpmg_displacement_abs(coupling, n_units, 100.0, tau) <= 1e-12 * peak
+
+    def test_scalar_and_array_inputs(self):
+        coupling, tau = Coupling(0.1), 2 * np.pi / 50.0 * 1.1
+        omegas = np.linspace(45.0, 55.0, 9)
+        arr = cpmg_displacement_abs(coupling, 10, omegas, tau)
+        assert isinstance(arr, np.ndarray) and arr.shape == omegas.shape
+        single = cpmg_displacement_abs(coupling, 10, float(omegas[3]), tau)
+        assert isinstance(single, float)
+        assert single == arr[3]
+        grid2d = cpmg_displacement_abs(coupling, 10, omegas.reshape(3, 3), tau)
+        assert np.array_equal(grid2d, arr.reshape(3, 3))
+
+    def test_invalid_inputs(self):
+        coupling = Coupling(0.1)
+        with pytest.raises(ValueError):
+            cpmg_displacement_abs(coupling, 3, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            cpmg_displacement_abs(coupling, 3, np.array([1.0, -2.0]), 1.0)
+        with pytest.raises(ValueError):
+            cpmg_displacement_abs(coupling, 3, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            cpmg_displacement_abs(coupling, 3, 1.0, -1.0)
+        with pytest.raises(ValueError):
+            cpmg_displacement_abs(coupling, 0, 1.0, 1.0)
 
 
 class TestCoherence:

@@ -173,6 +173,15 @@ class TestConfigValidation:
             AdaptiveConfig(omega_true=50.0, omega0=0.4, delta_omega0=0.5,
                            lam=0.1, nbar=10.0)
 
+    def test_prior_grid_must_stay_above_zero(self):
+        # omega0 - 8*delta_omega0 = -3: the grid would reach omega <= 0
+        with pytest.raises(ValueError, match="prior grid must stay above omega = 0"):
+            AdaptiveConfig(omega_true=1.0, omega0=1.0, delta_omega0=0.5,
+                           lam=0.1, nbar=0.0)
+        cfg = AdaptiveConfig(omega_true=1.0, omega0=1.0, delta_omega0=0.5,
+                             lam=0.1, nbar=0.0, span_sigmas=1.9)
+        assert cfg.omega0 - cfg.span_sigmas * cfg.delta_omega0 > 0
+
     def test_seed_range(self):
         with pytest.raises(ValueError):
             AdaptiveConfig(omega_true=50.0, omega0=50.5, delta_omega0=0.5,
