@@ -22,7 +22,6 @@ import numpy as np
 
 from . import simkit
 from .information import compare_control
-from .protocol import run_adaptive
 from .runconfig import ConfigError, adaptive_echo, load_adaptive_config, load_compare_config
 
 EXIT_OK = 0
@@ -118,7 +117,9 @@ def cmd_adapt(args) -> int:
     print(f"adapt: {harness['n_reps']} repetitions, {agg.n_common_steps} steps, "
           f"wall clock {wall:.2f} s", file=sys.stderr)
     if agg.n_aborted:
-        print(f"adapt: {agg.n_aborted} repetitions aborted", file=sys.stderr)
+        rep, diagnostic = agg.first_abort
+        print(f"adapt: {agg.n_aborted} repetitions aborted; first, rep {rep}: {diagnostic}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
 
     resolved = adaptive_echo(cfg)
@@ -152,8 +153,7 @@ def cmd_adapt(args) -> int:
     _write_text(prefix + "_summary.json", _json_text(summary))
 
     if args.snapshot_posterior:
-        traj = run_adaptive(cfg, keep_posterior=True)
-        post = traj.final_posterior
+        post = agg.rep0_posterior
         snap_meta = {"command": "adapt snapshot", "seed": cfg.seed}
         snap_rows = [",".join((_fmt(om), _fmt(w)))
                      for om, w in zip(post.grid, post.weights)]
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--threads", type=int, default=None,
                    help="worker cap (QSENSE_THREADS, then CPU count, when unset)")
     a.add_argument("--snapshot-posterior", default=None,
-                   help="also run one repetition and write its final posterior CSV here")
+                   help="also write the final posterior CSV of repetition 0 here")
     a.set_defaults(func=cmd_adapt)
 
     c = sub.add_parser("compare", help="controlled vs free-evolution sensitivity report")

@@ -2,14 +2,19 @@
 
 The posterior over omega lives on a uniform grid and is carried in log
 domain so that many-shot likelihood products cannot underflow. Updates,
-point estimation (argmax refined by a local parabola), RMS uncertainty,
-and window changes (regrid) are pure functions returning new posteriors.
+point estimation (argmax refined by a local parabola), RMS uncertainty
+(over the whole grid or a window about the estimate), the mass beyond a
+radius, and window changes (regrid) are pure functions returning new
+posteriors or numbers. Every update keeps the weights from the single
+exp of its normalization next to the grid, so nothing re-exponentiates
+or rebuilds the grid.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,38 +30,45 @@ __all__ = [
     "bayes_update",
     "mle",
     "uncertainty",
+    "mass_beyond",
     "regrid",
 ]
 
 
+def _grid(omega_min: float, omega_max: float, n_points: int) -> np.ndarray:
+    if not omega_min < omega_max:
+        raise ValueError(f"need omega_min < omega_max, got [{omega_min}, {omega_max}]")
+    if n_points < 64:
+        raise ValueError(f"n_points must be >= 64, got {n_points}")
+    return np.linspace(omega_min, omega_max, n_points)
+
+
 @dataclass(frozen=True)
 class Posterior:
-    """Normalized log-domain posterior on a uniform frequency grid."""
+    """Normalized log-domain posterior on a uniform frequency grid.
+
+    grid and weights are derived: the constructor builds them from the
+    window and exp(log_weights), while the functions below store the
+    ones they already hold.
+    """
 
     omega_min: float
     omega_max: float
     log_weights: np.ndarray
     n_points: int
+    grid: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.omega_min < self.omega_max:
-            raise ValueError(f"need omega_min < omega_max, got [{self.omega_min}, {self.omega_max}]")
-        if self.n_points < 64:
-            raise ValueError(f"n_points must be >= 64, got {self.n_points}")
+        grid = _grid(self.omega_min, self.omega_max, self.n_points)
         if len(self.log_weights) != self.n_points:
             raise ValueError("log_weights length does not match n_points")
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.omega_min, self.omega_max, self.n_points)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "weights", np.exp(self.log_weights))
 
     @property
     def spacing(self) -> float:
-        return (self.omega_max - self.omega_min) / (self.n_points - 1)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
+        return float(self.grid[1] - self.grid[0])
 
 
 @dataclass(frozen=True)
@@ -71,10 +83,43 @@ class Estimate:
             raise ValueError(f"delta_omega must be positive, got {self.delta_omega}")
 
 
-def _normalized(log_weights: np.ndarray) -> np.ndarray:
+def _normalized(grid: np.ndarray, log_weights: np.ndarray) -> Posterior:
+    """Posterior with log-weights shifted to unit mass and weights
+    exp(log_weights - max) / total, from the one exp.
+
+    The arrays are already checked, so the constructor is bypassed.
+    """
     lw = log_weights - log_weights.max()
-    lw = lw - np.log(np.exp(lw).sum())
-    return np.maximum(lw, LOG_FLOOR)
+    w = np.exp(lw)
+    total = w.sum()
+    post = object.__new__(Posterior)
+    post.__dict__.update(omega_min=float(grid[0]), omega_max=float(grid[-1]),
+                         log_weights=lw - np.log(total), n_points=len(grid), grid=grid,
+                         weights=w / total)
+    return post
+
+
+def _window(post: Posterior, center: float, radius: float) -> tuple[int, int]:
+    """Index range [lo, hi) of the nodes with |omega - center| <= radius.
+
+    The grid is sorted, so these nodes form one slice. A binary search
+    finds its ends, which are then settled on the exact predicate, since
+    the search can miss a node at round-off. The upper end never needs
+    lowering: a node below fl(center + radius) is at or below
+    center + radius, so its rounded distance from center cannot exceed
+    radius.
+    """
+    if not (math.isfinite(center) and radius >= 0):
+        raise ValueError(f"need a finite center and radius >= 0, got {center}, {radius}")
+    grid, n = post.grid, post.n_points
+    lo, hi = int(grid.searchsorted(center - radius)), int(grid.searchsorted(center + radius))
+    while lo > 0 and abs(grid[lo - 1] - center) <= radius:
+        lo -= 1
+    while lo < hi and not abs(grid[lo] - center) <= radius:
+        lo += 1
+    while hi < n and abs(grid[hi] - center) <= radius:
+        hi += 1
+    return lo, hi
 
 
 def gaussian_prior(omega0: float, delta_omega0: float, span_sigmas: float,
@@ -85,9 +130,8 @@ def gaussian_prior(omega0: float, delta_omega0: float, span_sigmas: float,
     if not span_sigmas > 0:
         raise ValueError(f"span_sigmas must be positive, got {span_sigmas}")
     half = span_sigmas * delta_omega0
-    grid = np.linspace(omega0 - half, omega0 + half, n_points)
-    lw = -((grid - omega0) ** 2) / (2.0 * delta_omega0**2)
-    return Posterior(omega0 - half, omega0 + half, _normalized(lw), n_points)
+    grid = _grid(omega0 - half, omega0 + half, n_points)
+    return _normalized(grid, -((grid - omega0) ** 2) / (2.0 * delta_omega0**2))
 
 
 def bayes_update(post: Posterior, p_plus: np.ndarray, n_plus: int,
@@ -95,20 +139,26 @@ def bayes_update(post: Posterior, p_plus: np.ndarray, n_plus: int,
     """Multiply in a batch of binary outcomes with per-node probability p_plus.
 
     log-weights gain n_plus*log(P+) + n_minus*log(1-P+), then
-    renormalize. P+ is clamped to [1e-12, 1-1e-12] before the logs so a
-    single contrary outcome at a likelihood node cannot zero the
-    posterior. Batches compose associatively.
+    renormalize; a term whose count is zero is skipped. P+ is clamped to
+    [1e-12, 1-1e-12] before the logs so a single contrary outcome at a
+    likelihood node cannot zero the posterior. Batches compose
+    associatively.
     """
     p = np.asarray(p_plus, dtype=float)
     if p.shape != (post.n_points,):
         raise ValueError(f"p_plus has shape {p.shape}, grid has {post.n_points} nodes")
     if n_plus < 0 or n_minus < 0:
         raise ValueError("outcome counts must be nonnegative")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    # fmin/fmax skip NaN, as the elementwise comparisons p < 0, p > 1 do
+    if np.fmin.reduce(p) < 0.0 or np.fmax.reduce(p) > 1.0:
         raise ValueError("per-node probabilities must lie in [0, 1]")
     pc = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
-    lw = post.log_weights + n_plus * np.log(pc) + n_minus * np.log1p(-pc)
-    return Posterior(post.omega_min, post.omega_max, _normalized(lw), post.n_points)
+    lw = post.log_weights
+    if n_plus:
+        lw = lw + n_plus * np.log(pc)
+    if n_minus:
+        lw = lw + n_minus * np.log1p(-pc)
+    return _normalized(post.grid, lw)
 
 
 def mle(post: Posterior) -> float:
@@ -119,16 +169,16 @@ def mle(post: Posterior) -> float:
     center is returned with a warning.
     """
     w = post.weights
-    if np.all(w == w[0]):
+    i = int(np.argmax(w))
+    ties = np.count_nonzero(w == w[i])
+    center = 0.5 * (post.omega_min + post.omega_max)
+    if ties == post.n_points:
         warnings.warn("degenerate posterior: all weights equal, returning grid center")
-        return 0.5 * (post.omega_min + post.omega_max)
+        return center
     grid = post.grid
-    top = np.flatnonzero(w == w.max())
-    if len(top) > 1:
-        center = 0.5 * (post.omega_min + post.omega_max)
+    if ties > 1:
+        top = np.flatnonzero(w == w[i])
         i = int(top[np.argmin(np.abs(grid[top] - center))])
-    else:
-        i = int(top[0])
     omega_hat = grid[i]
     if 0 < i < post.n_points - 1:
         l0, l1, l2 = post.log_weights[i - 1], post.log_weights[i], post.log_weights[i + 1]
@@ -140,28 +190,42 @@ def mle(post: Posterior) -> float:
     return float(omega_hat)
 
 
-def uncertainty(post: Posterior, omega_hat: float) -> float:
-    """RMS deviation of the posterior about omega_hat, trapezoid weighted.
+def uncertainty(post: Posterior, omega_hat: float,
+                half_window: float | None = None) -> float:
+    """RMS deviation of the posterior about omega_hat.
 
-    A posterior concentrated on a single node is resolution limited;
-    the grid-cell RMS dx/sqrt(12) is returned with a warning in that
-    case.
+    Only nodes within half_window of omega_hat count; by default the
+    whole grid does. A posterior concentrated on a single node is
+    resolution limited; the grid-cell RMS dx/sqrt(12) is returned with a
+    warning in that case.
     """
-    w = post.weights
-    coeff = np.ones(post.n_points)
-    coeff[0] = coeff[-1] = 0.5
-    cw = coeff * w
-    den = cw.sum()
+    lo, hi = (0, post.n_points) if half_window is None else _window(post, omega_hat, half_window)
+    w = post.weights[lo:hi]
+    den = w.sum()
     if not den > 0.0:
         raise ValueError("degenerate posterior: zero total weight")
-    grid = post.grid
-    var = float(np.sum(cw * (grid - omega_hat) ** 2) / den)
+    rms = np.sqrt(np.sum(w * (post.grid[lo:hi] - omega_hat) ** 2) / den)
     floor = post.spacing / np.sqrt(12.0)
-    rms = np.sqrt(var)
     if rms < floor:
         warnings.warn("resolution-limited posterior: RMS below one grid cell")
         return float(floor)
     return float(rms)
+
+
+def mass_beyond(post: Posterior, center: float, radius: float) -> tuple[float, float]:
+    """Posterior mass farther than radius from center, and its heaviest node.
+
+    Returns (mass, omega of the heaviest node beyond radius, the lowest
+    on a tie); the node is nan when no node lies beyond.
+    """
+    lo, hi = _window(post, center, radius)
+    outer = np.concatenate((post.weights[:lo], post.weights[hi:]))
+    if not len(outer):
+        return 0.0, math.nan
+    j = int(np.argmax(outer))
+    if j >= lo:
+        j += hi - lo
+    return float(outer.sum()), float(post.grid[j])
 
 
 def regrid(post: Posterior, center: float, half_width: float,
@@ -178,6 +242,6 @@ def regrid(post: Posterior, center: float, half_width: float,
         raise ValueError(
             f"new window [{lo}, {hi}] does not overlap grid [{post.omega_min}, {post.omega_max}]"
         )
-    new_grid = np.linspace(lo, hi, n_points)
+    new_grid = _grid(lo, hi, n_points)
     lw = np.interp(new_grid, post.grid, post.log_weights, left=LOG_FLOOR, right=LOG_FLOOR)
-    return Posterior(lo, hi, _normalized(lw), n_points)
+    return _normalized(new_grid, lw)

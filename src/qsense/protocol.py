@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import Estimate, Posterior
+from .estimation import (Estimate, Posterior, bayes_update, gaussian_prior, mass_beyond, mle,
+                         regrid, uncertainty)
 from .information import G_RMS1
-from .model import Coupling, PulseSequence, alpha_cpmg, alpha_single_unit, cpmg_displacement_abs
+from .model import Coupling, alpha_cpmg, cpmg_displacement_abs
 
 STAGE_I = 1
 STAGE_II = 2
@@ -52,7 +53,6 @@ __all__ = [
     "Trajectory",
     "nint",
     "lambda_tilde_cpmg",
-    "lambda_tilde_step",
     "stage1_plan",
     "stage2_plan",
     "stage_transition",
@@ -160,11 +160,7 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Complete record of one adaptive run.
-
-    final_posterior is populated only when the run was asked to keep it
-    (debug snapshot export); ensemble runs leave it empty.
-    """
+    """Complete record of one adaptive run, with its final posterior."""
 
     records: tuple[StepRecord, ...]
     final_estimate: Estimate
@@ -187,18 +183,6 @@ def lambda_tilde_cpmg(lam: float, nbar: float) -> float:
     if nbar < 0:
         raise ValueError(f"nbar must be nonnegative, got {nbar}")
     return lam * np.sqrt(2 * nbar + 1) / np.pi
-
-
-def lambda_tilde_step(seq: PulseSequence, lam: float, nbar: float,
-                      omega_est: float, tau: float) -> float:
-    """Per-step effective coupling sqrt(2*nbar+1)*|alpha_1(omega, tau)|/tau.
-
-    seq supplies the pulse pattern; tau overrides its period so the
-    schedule can reuse one template sequence.
-    """
-    unit = PulseSequence(tau=tau, pulse_fractions=seq.pulse_fractions)
-    a1 = alpha_single_unit(unit, Coupling(lam), omega_est)
-    return float(np.sqrt(2 * nbar + 1) * abs(a1) / tau)
 
 
 def stage1_plan(omega_est: float, delta_omega_est: float,
@@ -245,35 +229,22 @@ def stage_transition(delta_omega_k: float, lambda_tilde_k: float) -> bool:
     return delta_omega_k < lambda_tilde_k
 
 
-def _normalized(logw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized log-weights and the weights themselves, from one exp.
+def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) -> Trajectory:
+    """Run the full two-stage adaptive loop. Deterministic given (cfg, rng seed).
 
-    The weights are exp(logw - max) / total rather than a second
-    exp of the normalized log-weights.
+    Each step is plan -> simulate -> Bayes update -> estimate and
+    windowed width -> probe -> regrid; the posterior arithmetic is all
+    in `estimation`.
     """
-    logw = logw - logw.max()
-    wts = np.exp(logw)
-    total = wts.sum()
-    return logw - np.log(total), wts / total
-
-
-def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None,
-                 keep_posterior: bool = False) -> Trajectory:
-    """Run the full two-stage adaptive loop. Deterministic given (cfg, rng seed)."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    lam = cfg.lam
     Q = 2 * cfg.nbar + 1
-    lt_cpmg = lambda_tilde_cpmg(lam, cfg.nbar)
+    lt_cpmg = lambda_tilde_cpmg(cfg.lam, cfg.nbar)
     eta_i = 4 * np.pi * G_RMS1 / cfg.kappa_i**2
-    coupling = Coupling(lam)
+    coupling = Coupling(cfg.lam)
 
-    n_pts = cfg.n_points
-    grid = np.linspace(cfg.omega0 - cfg.span_sigmas * cfg.delta_omega0,
-                       cfg.omega0 + cfg.span_sigmas * cfg.delta_omega0, n_pts)
-    logw, wts = _normalized(-((grid - cfg.omega0) ** 2) / (2 * cfg.delta_omega0**2))
-
+    post = gaussian_prior(cfg.omega0, cfg.delta_omega0, cfg.span_sigmas, cfg.n_points)
     w_est, dw_est = cfg.omega0, cfg.delta_omega0
     stage = STAGE_II if stage_transition(cfg.delta_omega0, lt_cpmg) else STAGE_I
     probing = False
@@ -286,73 +257,40 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None,
     def measure(N, tau, nu):
         """Apply nu shots of the (N, tau) schedule: sample at the true
         frequency, fold the likelihood into the posterior, advance time."""
-        nonlocal logw, wts, t_total
-        L = np.exp(-2 * Q * cpmg_displacement_abs(coupling, N, grid, tau) ** 2)
-        p_plus = (1 + L) / 2
+        nonlocal post, t_total
+        L = np.exp(-2 * Q * cpmg_displacement_abs(coupling, N, post.grid, tau) ** 2)
         sa_t = np.sqrt(Q) * cpmg_displacement_abs(coupling, N, cfg.omega_true, tau)
-        Lt = np.exp(-2 * sa_t**2)
-        pt = (1 + Lt) / 2
-        npl = rng.binomial(nu, pt)
-        nmi = nu - npl
-        pc = np.clip(p_plus, 1e-12, 1 - 1e-12)
-        # a zero count adds 0*x exactly, so its term is skipped
-        if npl:
-            logw = logw + npl * np.log(pc)
-        if nmi:
-            logw = logw + nmi * np.log1p(-pc)
-        logw, wts = _normalized(logw)
+        npl = rng.binomial(nu, (1 + np.exp(-2 * sa_t**2)) / 2)
+        post = bayes_update(post, (1 + L) / 2, npl, nu - npl)
         t_total += nu * N * tau
-        return float(sa_t), int(npl), int(nmi)
-
-    def mle_and_width(T):
-        """Point estimate (parabola-refined argmax) and windowed width:
-        posterior RMS within half a fringe period, floored at one cell."""
-        i = int(np.argmax(wts))
-        w_hat = grid[i]
-        dx = grid[1] - grid[0]
-        if 0 < i < n_pts - 1:
-            l0, l1, l2 = logw[i - 1], logw[i], logw[i + 1]
-            den = l0 - 2 * l1 + l2
-            if den < 0:
-                off = 0.5 * (l0 - l2) / den
-                if abs(off) <= 0.5:
-                    w_hat = grid[i] + off * dx
-        r = np.abs(grid - w_hat)
-        sel = r <= np.pi / T
-        wsel = wts[sel]
-        dw_hat = max(np.sqrt(np.sum(wsel * (w_hat - grid[sel]) ** 2) / np.sum(wsel)),
-                     dx / np.sqrt(12))
-        return w_hat, dw_hat, r
+        return float(sa_t), int(npl), int(nu - npl)
 
     for k in range(cfg.max_steps):
-        if stage == STAGE_I:
-            plan = stage1_plan(w_est, dw_est, cfg)
-        else:
-            plan = stage2_plan(w_est, dw_est, cfg)
+        plan = (stage1_plan if stage == STAGE_I else stage2_plan)(w_est, dw_est, cfg)
         N, tau, nu, ltk = plan.n_units, plan.tau, plan.repetitions, plan.lambda_tilde_k
         T = N * tau
         zt = N * (cfg.omega_true * tau / (2 * np.pi) - 1)
-        t_before = t_total
         sa_t, n_plus, n_minus = measure(N, tau, nu)
-        w_hat, dw_hat, r = mle_and_width(T)
+        # the width is the posterior RMS within half a fringe period
+        w_hat = mle(post)
+        dw_hat = uncertainty(post, w_hat, np.pi / T)
 
-        out = r > max(np.pi / T, 6 * dw_hat)
-        if float(wts[out].sum()) > PROBE_ON:
+        far_mass, w_r = mass_beyond(post, w_hat, max(np.pi / T, 6 * dw_hat))
+        if far_mass > PROBE_ON:
             probing = True
         t_probe_start = t_total
         if probing:
             for _ in range(MAX_PROBE_BLOCKS):
-                out = r > max(np.pi / T, 6 * dw_hat)
-                if float(wts[out].sum()) < PROBE_OFF:
+                if far_mass < PROBE_OFF:
                     probing = False
                     break
-                w_r = float(grid[out][np.argmax(wts[out])])
+                # park the incumbent on a node, the rival w_r on the peak
                 delta = w_r - w_hat
-                tau_p = 2 * np.pi / w_r
                 m = max(nint(abs(delta) * T / (2 * np.pi)), 1)
-                N_p = max(nint(m * w_r / abs(delta)), 2)
-                measure(N_p, tau_p, NU_PROBE)
-                w_hat, dw_hat, r = mle_and_width(T)
+                measure(max(nint(m * w_r / abs(delta)), 2), 2 * np.pi / w_r, NU_PROBE)
+                w_hat = mle(post)
+                dw_hat = uncertainty(post, w_hat, np.pi / T)
+                far_mass, w_r = mass_beyond(post, w_hat, max(np.pi / T, 6 * dw_hat))
         probe_time = t_total - t_probe_start
 
         if not (np.isfinite(w_hat) and np.isfinite(dw_hat)):
@@ -375,14 +313,13 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None,
             stage = STAGE_II
             t_at_stage2 = t_total
 
-        dx = grid[1] - grid[0]
-        if dw_hat < cfg.regrid_trigger_spacings * dx:
-            keep = logw > (logw.max() - KEEP_LOG_NATS)
-            hw = max(cfg.regrid_halfwidth_sigmas * dw_hat, 1.05 * float(r[keep].max()))
-            if hw < (grid[-1] - grid[0]) / 2:
-                newg = np.linspace(w_hat - hw, w_hat + hw, n_pts)
-                logw, wts = _normalized(np.interp(newg, grid, logw, left=-745.0, right=-745.0))
-                grid = newg
+        if dw_hat < cfg.regrid_trigger_spacings * post.spacing:
+            # the new window keeps every node within KEEP_LOG_NATS of the peak
+            lw = post.log_weights
+            kept = post.grid[lw > lw.max() - KEEP_LOG_NATS]
+            hw = max(cfg.regrid_halfwidth_sigmas * dw_hat, 1.05 * float(np.abs(kept - w_hat).max()))
+            if hw < (post.omega_max - post.omega_min) / 2:
+                post = regrid(post, w_hat, hw, cfg.n_points)
 
         if cfg.target_precision is not None and dw_est < cfg.target_precision:
             break
@@ -393,10 +330,6 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None,
         stage1_time, stage2_time = t_total, 0.0
     else:
         stage1_time, stage2_time = t_at_stage2, t_total - t_at_stage2
-    final_posterior = None
-    if keep_posterior:
-        final_posterior = Posterior(float(grid[0]), float(grid[-1]),
-                                    np.maximum(logw, -745.0), n_pts)
     return Trajectory(
         records=tuple(records),
         final_estimate=Estimate(omega_hat=float(w_est), delta_omega=float(dw_est)),
@@ -404,5 +337,5 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None,
         stage2_time=float(stage2_time),
         aborted=aborted,
         diagnostic=diagnostic,
-        final_posterior=final_posterior,
+        final_posterior=post,
     )

@@ -1,4 +1,4 @@
-"""Monte Carlo harnesses: outcome sampling, ensemble averaging, scans, fits.
+"""Monte Carlo harnesses: ensemble averaging, scans, fits.
 
 Repetitions of the adaptive run are independent given their seeds, so
 they execute in a process pool and are merged in repetition order
@@ -12,19 +12,19 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .estimation import Posterior
 from .information import g_finite, g_sq_mean, g_universal
 from .model import interference_factor
-from .protocol import STAGE_II, AdaptiveConfig, Trajectory, run_adaptive
+from .protocol import STAGE_II, AdaptiveConfig, run_adaptive
 from .runconfig import ConfigError
 
 __all__ = [
     "ScanResult",
     "AggregateResult",
-    "sample_outcomes",
     "resolve_workers",
     "run_repetitions",
     "fringe_scan",
@@ -55,7 +55,9 @@ class AggregateResult:
     stage_column is 2 at a step only when every repetition has entered
     stage (ii) there; mean_n_units, mean_tau, mean_nu average the
     per-step plans. n_common_steps counts the aligned prefix when
-    trajectories end at different lengths.
+    trajectories end at different lengths. first_abort is the index and
+    diagnostic of the first aborted repetition, and rep0_posterior the
+    final posterior of repetition 0.
     """
 
     step_axis: np.ndarray
@@ -72,6 +74,8 @@ class AggregateResult:
     mean_nu: np.ndarray
     n_common_steps: int
     n_aborted: int = 0
+    first_abort: tuple[int, str] | None = None
+    rep0_posterior: Posterior | None = None
 
     def __post_init__(self):
         n = len(self.step_axis)
@@ -85,17 +89,6 @@ class AggregateResult:
         lo, hi = self.fit_window
         if not (0 <= lo <= hi < n):
             raise ValueError(f"fit_window {self.fit_window} outside [0, {n})")
-
-
-def sample_outcomes(p_plus: float, repetitions: int,
-                    rng: np.random.Generator) -> tuple[int, int]:
-    """Draw binary measurement outcomes: binomial n_plus, remainder n_minus."""
-    if not 0.0 <= p_plus <= 1.0:
-        raise ValueError(f"p_plus must lie in [0, 1], got {p_plus}")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    n_plus = int(rng.binomial(repetitions, p_plus))
-    return n_plus, repetitions - n_plus
 
 
 def resolve_workers(n_workers: int | None, n_jobs: int) -> int:
@@ -114,15 +107,9 @@ def resolve_workers(n_workers: int | None, n_jobs: int) -> int:
     return max(1, min(n_workers, n_jobs))
 
 
-def _replace_seed(cfg: AdaptiveConfig, seed: int) -> AdaptiveConfig:
-    from dataclasses import replace
-
-    return replace(cfg, seed=seed)
-
-
 def _run_one(args) -> tuple:
-    cfg, seed = args
-    traj = run_adaptive(_replace_seed(cfg, seed))
+    cfg, seed, first = args
+    traj = run_adaptive(replace(cfg, seed=seed))
     rec = traj.records
     return (
         np.array([r.plan.stage for r in rec], dtype=np.int64),
@@ -134,6 +121,9 @@ def _run_one(args) -> tuple:
         np.array([r.plan.tau for r in rec]),
         np.array([r.plan.repetitions for r in rec], dtype=np.int64),
         traj.aborted,
+        traj.diagnostic,
+        # only repetition 0's posterior is sent back across the pool
+        traj.final_posterior if first else None,
     )
 
 
@@ -142,18 +132,18 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
                     fit_tail_fraction: float = 0.6) -> AggregateResult:
     """Average n_reps independent adaptive runs and fit the late-time scaling.
 
-    Per-repetition seeds derive from the master seed by an additive
-    split fed through the generator's seed hash, so streams stay
-    independent and the whole result is a pure function of
-    (cfg, master_seed). The log-log precision-vs-time slope is fitted
-    over the trailing fit_tail_fraction of the steps where every
+    Repetition r runs with seed master_seed + r, so the result is a pure
+    function of (cfg, master_seed) and does not depend on the worker
+    count. Nearby master seeds share repetitions: master seeds 1 and 2
+    have all but one in common. The log-log precision-vs-time slope is
+    fitted over the trailing fit_tail_fraction of the steps where every
     repetition has reached stage (ii).
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     if not 0.0 < fit_tail_fraction <= 1.0:
         raise ValueError(f"fit_tail_fraction must lie in (0, 1], got {fit_tail_fraction}")
-    jobs = [(cfg, master_seed + r) for r in range(n_reps)]
+    jobs = [(cfg, master_seed + r, r == 0) for r in range(n_reps)]
     workers = resolve_workers(n_workers, n_reps)
     if workers == 1:
         results = [_run_one(j) for j in jobs]
@@ -173,6 +163,7 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
     tau_arr = np.stack([res[6][:n_common] for res in results])
     nu_arr = np.stack([res[7][:n_common] for res in results])
 
+    aborted = [r for r, res in enumerate(results) if res[8]]
     mean_dw = dw.mean(axis=0)
     mean_tt = tt.mean(axis=0)
     stage_col = np.where((stg == STAGE_II).all(axis=0), STAGE_II, 1)
@@ -198,7 +189,9 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
         mean_tau=tau_arr.mean(axis=0),
         mean_nu=nu_arr.mean(axis=0),
         n_common_steps=int(n_common),
-        n_aborted=sum(1 for res in results if res[8]),
+        n_aborted=len(aborted),
+        first_abort=(aborted[0], results[aborted[0]][9]) if aborted else None,
+        rep0_posterior=results[0][10],
     )
 
 

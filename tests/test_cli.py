@@ -5,12 +5,15 @@ The output format is treated as frozen: header strings, metadata lines,
 and byte-level reproducibility are asserted, not just parseability.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from qsense import cli
+from qsense import cli, simkit
+from qsense.protocol import run_adaptive
+from qsense.runconfig import load_adaptive_config
 
 
 def read_csv(path):
@@ -178,6 +181,40 @@ class TestAdapt:
         assert np.all(np.diff(table[:, 0]) > 0)
         assert np.all(table[:, 1] >= 0)
         assert table[:, 1].sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_snapshot_is_the_pooled_rep0_posterior(self, tmp_path):
+        cfg_path = write_adapt_config(tmp_path / "cfg.json", n_reps=3)
+        snap = tmp_path / "posterior.csv"
+        rc = cli.main(["adapt", "--config", str(cfg_path), "--threads", "2",
+                       "--out-prefix", str(tmp_path / "p"),
+                       "--snapshot-posterior", str(snap)])
+        assert rc == 0
+        meta, _, rows = read_csv(snap)
+        assert meta["seed"] == "2026"
+        table = np.array(rows, dtype=float)
+        cfg, _ = load_adaptive_config(str(cfg_path))
+        post = run_adaptive(cfg).final_posterior
+        assert np.array_equal(table[:, 0], post.grid)
+        assert np.array_equal(table[:, 1], post.weights)
+
+    def test_abort_names_first_rep_and_diagnostic(self, tmp_path, monkeypatch, capsys):
+        real = simkit.run_adaptive
+
+        def aborting(cfg, rng=None):
+            traj = real(cfg, rng)
+            if cfg.seed == 2027:
+                return dataclasses.replace(traj, aborted=True,
+                                           diagnostic="non-finite estimate at step 4: stub")
+            return traj
+
+        monkeypatch.setattr(simkit, "run_adaptive", aborting)
+        cfg = write_adapt_config(tmp_path / "cfg.json", n_reps=3)
+        rc = cli.main(["adapt", "--config", str(cfg), "--threads", "1",
+                       "--out-prefix", str(tmp_path / "a")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert ("adapt: 1 repetitions aborted; first, rep 1: "
+                "non-finite estimate at step 4: stub") in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_adapt_config(tmp_path / "cfg.json", omega_ture=50.0)

@@ -15,6 +15,7 @@ from qsense.estimation import (
     Posterior,
     bayes_update,
     gaussian_prior,
+    mass_beyond,
     mle,
     regrid,
     uncertainty,
@@ -228,6 +229,61 @@ class TestUncertainty:
         at_mean = uncertainty(post, 0.0)
         off = uncertainty(post, 0.25)
         assert off > at_mean
+
+
+class TestWindowedSums:
+    """Slice windows against brute-force masks |grid - center| <= radius."""
+
+    @staticmethod
+    def rough_posterior(omega_min=2.0, omega_max=4.0, n_points=257):
+        p = np.random.default_rng(5).uniform(0.05, 0.95, n_points)
+        return bayes_update(flat_posterior(omega_min, omega_max, n_points), p, 3, 2)
+
+    # the default grid has spacing 1/128, so its nodes are exact binary
+    # fractions; (grid, center, radius)
+    CASES = [
+        ((), 3.0, 0.3),                         # centre on a node
+        ((), 3.0, 0.25),                        # nodes at exactly the radius are inside
+        ((), 3.0061, 0.2),                      # centre between nodes
+        ((), 2.05, 0.4),                        # window clipped at the lower edge
+        ((), 3.9713, 0.1),                      # window clipped at the upper edge
+        ((), 3.0, 5.0),                         # window covers the grid
+        # at these, a binary search for center -+ radius lands one node
+        # off the exact predicate, at round-off
+        ((), 2.889050558634333, 0.2640505586343331),
+        ((), 2.5228241115917807, 0.18030088840821937),
+        ((28.927900054771936, 90.99343735751052, 64), 63.47246316606477, 33.5593958525192),
+    ]
+
+    @pytest.mark.parametrize("grid,center,radius", CASES)
+    def test_uncertainty_matches_masked_sum(self, grid, center, radius):
+        post = self.rough_posterior(*grid)
+        inside = np.abs(post.grid - center) <= radius
+        w, d = post.weights[inside], post.grid[inside] - center
+        want = np.sqrt(np.sum(w * d**2) / np.sum(w))
+        assert uncertainty(post, center, radius) == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("grid,center,radius", CASES + [((), 3.0013, 1e-4)])
+    def test_mass_beyond_matches_masked_sum(self, grid, center, radius):
+        post = self.rough_posterior(*grid)
+        out = np.abs(post.grid - center) > radius
+        mass, node = mass_beyond(post, center, radius)
+        assert mass == pytest.approx(float(post.weights[out].sum()), rel=1e-12, abs=0.0)
+        if out.any():
+            assert node == post.grid[out][np.argmax(post.weights[out])]
+        else:
+            assert mass == 0.0 and np.isnan(node)
+
+    def test_whole_grid_is_the_default_window(self):
+        post = self.rough_posterior()
+        assert uncertainty(post, 3.0) == uncertainty(post, 3.0, 5.0)
+
+    def test_invalid_window(self):
+        post = self.rough_posterior()
+        with pytest.raises(ValueError):
+            mass_beyond(post, 3.0, -0.1)
+        with pytest.raises(ValueError):
+            uncertainty(post, float("nan"), 0.1)
 
 
 class TestRegrid:

@@ -7,6 +7,7 @@ invariants run against the shared 500-repetition fixture.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -19,14 +20,12 @@ from qsense.protocol import (
     AdaptiveConfig,
     StepPlan,
     lambda_tilde_cpmg,
-    lambda_tilde_step,
     nint,
     run_adaptive,
     stage1_plan,
     stage2_plan,
     stage_transition,
 )
-from qsense.model import PulseSequence
 
 
 class ForcedPlus:
@@ -59,27 +58,33 @@ class TestEffectiveCoupling:
         with pytest.raises(ValueError):
             lambda_tilde_cpmg(0.1, -1.0)
 
+    # The per-step coupling is stage1_plan's lambda_tilde_k,
+    # sqrt(2 nbar + 1) |alpha_1(omega, tau)| / tau at
+    # omega tau = 2 pi (1 + 1/N).
+
     def test_step_coupling_at_resonance(self):
-        omega = 50.0
-        tau = 2 * np.pi / omega
-        seq = PulseSequence.cpmg(tau)
-        got = lambda_tilde_step(seq, 0.1, 10.0, omega, tau)
-        assert got == pytest.approx(lambda_tilde_cpmg(0.1, 10.0), rel=1e-12)
+        # N = 1e13 puts omega tau within 1e-12 of 2 pi, where the
+        # coupling departs from its resonant value by about 0.57/N
+        cfg = reference_config(nbar=10.0)
+        plan = stage1_plan(50.0, 2.5e-12, cfg)
+        assert plan.n_units > 10**12
+        assert plan.lambda_tilde_k == pytest.approx(lambda_tilde_cpmg(0.1, 10.0), rel=1e-12)
 
     def test_step_coupling_near_resonance(self):
-        # exact deviation at this detuning is 1.069%
-        omega = 50.0
-        tau = (2 * np.pi / omega) * (1 + 1.0 / 50.0)
-        seq = PulseSequence.cpmg(tau)
-        got = lambda_tilde_step(seq, 0.1, 10.0, omega, tau)
+        # N = 50 gives omega tau = 2 pi * 1.02; the exact deviation
+        # at this detuning is 1.069%
+        cfg = reference_config(nbar=10.0)
+        plan = stage1_plan(50.0, 0.49, cfg)
+        assert plan.n_units == 50
+        assert 50.0 * plan.tau / (2 * np.pi) == pytest.approx(1.02, rel=1e-14)
+        got = plan.lambda_tilde_k
         assert got == pytest.approx(lambda_tilde_cpmg(0.1, 10.0), rel=0.012)
         assert got / lambda_tilde_cpmg(0.1, 10.0) == pytest.approx(1.01069, abs=2e-4)
 
     def test_linear_in_coupling(self):
-        omega, tau = 50.0, 0.13
-        seq = PulseSequence.cpmg(tau)
-        one = lambda_tilde_step(seq, 0.1, 10.0, omega, tau)
-        two = lambda_tilde_step(seq, 0.2, 10.0, omega, tau)
+        cfg = reference_config(nbar=10.0)
+        one = stage1_plan(50.0, 0.49, cfg).lambda_tilde_k
+        two = stage1_plan(50.0, 0.49, dataclasses.replace(cfg, lam=0.2)).lambda_tilde_k
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -268,14 +273,20 @@ class TestRunLoop:
 
     def test_forced_outcomes_keep_mass_finite(self):
         cfg = reference_config(nbar=10.0, max_steps=30)
-        traj = run_adaptive(cfg, rng=ForcedPlus(), keep_posterior=True)
+        traj = run_adaptive(cfg, rng=ForcedPlus())
         assert not traj.aborted
         assert isinstance(traj.final_posterior, Posterior)
         assert np.all(np.isfinite(traj.final_posterior.log_weights))
         assert traj.final_posterior.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_posterior_not_kept_by_default(self, short_run):
-        assert short_run.final_posterior is None
+    @pytest.mark.parametrize("nbar", [10.0, 1000.0])
+    def test_reference_runs_raise_no_warning(self, nbar):
+        # the estimation engine warns on degenerate and resolution-limited
+        # posteriors; a healthy run must never reach either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run_adaptive(reference_config(nbar=nbar, max_steps=60))
+        assert len(traj.records) == 60 and not traj.aborted
 
     def test_target_precision_stops_early(self):
         cfg = reference_config(nbar=10.0, max_steps=200)

@@ -1,8 +1,8 @@
-"""Ensemble machinery: sampling, aggregation, scans, and scaling fits.
+"""Ensemble machinery: aggregation, scans, and scaling fits.
 
 Aggregation is checked for exact linearity against hand-stacked single
-runs, the sampler against binomial moments, and the fit harness against
-synthetic power laws with known exponents.
+runs, abort reporting against a stubbed run, and the fit harness
+against synthetic power laws with known exponents.
 """
 
 import dataclasses
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_config
+from qsense import simkit
 from qsense.protocol import run_adaptive
 from qsense.simkit import (
     AggregateResult,
@@ -21,47 +22,8 @@ from qsense.simkit import (
     gsq_scan,
     resolve_workers,
     run_repetitions,
-    sample_outcomes,
 )
 from qsense.information import g_sq_mean
-
-
-class TestSampleOutcomes:
-    def test_certain_outcomes(self):
-        rng = np.random.default_rng(0)
-        assert sample_outcomes(1.0, 17, rng) == (17, 0)
-        assert sample_outcomes(0.0, 17, rng) == (0, 17)
-
-    def test_counts_partition(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            n_plus, n_minus = sample_outcomes(0.37, 25, rng)
-            assert n_plus + n_minus == 25
-            assert n_plus >= 0 and n_minus >= 0
-
-    def test_large_sample_concentration(self):
-        rng = np.random.default_rng(11)
-        n_plus, _ = sample_outcomes(0.5, 10**6, rng)
-        assert 0.4985 <= n_plus / 10**6 <= 0.5015
-
-    def test_binomial_moments(self):
-        # one independent generator per seed; sample mean and variance
-        # must sit within 3 standard errors of n*p and n*p*(1-p)
-        n, p, n_seeds = 100, 0.3, 10_000
-        draws = np.array([
-            sample_outcomes(p, n, np.random.default_rng(seed))[0]
-            for seed in range(n_seeds)
-        ], dtype=float)
-        mean_se = np.sqrt(n * p * (1 - p) / n_seeds)
-        assert abs(draws.mean() - n * p) <= 3 * mean_se
-        assert abs(draws.var(ddof=1) - n * p * (1 - p)) <= 1.0
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_outcomes(1.5, 10, rng)
-        with pytest.raises(ValueError):
-            sample_outcomes(0.5, 0, rng)
 
 
 class TestResolveWorkers:
@@ -135,6 +97,22 @@ class TestRunRepetitions:
         assert np.all(agg.stage_column == 2)
         assert lo == min(math.ceil(0.4 * agg.n_common_steps),
                          agg.n_common_steps - 3)
+
+    def test_first_abort_is_reported(self, monkeypatch):
+        real = simkit.run_adaptive
+
+        def aborting(cfg, rng=None):
+            traj = real(cfg, rng)
+            if cfg.seed >= 31:
+                return dataclasses.replace(traj, aborted=True,
+                                           diagnostic=f"stub abort, seed {cfg.seed}")
+            return traj
+
+        monkeypatch.setattr(simkit, "run_adaptive", aborting)
+        cfg = reference_config(nbar=1000.0, max_steps=5)
+        agg = run_repetitions(cfg, 3, master_seed=30, n_workers=1)
+        assert agg.n_aborted == 2
+        assert agg.first_abort == (1, "stub abort, seed 31")
 
     def test_validation(self):
         cfg = reference_config(nbar=1000.0, max_steps=5)
