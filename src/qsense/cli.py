@@ -22,7 +22,8 @@ import numpy as np
 
 from . import simkit
 from .information import compare_control
-from .runconfig import ConfigError, adaptive_echo, load_adaptive_config, load_compare_config
+from .runconfig import (ConfigError, adaptive_echo, config_keys, load_adaptive_config,
+                        load_compare_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -166,12 +167,8 @@ def cmd_compare(args) -> int:
     overrides = {"k_factor": args.k_factor, "t2": args.t2}
     kwargs = load_compare_config(args.config, overrides)
     report = compare_control(**kwargs)
-    rep = {("lambda" if k == "lam" else k): v for k, v in report.as_dict().items()}
-    doc = {
-        "command": "compare",
-        "config": {("lambda" if k == "lam" else k): v for k, v in kwargs.items()},
-        "report": rep,
-    }
+    doc = {"command": "compare", "config": config_keys(kwargs),
+           "report": config_keys(report.as_dict())}
     text = _json_text(doc)
     if args.out:
         _write_text(args.out, text)

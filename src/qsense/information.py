@@ -39,6 +39,7 @@ __all__ = [
     "precision_asymptotic",
     "precision_free",
     "t_max",
+    "lambda_tilde_cpmg",
     "ComparisonReport",
     "compare_control",
     "DerivativeResult",
@@ -215,6 +216,15 @@ def t_max(delta_omega: float, lambda_tilde: float) -> float:
     return float(np.sqrt(2.0 * np.pi / (delta_omega * max(delta_omega, lambda_tilde))))
 
 
+def lambda_tilde_cpmg(lam: float, nbar: float) -> float:
+    """Effective coupling rate lam*sqrt(2*nbar+1)/pi at fringe resonance."""
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    if nbar < 0:
+        raise ValueError(f"nbar must be nonnegative, got {nbar}")
+    return lam * np.sqrt(2 * nbar + 1) / np.pi
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     """Order-of-magnitude comparison of controlled vs free-evolution sensing.
@@ -248,9 +258,7 @@ def compare_control(omega: float, lam: float, nbar: float, t2: float,
     """
     if not (omega > 0 and lam > 0 and t2 > 0 and k_factor > 0):
         raise ValueError("omega, lam, t2, k_factor must be positive")
-    if nbar < 0:
-        raise ValueError(f"nbar must be nonnegative, got {nbar}")
-    lt = lam * np.sqrt(2.0 * nbar + 1.0) / np.pi
+    lt = lambda_tilde_cpmg(lam, nbar)
     s_ctrl = np.pi / (lt * t2**1.5)
     s_free = omega / (lt * np.sqrt(t2))
     return ComparisonReport(

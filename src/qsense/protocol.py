@@ -28,7 +28,7 @@ import numpy as np
 
 from .estimation import (Estimate, Posterior, bayes_update, gaussian_prior, mass_beyond, mle,
                          regrid, uncertainty)
-from .information import G_RMS1
+from .information import G_RMS1, lambda_tilde_cpmg
 from .model import Coupling, alpha_cpmg, cpmg_displacement_abs
 
 STAGE_I = 1
@@ -52,7 +52,6 @@ __all__ = [
     "StepRecord",
     "Trajectory",
     "nint",
-    "lambda_tilde_cpmg",
     "stage1_plan",
     "stage2_plan",
     "stage_transition",
@@ -176,15 +175,6 @@ def nint(a: float) -> int:
     return int(math.floor(a + 0.5)) if a >= 0 else int(math.ceil(a - 0.5))
 
 
-def lambda_tilde_cpmg(lam: float, nbar: float) -> float:
-    """Effective coupling rate lam*sqrt(2*nbar+1)/pi at fringe resonance."""
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if nbar < 0:
-        raise ValueError(f"nbar must be nonnegative, got {nbar}")
-    return lam * np.sqrt(2 * nbar + 1) / np.pi
-
-
 def stage1_plan(omega_est: float, delta_omega_est: float,
                 cfg: AdaptiveConfig) -> StepPlan:
     """Fringe-acquisition step: evolution time near 1/(kappa_i * dw).
@@ -271,26 +261,24 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         T = N * tau
         zt = N * (cfg.omega_true * tau / (2 * np.pi) - 1)
         sa_t, n_plus, n_minus = measure(N, tau, nu)
-        # the width is the posterior RMS within half a fringe period
-        w_hat = mle(post)
-        dw_hat = uncertainty(post, w_hat, np.pi / T)
-
-        far_mass, w_r = mass_beyond(post, w_hat, max(np.pi / T, 6 * dw_hat))
-        if far_mass > PROBE_ON:
-            probing = True
         t_probe_start = t_total
-        if probing:
-            for _ in range(MAX_PROBE_BLOCKS):
-                if far_mass < PROBE_OFF:
-                    probing = False
-                    break
-                # park the incumbent on a node, the rival w_r on the peak
-                delta = w_r - w_hat
-                m = max(nint(abs(delta) * T / (2 * np.pi)), 1)
-                measure(max(nint(m * w_r / abs(delta)), 2), 2 * np.pi / w_r, NU_PROBE)
-                w_hat = mle(post)
-                dw_hat = uncertainty(post, w_hat, np.pi / T)
-                far_mass, w_r = mass_beyond(post, w_hat, max(np.pi / T, 6 * dw_hat))
+        for block in range(MAX_PROBE_BLOCKS + 1):
+            # the width is the posterior RMS within half a fringe period
+            w_hat = mle(post)
+            dw_hat = uncertainty(post, w_hat, np.pi / T)
+            far_mass, w_r = mass_beyond(post, w_hat, max(np.pi / T, 6 * dw_hat))
+            if far_mass > PROBE_ON:
+                probing = True
+            # the latch stays armed when the block cap cuts a probe short
+            if not probing or block == MAX_PROBE_BLOCKS:
+                break
+            if far_mass < PROBE_OFF:
+                probing = False
+                break
+            # park the incumbent on a node, the rival w_r on the peak
+            delta = w_r - w_hat
+            m = max(nint(abs(delta) * T / (2 * np.pi)), 1)
+            measure(max(nint(m * w_r / abs(delta)), 2), 2 * np.pi / w_r, NU_PROBE)
         probe_time = t_total - t_probe_start
 
         if not (np.isfinite(w_hat) and np.isfinite(dw_hat)):

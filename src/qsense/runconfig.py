@@ -9,7 +9,7 @@ echoed into every output file.
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import asdict
 
 import yaml
 
@@ -46,13 +46,20 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.problems))
 
 
-def _load_mapping(path: str) -> dict:
+def _load_mapping(path: str, overrides: dict | None, known, required) -> dict:
+    """Read a config file, apply the non-None overrides, and check its keys."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError([f"config root must be a mapping, got {type(doc).__name__}"])
+    if overrides:
+        doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
+    problems = [f"{key}: unknown key" for key in sorted(set(doc) - set(known), key=str)]
+    problems += [f"{key}: required key missing" for key in required if key not in doc]
+    if problems:
+        raise ConfigError(problems)
     return doc
 
 
@@ -82,20 +89,8 @@ def load_adaptive_config(path: str, overrides: dict | None = None):
     keys anywhere raise ConfigError with one message per offending
     field.
     """
-    doc = _load_mapping(path)
-    if overrides:
-        doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
-
+    doc = _load_mapping(path, overrides, ADAPTIVE_KEYS + HARNESS_KEYS, _REQUIRED_ADAPTIVE)
     problems = []
-    known = set(ADAPTIVE_KEYS) | set(HARNESS_KEYS)
-    for key in sorted(set(doc) - known):
-        problems.append(f"{key}: unknown key")
-    for key in _REQUIRED_ADAPTIVE:
-        if key not in doc:
-            problems.append(f"{key}: required key missing")
-    if problems:
-        raise ConfigError(problems)
-
     values = {}
     for key in ADAPTIVE_KEYS:
         if key in doc:
@@ -129,19 +124,8 @@ def load_adaptive_config(path: str, overrides: dict | None = None):
 
 def load_compare_config(path: str, overrides: dict | None = None) -> dict:
     """Parse a controlled-vs-free comparison config into keyword arguments."""
-    doc = _load_mapping(path)
-    if overrides:
-        doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
-
+    doc = _load_mapping(path, overrides, COMPARE_KEYS, _REQUIRED_COMPARE)
     problems = []
-    for key in sorted(set(doc) - set(COMPARE_KEYS)):
-        problems.append(f"{key}: unknown key")
-    for key in _REQUIRED_COMPARE:
-        if key not in doc:
-            problems.append(f"{key}: required key missing")
-    if problems:
-        raise ConfigError(problems)
-
     out = dict(COMPARE_DEFAULTS)
     for key in COMPARE_KEYS:
         if key in doc:
@@ -153,10 +137,11 @@ def load_compare_config(path: str, overrides: dict | None = None) -> dict:
     return {("lam" if k == _LAMBDA_KEY else k): v for k, v in out.items()}
 
 
+def config_keys(values: dict) -> dict:
+    """The mapping under config-file key names: `lam` becomes `lambda`."""
+    return {(_LAMBDA_KEY if k == "lam" else k): v for k, v in values.items()}
+
+
 def adaptive_echo(cfg: AdaptiveConfig) -> dict:
     """Resolved config as a flat mapping under canonical key names."""
-    out = {}
-    for f in fields(cfg):
-        key = _LAMBDA_KEY if f.name == "lam" else f.name
-        out[key] = getattr(cfg, f.name)
-    return out
+    return config_keys(asdict(cfg))

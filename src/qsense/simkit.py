@@ -52,12 +52,13 @@ class ScanResult:
 class AggregateResult:
     """Step-aligned ensemble means over repeated adaptive runs.
 
-    stage_column is 2 at a step only when every repetition has entered
-    stage (ii) there; mean_n_units, mean_tau, mean_nu average the
-    per-step plans. n_common_steps counts the aligned prefix when
-    trajectories end at different lengths. first_abort is the index and
-    diagnostic of the first aborted repetition, and rep0_posterior the
-    final posterior of repetition 0.
+    The means and stage_column cover the repetitions that did not
+    abort. stage_column is 2 at a step only when every one of them has
+    entered stage (ii) there; mean_n_units, mean_tau, mean_nu average
+    the per-step plans. n_common_steps counts the aligned prefix when
+    trajectories end at different lengths. n_aborted counts the aborted
+    repetitions, first_abort is the index and diagnostic of the first
+    one, and rep0_posterior the final posterior of repetition 0.
     """
 
     step_axis: np.ndarray
@@ -110,21 +111,12 @@ def resolve_workers(n_workers: int | None, n_jobs: int) -> int:
 def _run_one(args) -> tuple:
     cfg, seed, first = args
     traj = run_adaptive(replace(cfg, seed=seed))
-    rec = traj.records
-    return (
-        np.array([r.plan.stage for r in rec], dtype=np.int64),
-        np.array([r.delta_omega_k for r in rec]),
-        np.array([r.cumulative_time for r in rec]),
-        np.array([r.zeta_k for r in rec]),
-        np.array([r.scaled_alpha_k for r in rec]),
-        np.array([r.plan.n_units for r in rec], dtype=np.int64),
-        np.array([r.plan.tau for r in rec]),
-        np.array([r.plan.repetitions for r in rec], dtype=np.int64),
-        traj.aborted,
-        traj.diagnostic,
-        # only repetition 0's posterior is sent back across the pool
-        traj.final_posterior if first else None,
-    )
+    # one row per step; the integer columns are exact in float64
+    steps = np.array([(r.plan.stage, r.delta_omega_k, r.cumulative_time, r.zeta_k,
+                       r.scaled_alpha_k, r.plan.n_units, r.plan.tau, r.plan.repetitions)
+                      for r in traj.records], dtype=float)
+    # only repetition 0's posterior is sent back across the pool
+    return steps, traj.aborted, traj.diagnostic, traj.final_posterior if first else None
 
 
 def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
@@ -135,9 +127,11 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
     Repetition r runs with seed master_seed + r, so the result is a pure
     function of (cfg, master_seed) and does not depend on the worker
     count. Nearby master seeds share repetitions: master seeds 1 and 2
-    have all but one in common. The log-log precision-vs-time slope is
-    fitted over the trailing fit_tail_fraction of the steps where every
-    repetition has reached stage (ii).
+    have all but one in common. Aborted repetitions are counted but
+    left out of the means; if every repetition aborts, ValueError names
+    the diagnostic of repetition 0. The log-log precision-vs-time slope
+    is fitted over the trailing fit_tail_fraction of the steps where
+    every averaged repetition has reached stage (ii).
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
@@ -151,22 +145,17 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_one, jobs, chunksize=max(1, n_reps // (4 * workers))))
 
-    n_common = min(len(res[0]) for res in results)
-    if n_common < 1:
-        raise ValueError("trajectories contain no recorded steps")
-    stg = np.stack([res[0][:n_common] for res in results])
-    dw = np.stack([res[1][:n_common] for res in results])
-    tt = np.stack([res[2][:n_common] for res in results])
-    zt = np.stack([res[3][:n_common] for res in results])
-    sa = np.stack([res[4][:n_common] for res in results])
-    n_units_arr = np.stack([res[5][:n_common] for res in results])
-    tau_arr = np.stack([res[6][:n_common] for res in results])
-    nu_arr = np.stack([res[7][:n_common] for res in results])
-
-    aborted = [r for r, res in enumerate(results) if res[8]]
-    mean_dw = dw.mean(axis=0)
-    mean_tt = tt.mean(axis=0)
-    stage_col = np.where((stg == STAGE_II).all(axis=0), STAGE_II, 1)
+    steps, aborted_flags, diagnostics, posteriors = zip(*results)
+    aborted = [r for r, flag in enumerate(aborted_flags) if flag]
+    kept = [rows for rows, flag in zip(steps, aborted_flags) if not flag]
+    if not kept:
+        raise ValueError(f"all {n_reps} repetitions aborted; rep 0: {diagnostics[0]}")
+    # a run that does not abort records at least one step
+    n_common = min(len(rows) for rows in kept)
+    stacked = np.stack([rows[:n_common] for rows in kept])
+    means = stacked.mean(axis=0)
+    _, mean_dw, mean_tt, mean_zt, mean_sa, mean_n_units, mean_tau, mean_nu = means.T
+    stage_col = np.where((stacked[:, :, 0] == STAGE_II).all(axis=0), STAGE_II, 1)
 
     all2 = np.flatnonzero(stage_col == STAGE_II)
     s = int(all2[0]) if len(all2) else n_common - 1
@@ -179,19 +168,19 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
         step_axis=np.arange(n_common),
         mean_delta_omega=mean_dw,
         mean_cumulative_time=mean_tt,
-        mean_zeta=zt.mean(axis=0),
-        mean_scaled_alpha=sa.mean(axis=0),
+        mean_zeta=mean_zt,
+        mean_scaled_alpha=mean_sa,
         n_repetitions=n_reps,
         fit_slope=float(slope),
         fit_window=(int(lo), int(n_common - 1)),
         stage_column=stage_col,
-        mean_n_units=n_units_arr.mean(axis=0),
-        mean_tau=tau_arr.mean(axis=0),
-        mean_nu=nu_arr.mean(axis=0),
+        mean_n_units=mean_n_units,
+        mean_tau=mean_tau,
+        mean_nu=mean_nu,
         n_common_steps=int(n_common),
         n_aborted=len(aborted),
-        first_abort=(aborted[0], results[aborted[0]][9]) if aborted else None,
-        rep0_posterior=results[0][10],
+        first_abort=(aborted[0], diagnostics[aborted[0]]) if aborted else None,
+        rep0_posterior=posteriors[0],
     )
 
 

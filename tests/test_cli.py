@@ -216,6 +216,25 @@ class TestAdapt:
         assert ("adapt: 1 repetitions aborted; first, rep 1: "
                 "non-finite estimate at step 4: stub") in err
 
+    def test_abort_at_step_zero_is_reported(self, tmp_path, monkeypatch, capsys):
+        real = simkit.run_adaptive
+
+        def aborting(cfg, rng=None):
+            traj = real(cfg, rng)
+            if cfg.seed == 2027:
+                return dataclasses.replace(traj, records=(), aborted=True,
+                                           diagnostic="non-finite estimate at step 0: stub")
+            return traj
+
+        monkeypatch.setattr(simkit, "run_adaptive", aborting)
+        cfg = write_adapt_config(tmp_path / "cfg.json", n_reps=3)
+        rc = cli.main(["adapt", "--config", str(cfg), "--threads", "1",
+                       "--out-prefix", str(tmp_path / "a")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert ("adapt: 1 repetitions aborted; first, rep 1: "
+                "non-finite estimate at step 0: stub") in err
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_adapt_config(tmp_path / "cfg.json", omega_ture=50.0)
         rc = cli.main(["adapt", "--config", str(cfg),
@@ -223,6 +242,15 @@ class TestAdapt:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error: omega_ture: unknown key" in err
+
+    def test_non_string_unknown_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("omega_true: 50.0\nomega0: 50.5\ndelta_omega0: 0.5\n"
+                       "lambda: 0.1\nnbar: 10.0\n1: 2\nzz: 3\n", encoding="utf-8")
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: 1: unknown key\nconfig error: zz: unknown key" in err
 
     def test_missing_required_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -296,6 +324,25 @@ class TestCompare:
         assert doc["config"]["k_factor"] == 4.0
         assert doc["report"]["time_cost_ratio"] == pytest.approx(
             2 * self.OMEGA / self.LAM, rel=1e-12)
+
+    def test_abort_at_step_zero_is_reported(self, tmp_path, monkeypatch, capsys):
+        real = simkit.run_adaptive
+
+        def aborting(cfg, rng=None):
+            traj = real(cfg, rng)
+            if cfg.seed == 2027:
+                return dataclasses.replace(traj, records=(), aborted=True,
+                                           diagnostic="non-finite estimate at step 0: stub")
+            return traj
+
+        monkeypatch.setattr(simkit, "run_adaptive", aborting)
+        cfg = write_adapt_config(tmp_path / "cfg.json", n_reps=3)
+        rc = cli.main(["adapt", "--config", str(cfg), "--threads", "1",
+                       "--out-prefix", str(tmp_path / "a")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert ("adapt: 1 repetitions aborted; first, rep 1: "
+                "non-finite estimate at step 0: stub") in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.json"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_config
+from qsense import protocol
 from qsense.estimation import Posterior
 from qsense.protocol import (
     STAGE_I,
@@ -278,6 +279,30 @@ class TestRunLoop:
         assert isinstance(traj.final_posterior, Posterior)
         assert np.all(np.isfinite(traj.final_posterior.log_weights))
         assert traj.final_posterior.weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_probe_latch(self, monkeypatch):
+        # far masses in call order: 40 probe blocks hit the cap with the
+        # latch armed (step 0); the latch carries into step 1, whose mass
+        # sits between PROBE_OFF and PROBE_ON, and one block later drops
+        # below PROBE_OFF; the same in-between mass does not arm step 2
+        masses = iter([1e-3] * 40 + [1e-12] + [1e-8, 1e-12] + [1e-8] + [0.0])
+        calls = {"mass_beyond": 0, "bayes_update": 0}
+        real_update = protocol.bayes_update
+
+        def mass_beyond(post, center, radius):
+            calls["mass_beyond"] += 1
+            return next(masses), center + 0.05
+
+        def bayes_update(*args):
+            calls["bayes_update"] += 1
+            return real_update(*args)
+
+        monkeypatch.setattr(protocol, "mass_beyond", mass_beyond)
+        monkeypatch.setattr(protocol, "bayes_update", bayes_update)
+        traj = run_adaptive(reference_config(nbar=10.0, max_steps=4))
+        assert not traj.aborted
+        assert calls == {"mass_beyond": 45, "bayes_update": 45}
+        assert [r.probe_time > 0 for r in traj.records] == [True, True, False, False]
 
     @pytest.mark.parametrize("nbar", [10.0, 1000.0])
     def test_reference_runs_raise_no_warning(self, nbar):

@@ -114,6 +114,42 @@ class TestRunRepetitions:
         assert agg.n_aborted == 2
         assert agg.first_abort == (1, "stub abort, seed 31")
 
+    def test_aborted_reps_are_left_out_of_the_means(self, monkeypatch):
+        real = simkit.run_adaptive
+        diag = "non-finite estimate at step 0: stub"
+
+        def aborting(cfg, rng=None):
+            traj = real(cfg, rng)
+            if cfg.seed == 41:
+                # an abort at step 0 leaves no records at all
+                return dataclasses.replace(traj, records=(), aborted=True, diagnostic=diag)
+            return traj
+
+        monkeypatch.setattr(simkit, "run_adaptive", aborting)
+        cfg = reference_config(nbar=1000.0, max_steps=8)
+        agg = run_repetitions(cfg, 3, master_seed=40, n_workers=1)
+        assert agg.n_aborted == 1
+        assert agg.first_abort == (1, diag)
+        assert agg.n_repetitions == 3
+        singles = [[rec.delta_omega_k for rec in
+                    run_adaptive(dataclasses.replace(cfg, seed=seed)).records]
+                   for seed in (40, 42)]
+        n_common = min(len(s) for s in singles)
+        hand = np.stack([np.array(s[:n_common]) for s in singles]).mean(axis=0)
+        assert np.array_equal(agg.mean_delta_omega, hand)
+
+    def test_all_reps_aborted_raises_with_rep0_diagnostic(self, monkeypatch):
+        real = simkit.run_adaptive
+
+        def aborting(cfg, rng=None):
+            return dataclasses.replace(real(cfg, rng), records=(), aborted=True,
+                                       diagnostic=f"stub abort, seed {cfg.seed}")
+
+        monkeypatch.setattr(simkit, "run_adaptive", aborting)
+        cfg = reference_config(nbar=1000.0, max_steps=3)
+        with pytest.raises(ValueError, match="rep 0: stub abort, seed 50"):
+            run_repetitions(cfg, 2, master_seed=50, n_workers=1)
+
     def test_validation(self):
         cfg = reference_config(nbar=1000.0, max_steps=5)
         with pytest.raises(ValueError):
