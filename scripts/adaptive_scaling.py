@@ -12,16 +12,11 @@ core; pass --reps 50 for a quick look.
 import argparse
 import time
 
-import numpy as np
-
-from qsense.protocol import AdaptiveConfig
-from qsense.simkit import run_repetitions
+from qsense.simkit import matched_time_ratio, reference_config, run_repetitions
 
 
 def run_ensemble(nbar, reps, steps, seed, workers):
-    cfg = AdaptiveConfig(omega_true=50.0, omega0=50.5, delta_omega0=0.5,
-                         lam=0.1, nbar=nbar, c_i=0.1, kappa_i=2.0,
-                         c=0.1, kappa=2.0, max_steps=steps, seed=seed)
+    cfg = reference_config(nbar, max_steps=steps, seed=seed)
     t0 = time.perf_counter()
     agg = run_repetitions(cfg, reps, master_seed=seed, n_workers=workers)
     wall = time.perf_counter() - t0
@@ -29,17 +24,6 @@ def run_ensemble(nbar, reps, steps, seed, workers):
           f"in {wall:.1f} s, slope {agg.fit_slope:.3f} "
           f"over window {agg.fit_window}, aborted {agg.n_aborted}")
     return agg
-
-
-def matched_time_ratio(agg_cold, agg_hot):
-    # interpolate both mean curves (log-log) at the smaller final mean time
-    t_star = min(agg_cold.mean_cumulative_time[-1], agg_hot.mean_cumulative_time[-1])
-    out = []
-    for agg in (agg_cold, agg_hot):
-        lt = np.log(agg.mean_cumulative_time)
-        ld = np.log(agg.mean_delta_omega)
-        out.append(np.exp(np.interp(np.log(t_star), lt, ld)))
-    return t_star, out[0] / out[1]
 
 
 def main():

@@ -17,32 +17,24 @@ from .information import (
     cfi_binary,
     compare_control,
     dalpha_abs_domega,
-    g_approx,
     g_finite,
     g_rms,
     g_sq_mean,
     g_universal,
     lambda_tilde_cpmg,
-    precision_asymptotic,
-    precision_free,
-    precision_from_fisher,
     qfi_complex,
     qfi_real,
-    t_max,
 )
 from .model import (
     ControlSchedule,
     Coupling,
-    OscillatorMoments,
     PulseSequence,
     ThermalState,
     alpha_cpmg,
     alpha_single_unit,
-    coherence_small_alpha,
     coherence_thermal,
     cpmg_displacement_abs,
     interference_factor,
-    modulation_value,
     outcome_probability,
     total_displacement,
     total_displacement_direct,
@@ -79,7 +71,6 @@ __all__ = [
     "ControlSchedule",
     "Coupling",
     "Estimate",
-    "OscillatorMoments",
     "Posterior",
     "PulseSequence",
     "ScanResult",
@@ -91,14 +82,12 @@ __all__ = [
     "alpha_single_unit",
     "bayes_update",
     "cfi_binary",
-    "coherence_small_alpha",
     "coherence_thermal",
     "compare_control",
     "cpmg_displacement_abs",
     "dalpha_abs_domega",
     "fit_loglog_slope",
     "fringe_scan",
-    "g_approx",
     "g_finite",
     "g_rms",
     "g_sq_mean",
@@ -111,12 +100,8 @@ __all__ = [
     "load_compare_config",
     "mass_beyond",
     "mle",
-    "modulation_value",
     "nint",
     "outcome_probability",
-    "precision_asymptotic",
-    "precision_free",
-    "precision_from_fisher",
     "qfi_complex",
     "qfi_real",
     "regrid",
@@ -125,7 +110,6 @@ __all__ = [
     "stage1_plan",
     "stage2_plan",
     "stage_transition",
-    "t_max",
     "total_displacement",
     "total_displacement_direct",
     "uncertainty",

@@ -1,4 +1,4 @@
-"""Fisher information and precision bounds for fringe-based frequency sensing.
+"""Fisher information for fringe-based frequency sensing.
 
 The frequency sensitivity of the probe is set by how fast the fringe
 contrast moves with omega. Near the major interference peak the
@@ -6,12 +6,13 @@ derivative of the normalized fringe pattern approaches a universal
 envelope g(zeta) independent of the period count N; its root-mean-square
 over a fringe-tuning window enters the adaptive schedule as a constant.
 Both the quantum and the outcome-level (binary) Fisher information are
-provided, together with the asymptotic precision bounds they imply and
-a controlled-vs-free evolution comparison.
+provided, together with the effective coupling rate and a
+controlled-vs-free evolution comparison.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -29,16 +30,11 @@ __all__ = [
     "G_RMS1",
     "g_finite",
     "g_universal",
-    "g_approx",
     "g_sq_mean",
     "g_rms",
     "qfi_real",
     "qfi_complex",
     "cfi_binary",
-    "precision_from_fisher",
-    "precision_asymptotic",
-    "precision_free",
-    "t_max",
     "lambda_tilde_cpmg",
     "ComparisonReport",
     "compare_control",
@@ -81,21 +77,6 @@ def g_finite(n_units: int, zeta, h: float = 1e-6):
         return np.sinc(x) / np.sinc(x / n_units)
 
     out = np.abs((ratio(z + h) - ratio(z - h)) / (2.0 * h))
-    return out if out.shape else float(out)
-
-
-def g_approx(zeta):
-    """Two-branch closed approximation to g_universal.
-
-    (pi^2 |z|/3) exp(-(pi z)^2/10) for |z| < 1, |cos(pi z)|/|z| beyond.
-    Display-quality only; the adaptive protocol never uses it.
-    """
-    z = np.asarray(zeta, dtype=float)
-    az = np.abs(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        far = np.abs(np.cos(np.pi * z)) / az
-    near = (np.pi**2 * az / 3.0) * np.exp(-((np.pi * z) ** 2) / 10.0)
-    out = np.where(az < 1.0, near, far)
     return out if out.shape else float(out)
 
 
@@ -178,44 +159,6 @@ def cfi_binary(p_plus: float, dp_plus: float) -> float:
     return dp * dp / (p * (1.0 - p))
 
 
-def precision_from_fisher(fisher: float, repetitions: int) -> float:
-    """Cramer-Rao bound 1/sqrt(nu * F) for nu independent repetitions."""
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if not fisher > 0.0:
-        raise ValueError(f"no information: fisher = {fisher}")
-    return 1.0 / np.sqrt(repetitions * fisher)
-
-
-def precision_asymptotic(lambda_tilde: float, total_time: float, g_value: float) -> float:
-    """Single-shot frequency precision pi/(g * lambda_tilde * T^2).
-
-    The 1/T^2 scaling of the periodically controlled probe; g is the
-    fringe-derivative value (or RMS) at the operating point.
-    """
-    if not (lambda_tilde > 0 and total_time > 0 and g_value > 0):
-        raise ValueError("lambda_tilde, total_time, g_value must be positive")
-    return np.pi / (g_value * lambda_tilde * total_time**2)
-
-
-def precision_free(omega: float, lambda_tilde: float, total_time: float) -> float:
-    """Free-evolution single-shot precision omega/(lambda_tilde * T)."""
-    if not (omega > 0 and lambda_tilde > 0 and total_time > 0):
-        raise ValueError("omega, lambda_tilde, total_time must be positive")
-    return omega / (lambda_tilde * total_time)
-
-
-def t_max(delta_omega: float, lambda_tilde: float) -> float:
-    """Longest useful single-run evolution time sqrt(2*pi/(dw * max(dw, lt))).
-
-    Beyond this the fringe period at the current frequency uncertainty
-    is unresolved and extra coherent evolution stops paying.
-    """
-    if not (delta_omega > 0 and lambda_tilde > 0):
-        raise ValueError("delta_omega and lambda_tilde must be positive")
-    return float(np.sqrt(2.0 * np.pi / (delta_omega * max(delta_omega, lambda_tilde))))
-
-
 def lambda_tilde_cpmg(lam: float, nbar: float) -> float:
     """Effective coupling rate lam*sqrt(2*nbar+1)/pi at fringe resonance."""
     if not lam > 0:
@@ -256,6 +199,8 @@ def compare_control(omega: float, lam: float, nbar: float, t2: float,
     control shortens the time to a target precision; the sensitivity
     S = dw * sqrt(T) improves by sensitivity_gain = omega*t2/pi.
     """
+    if not all(math.isfinite(x) for x in (omega, lam, nbar, t2, k_factor)):
+        raise ValueError("omega, lam, nbar, t2, k_factor must be finite")
     if not (omega > 0 and lam > 0 and t2 > 0 and k_factor > 0):
         raise ValueError("omega, lam, t2, k_factor must be positive")
     lt = lambda_tilde_cpmg(lam, nbar)

@@ -23,9 +23,7 @@ __all__ = [
     "PulseSequence",
     "ControlSchedule",
     "ThermalState",
-    "OscillatorMoments",
     "Coupling",
-    "modulation_value",
     "alpha_single_unit",
     "alpha_cpmg",
     "interference_factor",
@@ -34,7 +32,6 @@ __all__ = [
     "total_displacement_direct",
     "zeta",
     "coherence_thermal",
-    "coherence_small_alpha",
     "outcome_probability",
 ]
 
@@ -102,27 +99,6 @@ class ThermalState:
 
 
 @dataclass(frozen=True)
-class OscillatorMoments:
-    """Low-order moments of a general oscillator state.
-
-    Used by the small-displacement coherence expansion. The bound
-    |<b+>|^2 <= nbar holds for any physical state.
-    """
-
-    b_dag_mean: complex
-    b_dag_sq_mean: complex
-    nbar: float
-
-    def __post_init__(self):
-        if self.nbar < 0:
-            raise ValueError(f"nbar must be nonnegative, got {self.nbar}")
-        if abs(self.b_dag_mean) ** 2 > self.nbar * (1 + 1e-12) + 1e-15:
-            raise ValueError(
-                f"|<b+>|^2 = {abs(self.b_dag_mean)**2} exceeds nbar = {self.nbar}"
-            )
-
-
-@dataclass(frozen=True)
 class Coupling:
     """Dephasing coupling strength between qubit and oscillator."""
 
@@ -131,17 +107,6 @@ class Coupling:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-
-
-def modulation_value(seq: PulseSequence, t: float) -> int:
-    """Sign of the square-wave modulation f(t) at time t in [0, tau).
-
-    Starts at +1 and flips at each pulse time.
-    """
-    if not 0.0 <= t < seq.tau:
-        raise ValueError(f"t = {t} outside [0, {seq.tau})")
-    flips = sum(1 for tp in seq.pulse_times if tp <= t)
-    return 1 if flips % 2 == 0 else -1
 
 
 def _segment_phase_sum(lam, omega, t_bounds, signs):
@@ -280,22 +245,6 @@ def coherence_thermal(alpha, state: ThermalState):
     a2 = np.abs(np.asarray(alpha)) ** 2
     out = np.exp(-2.0 * (2.0 * state.nbar + 1.0) * a2)
     return out if out.shape else float(out)
-
-
-def coherence_small_alpha(alpha: complex, moments: OscillatorMoments) -> complex:
-    """Second-order coherence expansion for a general oscillator state.
-
-    L ~ 1 + 4i*Im(alpha)*<b+> + 4*Re(alpha^2)*<b+^2> - 2*(2*nbar+1)*|alpha|^2.
-    Valid for sqrt(2*nbar+1)*|alpha| << 1; the value is not clamped and
-    may leave the unit disk outside that regime.
-    """
-    a = complex(alpha)
-    return (
-        1.0
-        + 4j * a.imag * moments.b_dag_mean
-        + 4.0 * (a * a).real * moments.b_dag_sq_mean
-        - 2.0 * (2.0 * moments.nbar + 1.0) * abs(a) ** 2
-    )
 
 
 def outcome_probability(coherence_real: float) -> tuple[float, float]:

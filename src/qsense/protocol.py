@@ -22,14 +22,15 @@ aliases from ever being amplified back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .estimation import (Estimate, Posterior, bayes_update, gaussian_prior, mass_beyond, mle,
                          regrid, uncertainty)
 from .information import G_RMS1, lambda_tilde_cpmg
-from .model import Coupling, alpha_cpmg, cpmg_displacement_abs
+from .model import (Coupling, ThermalState, coherence_thermal, cpmg_displacement_abs,
+                    outcome_probability, zeta)
 
 STAGE_I = 1
 STAGE_II = 2
@@ -82,7 +83,11 @@ class AdaptiveConfig:
     regrid_halfwidth_sigmas: float = 10.0
 
     def __post_init__(self):
-        problems = []
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        problems = [f"{name} must be finite, got {v}" for name, v in values.items()
+                    if isinstance(v, float) and not math.isfinite(v)]
+        if problems:
+            raise ValueError("; ".join(problems))
         for name in ("omega_true", "omega0", "delta_omega0", "lam", "c_i", "c",
                      "span_sigmas"):
             if not getattr(self, name) > 0:
@@ -175,6 +180,11 @@ def nint(a: float) -> int:
     return int(math.floor(a + 0.5)) if a >= 0 else int(math.ceil(a - 0.5))
 
 
+def _eta_i(cfg: AdaptiveConfig) -> float:
+    """Stage-(i) gain per unit lambda_tilde/dw: 4*pi*G_RMS1/kappa_i^2."""
+    return 4 * np.pi * G_RMS1 / cfg.kappa_i**2
+
+
 def stage1_plan(omega_est: float, delta_omega_est: float,
                 cfg: AdaptiveConfig) -> StepPlan:
     """Fringe-acquisition step: evolution time near 1/(kappa_i * dw).
@@ -184,12 +194,11 @@ def stage1_plan(omega_est: float, delta_omega_est: float,
     """
     if not delta_omega_est > 0:
         raise ValueError(f"delta_omega_est must be positive, got {delta_omega_est}")
-    Q = 2 * cfg.nbar + 1
-    eta_i = 4 * np.pi * G_RMS1 / cfg.kappa_i**2
     N = max(nint(omega_est / (cfg.kappa_i * delta_omega_est) - 1), 1)
     tau = (2 * np.pi / omega_est) * (1 + 1 / N)
-    ltk = np.sqrt(Q) * abs(alpha_cpmg(Coupling(cfg.lam), omega_est, tau)) / tau
-    nu = max(nint(cfg.c_i**2 * delta_omega_est**2 / (ltk**2 * eta_i**2)), 1)
+    a1 = cpmg_displacement_abs(Coupling(cfg.lam), 1, omega_est, tau)
+    ltk = np.sqrt(2 * cfg.nbar + 1) * a1 / tau
+    nu = max(nint(cfg.c_i**2 * delta_omega_est**2 / (ltk**2 * _eta_i(cfg)**2)), 1)
     return StepPlan(stage=STAGE_I, n_units=N, tau=tau, repetitions=nu,
                     lambda_tilde_k=float(ltk))
 
@@ -229,10 +238,9 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    Q = 2 * cfg.nbar + 1
     lt_cpmg = lambda_tilde_cpmg(cfg.lam, cfg.nbar)
-    eta_i = 4 * np.pi * G_RMS1 / cfg.kappa_i**2
     coupling = Coupling(cfg.lam)
+    state = ThermalState(cfg.nbar)
 
     post = gaussian_prior(cfg.omega0, cfg.delta_omega0, cfg.span_sigmas, cfg.n_points)
     w_est, dw_est = cfg.omega0, cfg.delta_omega0
@@ -248,19 +256,19 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         """Apply nu shots of the (N, tau) schedule: sample at the true
         frequency, fold the likelihood into the posterior, advance time."""
         nonlocal post, t_total
-        L = np.exp(-2 * Q * cpmg_displacement_abs(coupling, N, post.grid, tau) ** 2)
-        sa_t = np.sqrt(Q) * cpmg_displacement_abs(coupling, N, cfg.omega_true, tau)
-        npl = rng.binomial(nu, (1 + np.exp(-2 * sa_t**2)) / 2)
+        L = coherence_thermal(cpmg_displacement_abs(coupling, N, post.grid, tau), state)
+        a_t = cpmg_displacement_abs(coupling, N, cfg.omega_true, tau)
+        p_plus, _ = outcome_probability(coherence_thermal(a_t, state))
+        npl = rng.binomial(nu, p_plus)
         post = bayes_update(post, (1 + L) / 2, npl, nu - npl)
         t_total += nu * N * tau
-        return float(sa_t), int(npl), int(nu - npl)
+        return a_t, int(npl), int(nu - npl)
 
     for k in range(cfg.max_steps):
         plan = (stage1_plan if stage == STAGE_I else stage2_plan)(w_est, dw_est, cfg)
         N, tau, nu, ltk = plan.n_units, plan.tau, plan.repetitions, plan.lambda_tilde_k
         T = N * tau
-        zt = N * (cfg.omega_true * tau / (2 * np.pi) - 1)
-        sa_t, n_plus, n_minus = measure(N, tau, nu)
+        a_t, n_plus, n_minus = measure(N, tau, nu)
         t_probe_start = t_total
         for block in range(MAX_PROBE_BLOCKS + 1):
             # the width is the posterior RMS within half a fringe period
@@ -287,13 +295,15 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
             break
 
         if stage == STAGE_I:
-            gain = eta_i * ltk / dw_est
+            gain = _eta_i(cfg) * ltk / dw_est
         else:
             gain = 2.0 / cfg.kappa**2
         records.append(StepRecord(
             step_index=k, plan=plan, n_plus=n_plus, n_minus=n_minus,
-            omega_k=float(w_hat), delta_omega_k=float(dw_hat), zeta_k=float(zt),
-            scaled_alpha_k=sa_t, cumulative_time=t_total, gain_G_k=float(gain),
+            omega_k=float(w_hat), delta_omega_k=float(dw_hat),
+            zeta_k=zeta(N, cfg.omega_true, tau),
+            scaled_alpha_k=float(np.sqrt(2 * cfg.nbar + 1) * a_t),
+            cumulative_time=t_total, gain_G_k=float(gain),
             probe_time=probe_time,
         ))
         w_est, dw_est = w_hat, dw_hat

@@ -9,6 +9,7 @@ echoed into every output file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 
 import yaml
@@ -73,6 +74,9 @@ def _coerce(key: str, value, problems: list[str]):
         num = float(value)
     except (TypeError, ValueError):
         problems.append(f"{key}: expected a number, got {value!r}")
+        return None
+    if not math.isfinite(num):
+        problems.append(f"{key}: expected a finite number, got {value!r}")
         return None
     if key in _INT_FIELDS:
         if num != int(num):

@@ -26,7 +26,9 @@ __all__ = [
     "ScanResult",
     "AggregateResult",
     "resolve_workers",
+    "reference_config",
     "run_repetitions",
+    "matched_time_ratio",
     "fringe_scan",
     "gsq_scan",
     "fit_loglog_slope",
@@ -90,6 +92,12 @@ class AggregateResult:
         lo, hi = self.fit_window
         if not (0 <= lo <= hi < n):
             raise ValueError(f"fit_window {self.fit_window} outside [0, {n})")
+
+
+def reference_config(nbar: float, max_steps: int = 250, seed: int = 12345) -> AdaptiveConfig:
+    """The reference scenario: omega 50, prior 50.5 +- 0.5, coupling 0.1."""
+    return AdaptiveConfig(omega_true=50.0, omega0=50.5, delta_omega0=0.5, lam=0.1,
+                          nbar=nbar, max_steps=max_steps, seed=seed)
 
 
 def resolve_workers(n_workers: int | None, n_jobs: int) -> int:
@@ -182,6 +190,19 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
         first_abort=(aborted[0], diagnostics[aborted[0]]) if aborted else None,
         rep0_posterior=posteriors[0],
     )
+
+
+def matched_time_ratio(cold: AggregateResult, hot: AggregateResult) -> tuple[float, float]:
+    """Mean precision ratio cold/hot at the smaller of the two final mean times.
+
+    Each mean precision curve is interpolated linearly in log-log
+    against its mean cumulative time. Returns (matched time, ratio).
+    """
+    t_star = min(cold.mean_cumulative_time[-1], hot.mean_cumulative_time[-1])
+    dw = [np.exp(np.interp(np.log(t_star), np.log(agg.mean_cumulative_time),
+                           np.log(agg.mean_delta_omega)))
+          for agg in (cold, hot)]
+    return float(t_star), float(dw[0] / dw[1])
 
 
 def fringe_scan(n_units: int, zeta_range: tuple[float, float],

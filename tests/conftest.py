@@ -8,28 +8,18 @@ only when a test actually requests them.
 
 import pytest
 
-from qsense.protocol import AdaptiveConfig
-from qsense.simkit import run_repetitions
+from qsense.simkit import reference_config, run_repetitions
 
 REFERENCE_REPS = 500
-REFERENCE_STEPS = 250
-REFERENCE_SEED = 12345
-
-
-def reference_config(nbar, max_steps=REFERENCE_STEPS, seed=REFERENCE_SEED):
-    """The standard scenario: omega 50, prior offset 0.5, coupling 0.1."""
-    return AdaptiveConfig(omega_true=50.0, omega0=50.5, delta_omega0=0.5,
-                          lam=0.1, nbar=nbar, c_i=0.1, kappa_i=2.0,
-                          c=0.1, kappa=2.0, max_steps=max_steps, seed=seed)
 
 
 @pytest.fixture(scope="session")
 def ensemble_nbar10():
     cfg = reference_config(nbar=10.0)
-    return run_repetitions(cfg, REFERENCE_REPS, master_seed=REFERENCE_SEED)
+    return run_repetitions(cfg, REFERENCE_REPS, master_seed=cfg.seed)
 
 
 @pytest.fixture(scope="session")
 def ensemble_nbar1000():
     cfg = reference_config(nbar=1000.0)
-    return run_repetitions(cfg, REFERENCE_REPS, master_seed=REFERENCE_SEED)
+    return run_repetitions(cfg, REFERENCE_REPS, master_seed=cfg.seed)

@@ -7,7 +7,6 @@ ensemble-backed checks (04, 05, 06) share the session fixtures and are
 budgeted in minutes, not seconds.
 """
 
-import json
 import subprocess
 import sys
 from time import perf_counter
@@ -34,15 +33,11 @@ from qsense.model import (
     alpha_single_unit,
     total_displacement,
 )
-from qsense.simkit import fit_loglog_slope, fringe_scan, gsq_scan
+from qsense.simkit import fit_loglog_slope, fringe_scan, gsq_scan, matched_time_ratio
+from test_cli import write_adapt_config
 from test_model import quad_oracle
 
 FROZEN_SUP_BOUND_N50 = 5e-3
-
-
-def loglog_interp(t_star, times, values):
-    """Interpolate a positive curve at t_star, linearly in log-log."""
-    return float(np.exp(np.interp(np.log(t_star), np.log(times), np.log(values))))
 
 
 def test_01_fringe_structure():
@@ -106,11 +101,7 @@ def test_05_controller_convergence(ensemble_nbar10):
 
 
 def test_06_thermal_enhancement(ensemble_nbar10, ensemble_nbar1000):
-    cold, hot = ensemble_nbar10, ensemble_nbar1000
-    t_star = min(cold.mean_cumulative_time[-1], hot.mean_cumulative_time[-1])
-    dw_cold = loglog_interp(t_star, cold.mean_cumulative_time, cold.mean_delta_omega)
-    dw_hot = loglog_interp(t_star, hot.mean_cumulative_time, hot.mean_delta_omega)
-    ratio = dw_cold / dw_hot
+    t_star, ratio = matched_time_ratio(ensemble_nbar10, ensemble_nbar1000)
     assert 5.0 <= ratio <= 20.0
     print(f"\n[PASS] 06 thermal enhancement: matched-time precision ratio "
           f"{ratio:.2f} in [5, 20] at T = {t_star:.3g}")
@@ -238,12 +229,7 @@ def test_08_estimation_suite():
 
 
 def test_09_byte_identical_outputs(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "omega_true": 50.0, "omega0": 50.5, "delta_omega0": 0.5,
-        "lambda": 0.1, "nbar": 1000.0, "max_steps": 10,
-        "seed": 2026, "n_reps": 2,
-    }), encoding="utf-8")
+    cfg_path = write_adapt_config(tmp_path / "cfg.json")
 
     outputs = []
     for run in ("a", "b"):

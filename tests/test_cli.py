@@ -7,9 +7,11 @@ and byte-level reproducibility are asserted, not just parseability.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+import yaml
 
 from qsense import cli, simkit
 from qsense.protocol import run_adaptive
@@ -43,6 +45,14 @@ def write_adapt_config(path, **extra):
     }
     doc.update(extra)
     path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def with_yaml_value(path, key, value):
+    """Rewrite a config file as YAML with key set to value (inf, nan as .inf, .nan)."""
+    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    doc[key] = value
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     return path
 
 
@@ -282,6 +292,17 @@ class TestAdapt:
         assert "config error: QSENSE_THREADS" in err and "'abc'" in err
         assert not (tmp_path / "t_steps.csv").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("lambda", math.inf), ("nbar", math.nan), ("seed", math.inf),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = with_yaml_value(write_adapt_config(tmp_path / "cfg.yaml"), key, value)
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "n")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {key}: expected a finite number, got {value!r}"]
+        assert not (tmp_path / "n_steps.csv").exists()
+
     def test_prior_grid_below_zero_exits_2(self, tmp_path, capsys):
         cfg = write_adapt_config(tmp_path / "cfg.json", omega_true=1.0, omega0=1.0,
                                  delta_omega0=0.5, nbar=0.0)
@@ -343,6 +364,16 @@ class TestCompare:
         err = capsys.readouterr().err
         assert ("adapt: 1 repetitions aborted; first, rep 1: "
                 "non-finite estimate at step 0: stub") in err
+
+    @pytest.mark.parametrize("key,value", [("lambda", math.inf), ("nbar", math.nan)])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = with_yaml_value(self.write_config(tmp_path / "cmp.yaml"), key, value)
+        out = tmp_path / "report.json"
+        rc = cli.main(["compare", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {key}: expected a finite number, got {value!r}"]
+        assert not out.exists()
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.json"

@@ -17,16 +17,13 @@ from scipy.special import eval_laguerre
 from qsense.model import (
     ControlSchedule,
     Coupling,
-    OscillatorMoments,
     PulseSequence,
     ThermalState,
     alpha_cpmg,
     alpha_single_unit,
-    coherence_small_alpha,
     coherence_thermal,
     cpmg_displacement_abs,
     interference_factor,
-    modulation_value,
     outcome_probability,
     total_displacement,
     total_displacement_direct,
@@ -106,38 +103,6 @@ class TestPulseSequence:
     def test_schedule_total_time(self):
         sched = ControlSchedule(unit=PulseSequence.cpmg(0.5), n_units=8)
         assert sched.total_time == pytest.approx(4.0)
-
-
-class TestModulation:
-    def test_cpmg_segments(self):
-        seq = PulseSequence.cpmg(1.0)
-        assert modulation_value(seq, 0.0) == 1
-        assert modulation_value(seq, 0.2) == 1
-        assert modulation_value(seq, 0.25) == -1
-        assert modulation_value(seq, 0.5) == -1
-        assert modulation_value(seq, 0.75) == 1
-        assert modulation_value(seq, 0.999) == 1
-
-    def test_outside_period_rejected(self):
-        seq = PulseSequence.cpmg(1.0)
-        with pytest.raises(ValueError):
-            modulation_value(seq, 1.0)
-        with pytest.raises(ValueError):
-            modulation_value(seq, -0.1)
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=2,
-                    max_size=8, unique=True))
-    def test_flip_count_matches_pulse_count(self, fractions):
-        fr = tuple(sorted(fractions))
-        if len(fr) % 2:
-            fr = fr[:-1]
-        bounds = (0.0,) + fr + (1.0,)
-        # interval midpoints only resolve segments wider than float spacing
-        assume(min(b - a for a, b in zip(bounds, bounds[1:])) > 1e-6)
-        seq = PulseSequence(tau=1.0, pulse_fractions=fr)
-        mids = [0.5 * (a + b) for a, b in zip(bounds, bounds[1:])]
-        vals = [modulation_value(seq, t) for t in mids]
-        assert vals == [(-1) ** j for j in range(len(mids))]
 
 
 class TestDisplacement:
@@ -337,24 +302,6 @@ class TestCoherence:
         mags = np.linspace(0.0, 0.5, 20)
         vals = coherence_thermal(mags, state)
         assert np.all(np.diff(vals) < 0)
-
-    def test_small_alpha_expansion_matches_thermal(self):
-        nbar = 10.0
-        moments = OscillatorMoments(b_dag_mean=0.0, b_dag_sq_mean=0.0, nbar=nbar)
-        for alpha in (0.001, 0.002j, 0.001 + 0.001j):
-            exact = coherence_thermal(alpha, ThermalState(nbar))
-            approx = coherence_small_alpha(alpha, moments)
-            scale = (2 * nbar + 1) * abs(alpha) ** 2
-            assert abs(approx - exact) <= 10.0 * scale**2
-
-    def test_small_alpha_mean_term_is_imaginary_shift(self):
-        moments = OscillatorMoments(b_dag_mean=0.5, b_dag_sq_mean=0.0, nbar=1.0)
-        val = coherence_small_alpha(1e-3j, moments)
-        assert val.imag == pytest.approx(4e-3 * 0.5, rel=1e-9)
-
-    def test_moment_bound_enforced(self):
-        with pytest.raises(ValueError):
-            OscillatorMoments(b_dag_mean=2.0, b_dag_sq_mean=0.0, nbar=1.0)
 
     def test_negative_nbar_rejected(self):
         with pytest.raises(ValueError):

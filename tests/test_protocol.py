@@ -12,9 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import reference_config
 from qsense import protocol
 from qsense.estimation import Posterior
+from qsense.model import Coupling, alpha_cpmg
 from qsense.protocol import (
     STAGE_I,
     STAGE_II,
@@ -27,6 +27,7 @@ from qsense.protocol import (
     stage2_plan,
     stage_transition,
 )
+from qsense.simkit import reference_config
 
 
 class ForcedPlus:
@@ -81,6 +82,19 @@ class TestEffectiveCoupling:
         got = plan.lambda_tilde_k
         assert got == pytest.approx(lambda_tilde_cpmg(0.1, 10.0), rel=0.012)
         assert got / lambda_tilde_cpmg(0.1, 10.0) == pytest.approx(1.01069, abs=2e-4)
+
+    def test_step_coupling_matches_closed_form(self):
+        # the plan takes |alpha_1| from the real-only kernel; the complex
+        # closed form alpha_cpmg is the oracle
+        for nbar in (0.0, 10.0, 1000.0):
+            cfg = dataclasses.replace(reference_config(nbar=nbar), lam=0.37)
+            for omega in (1.0, 7.3, 50.0, 93.0):
+                for n_units in (2, 3, 10, 57, 200):
+                    plan = stage1_plan(omega, omega / (cfg.kappa_i * (n_units + 1)), cfg)
+                    assert plan.n_units == n_units
+                    a1 = abs(alpha_cpmg(Coupling(cfg.lam), omega, plan.tau))
+                    want = np.sqrt(2 * nbar + 1) * a1 / plan.tau
+                    assert plan.lambda_tilde_k == pytest.approx(want, rel=1e-13)
 
     def test_linear_in_coupling(self):
         cfg = reference_config(nbar=10.0)
@@ -188,10 +202,16 @@ class TestConfigValidation:
                              lam=0.1, nbar=0.0, span_sigmas=1.9)
         assert cfg.omega0 - cfg.span_sigmas * cfg.delta_omega0 > 0
 
+    @pytest.mark.parametrize("field,value", [
+        ("lam", np.inf), ("nbar", np.nan), ("omega_true", np.nan), ("seed", np.inf),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            dataclasses.replace(reference_config(nbar=10.0), **{field: value})
+
     def test_seed_range(self):
         with pytest.raises(ValueError):
-            AdaptiveConfig(omega_true=50.0, omega0=50.5, delta_omega0=0.5,
-                           lam=0.1, nbar=10.0, seed=2**64)
+            dataclasses.replace(reference_config(nbar=10.0), seed=2**64)
 
 
 class TestRunLoop:

@@ -1,0 +1,54 @@
+"""Every public name has a caller: a guard against dead library surface.
+
+A name in `qsense.__all__` must be referenced somewhere under
+`src/qsense` or `scripts/`, outside its own definition, unless it is
+one of the named oracles below: independent implementations that only
+the tests call, to check the fast paths against.
+"""
+
+import ast
+from pathlib import Path
+
+import qsense
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ORACLES = frozenset({
+    # closed forms the real-only kernel cpmg_displacement_abs is checked against
+    "alpha_cpmg",
+    "total_displacement",
+    "total_displacement_direct",
+    # the 1/T^2 gradient bound and the Fisher identities of acceptance check 07
+    "dalpha_abs_domega",
+    "qfi_real",
+    "qfi_complex",
+    "cfi_binary",
+    # recomputes the frozen constant G_RMS1 (acceptance check 02)
+    "g_rms",
+})
+
+
+def referenced_names(path):
+    """Names a module loads, outside the def or class that defines them."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return found
+
+
+def test_public_names_have_callers_or_are_oracles():
+    # __init__ only re-exports, so its imports and __all__ are not callers
+    files = [p for p in sorted((ROOT / "src" / "qsense").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py"))
+    used = set().union(*(referenced_names(p) for p in files))
+    assert set(qsense.__all__) - used == ORACLES

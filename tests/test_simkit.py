@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_config
 from qsense import simkit
 from qsense.protocol import run_adaptive
 from qsense.simkit import (
@@ -20,6 +19,7 @@ from qsense.simkit import (
     fit_loglog_slope,
     fringe_scan,
     gsq_scan,
+    reference_config,
     resolve_workers,
     run_repetitions,
 )
