@@ -54,7 +54,6 @@ from .protocol import (
 from .runconfig import ConfigError, load_adaptive_config, load_compare_config
 from .simkit import (
     AggregateResult,
-    ScanResult,
     fit_loglog_slope,
     fringe_scan,
     gsq_scan,
@@ -73,7 +72,6 @@ __all__ = [
     "Estimate",
     "Posterior",
     "PulseSequence",
-    "ScanResult",
     "StepPlan",
     "StepRecord",
     "ThermalState",

@@ -59,13 +59,12 @@ def cmd_fringes(args) -> int:
         "zeta_max": _fmt(args.zeta_max),
         "points": args.points,
     }
-    k_scan, gf_scan, gu_scan = simkit.fringe_scan(
-        args.n_units, (args.zeta_min, args.zeta_max), args.points)
-    rows = [
-        ",".join((_fmt(z), _fmt(k), _fmt(gf), _fmt(gu)))
-        for z, k, gf, gu in zip(k_scan.x_values, k_scan.y_values,
-                                gf_scan.y_values, gu_scan.y_values)
-    ]
+    try:
+        cols = simkit.fringe_scan(args.n_units, (args.zeta_min, args.zeta_max), args.points)
+    except ValueError as exc:
+        # fringe_scan raises ValueError only for arguments it rejects
+        raise ConfigError([str(exc)]) from exc
+    rows = [",".join(map(_fmt, row)) for row in zip(*cols)]
     _write_text(args.out, _csv_text(meta, "zeta,k_over_n,g_finite,g_universal", rows))
     return EXIT_OK
 
@@ -75,6 +74,10 @@ def cmd_gsq(args) -> int:
         raise ConfigError(["gsq range: need 0 < min < max"])
     if args.points < 2:
         raise ConfigError(["points: need at least 2"])
+    dz = np.logspace(np.log10(args.min), np.log10(args.max), args.points)
+    in_fit = np.flatnonzero((dz >= args.fit_min) & (dz <= args.fit_max))
+    if len(in_fit) < 3:
+        raise ConfigError(["fit range: fewer than 3 scan points inside [fit_min, fit_max]"])
     meta = {
         "command": "gsq",
         "min": _fmt(args.min),
@@ -83,16 +86,12 @@ def cmd_gsq(args) -> int:
         "fit_min": _fmt(args.fit_min),
         "fit_max": _fmt(args.fit_max),
     }
-    dz = np.logspace(np.log10(args.min), np.log10(args.max), args.points)
-    scan = simkit.gsq_scan(dz)
-    rows = [",".join((_fmt(x), _fmt(y))) for x, y in zip(scan.x_values, scan.y_values)]
+    y = simkit.gsq_scan(dz)
+    rows = [",".join((_fmt(x), _fmt(g))) for x, g in zip(dz, y)]
     _write_text(args.out, _csv_text(meta, "delta_zeta,g_sq_mean", rows))
 
-    in_fit = np.flatnonzero((scan.x_values >= args.fit_min) & (scan.x_values <= args.fit_max))
-    if len(in_fit) < 3:
-        raise ValueError("fewer than 3 scan points inside the fit range")
     window = (int(in_fit[0]), int(in_fit[-1]))
-    slope = simkit.fit_loglog_slope(scan.x_values, scan.y_values, window)
+    slope = simkit.fit_loglog_slope(dz, y, window)
     summary = {
         "command": "gsq",
         "config": {"min": args.min, "max": args.max, "points": args.points,
@@ -128,16 +127,10 @@ def cmd_adapt(args) -> int:
                      "fit_tail_fraction": harness["fit_tail_fraction"]})
     meta = {"command": "adapt"}
     meta.update({k: resolved[k] for k in sorted(resolved)})
-    rows = [
-        ",".join((
-            str(int(step)), str(int(stage)), _fmt(nu_units), _fmt(tau), _fmt(nu),
-            _fmt(t), _fmt(dw), _fmt(zt), _fmt(sa),
-        ))
-        for step, stage, nu_units, tau, nu, t, dw, zt, sa in zip(
-            agg.step_axis, agg.stage_column, agg.mean_n_units, agg.mean_tau,
-            agg.mean_nu, agg.mean_cumulative_time, agg.mean_delta_omega,
-            agg.mean_zeta, agg.mean_scaled_alpha)
-    ]
+    cols = (agg.mean_n_units, agg.mean_tau, agg.mean_nu, agg.mean_cumulative_time,
+            agg.mean_delta_omega, agg.mean_zeta, agg.mean_scaled_alpha)
+    rows = [",".join((str(int(step)), str(int(stage)), *map(_fmt, values)))
+            for step, stage, *values in zip(agg.step_axis, agg.stage_column, *cols)]
     prefix = harness["out_prefix"]
     header = "step,stage,n_units,tau,nu,mean_time,mean_delta_omega,mean_zeta,mean_scaled_alpha"
     _write_text(prefix + "_steps.csv", _csv_text(meta, header, rows))

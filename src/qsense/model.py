@@ -247,15 +247,19 @@ def coherence_thermal(alpha, state: ThermalState):
     return out if out.shape else float(out)
 
 
-def outcome_probability(coherence_real: float) -> tuple[float, float]:
+def outcome_probability(coherence_real):
     """Probabilities (P_plus, P_minus) of the sigma_x outcomes for contrast L.
 
-    P(+-1) = (1 +- L)/2. Values of |L| within 1e-12 of 1 are clamped to
-    the boundary; anything beyond is rejected.
+    P(+-1) = (1 +- L)/2, elementwise for an array of contrasts. Values of
+    |L| within 1e-12 of 1 are clamped to the boundary; anything beyond is
+    rejected.
     """
-    L = float(coherence_real)
-    if abs(L) > 1.0 + COHERENCE_BOUNDARY_TOL:
-        raise ValueError(f"coherence {L} outside [-1, 1]")
-    L = min(1.0, max(-1.0, L))
-    p_plus = (1.0 + L) / 2.0
+    L = np.asarray(coherence_real, dtype=float)
+    lo, hi = L.min(), L.max()
+    if lo < -1.0 - COHERENCE_BOUNDARY_TOL or hi > 1.0 + COHERENCE_BOUNDARY_TOL:
+        raise ValueError(f"coherence {lo if lo < -1.0 else hi} outside [-1, 1]")
+    # clip only when needed: the run loop passes 4096-node grids
+    if lo < -1.0 or hi > 1.0:
+        L = np.clip(L, -1.0, 1.0)
+    p_plus = (1.0 + L) / 2.0 if L.shape else (1.0 + float(L)) / 2.0
     return p_plus, 1.0 - p_plus

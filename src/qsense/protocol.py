@@ -34,6 +34,8 @@ from .model import (Coupling, ThermalState, coherence_thermal, cpmg_displacement
 
 STAGE_I = 1
 STAGE_II = 2
+# Both plans take N >= 2: at N = 1, omega*tau = 4*pi is a zero of |alpha_1|.
+MIN_PERIODS = 2
 
 # Disambiguation-probe thresholds: far mass above PROBE_ON arms the
 # probe latch; the latch stays armed across steps until far mass falls
@@ -42,6 +44,10 @@ STAGE_II = 2
 PROBE_ON = 1e-6
 PROBE_OFF = 1e-11
 KEEP_LOG_NATS = 25.3
+# Regrid once the width is below REGRID_TRIGGER_SPACINGS grid spacings, onto a
+# window at least REGRID_HALFWIDTH_SIGMAS widths each side; tuned for 4096 nodes.
+REGRID_TRIGGER_SPACINGS = 20.0
+REGRID_HALFWIDTH_SIGMAS = 10.0
 NU_PROBE = 3
 MAX_PROBE_BLOCKS = 40
 
@@ -79,8 +85,6 @@ class AdaptiveConfig:
     seed: int = 12345
     span_sigmas: float = 8.0
     n_points: int = 4096
-    regrid_trigger_spacings: float = 20.0
-    regrid_halfwidth_sigmas: float = 10.0
 
     def __post_init__(self):
         values = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -114,8 +118,6 @@ class AdaptiveConfig:
             problems.append("seed must fit in 64 unsigned bits")
         if self.n_points < 64:
             problems.append(f"n_points must be >= 64, got {self.n_points}")
-        if not self.regrid_trigger_spacings > 0 or not self.regrid_halfwidth_sigmas > 0:
-            problems.append("regrid thresholds must be positive")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -149,7 +151,6 @@ class StepRecord:
     blocks during this step (zero when no probe fired).
     """
 
-    step_index: int
     plan: StepPlan
     n_plus: int
     n_minus: int
@@ -158,7 +159,6 @@ class StepRecord:
     zeta_k: float
     scaled_alpha_k: float
     cumulative_time: float
-    gain_G_k: float
     probe_time: float = 0.0
 
 
@@ -168,8 +168,6 @@ class Trajectory:
 
     records: tuple[StepRecord, ...]
     final_estimate: Estimate
-    stage1_time: float
-    stage2_time: float
     aborted: bool = False
     diagnostic: str = ""
     final_posterior: Posterior | None = None
@@ -178,11 +176,6 @@ class Trajectory:
 def nint(a: float) -> int:
     """Nearest integer, halves rounded away from zero."""
     return int(math.floor(a + 0.5)) if a >= 0 else int(math.ceil(a - 0.5))
-
-
-def _eta_i(cfg: AdaptiveConfig) -> float:
-    """Stage-(i) gain per unit lambda_tilde/dw: 4*pi*G_RMS1/kappa_i^2."""
-    return 4 * np.pi * G_RMS1 / cfg.kappa_i**2
 
 
 def stage1_plan(omega_est: float, delta_omega_est: float,
@@ -194,11 +187,12 @@ def stage1_plan(omega_est: float, delta_omega_est: float,
     """
     if not delta_omega_est > 0:
         raise ValueError(f"delta_omega_est must be positive, got {delta_omega_est}")
-    N = max(nint(omega_est / (cfg.kappa_i * delta_omega_est) - 1), 1)
+    N = max(nint(omega_est / (cfg.kappa_i * delta_omega_est) - 1), MIN_PERIODS)
     tau = (2 * np.pi / omega_est) * (1 + 1 / N)
     a1 = cpmg_displacement_abs(Coupling(cfg.lam), 1, omega_est, tau)
     ltk = np.sqrt(2 * cfg.nbar + 1) * a1 / tau
-    nu = max(nint(cfg.c_i**2 * delta_omega_est**2 / (ltk**2 * _eta_i(cfg)**2)), 1)
+    eta_i = 4 * np.pi * G_RMS1 / cfg.kappa_i**2  # gain per unit lambda_tilde/dw
+    nu = max(nint(cfg.c_i**2 * delta_omega_est**2 / (ltk**2 * eta_i**2)), 1)
     return StepPlan(stage=STAGE_I, n_units=N, tau=tau, repetitions=nu,
                     lambda_tilde_k=float(ltk))
 
@@ -209,7 +203,8 @@ def stage2_plan(omega_est: float, delta_omega_est: float,
     if not delta_omega_est > 0:
         raise ValueError(f"delta_omega_est must be positive, got {delta_omega_est}")
     lt = lambda_tilde_cpmg(cfg.lam, cfg.nbar)
-    N = max(nint(omega_est / (cfg.kappa * np.sqrt(2 * np.pi * lt * delta_omega_est)) - 1), 1)
+    N = max(nint(omega_est / (cfg.kappa * np.sqrt(2 * np.pi * lt * delta_omega_est)) - 1),
+            MIN_PERIODS)
     tau = (2 * np.pi / omega_est) * (1 + 1 / N)
     nu = max(nint(cfg.c**2 * cfg.kappa**4 / 4), 1)
     return StepPlan(stage=STAGE_II, n_units=N, tau=tau, repetitions=nu,
@@ -247,7 +242,6 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     stage = STAGE_II if stage_transition(cfg.delta_omega0, lt_cpmg) else STAGE_I
     probing = False
     t_total = 0.0
-    t_at_stage2 = 0.0 if stage == STAGE_II else None
     records: list[StepRecord] = []
     aborted = False
     diagnostic = ""
@@ -257,10 +251,11 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         frequency, fold the likelihood into the posterior, advance time."""
         nonlocal post, t_total
         L = coherence_thermal(cpmg_displacement_abs(coupling, N, post.grid, tau), state)
+        p_grid, _ = outcome_probability(L)
         a_t = cpmg_displacement_abs(coupling, N, cfg.omega_true, tau)
         p_plus, _ = outcome_probability(coherence_thermal(a_t, state))
         npl = rng.binomial(nu, p_plus)
-        post = bayes_update(post, (1 + L) / 2, npl, nu - npl)
+        post = bayes_update(post, p_grid, npl, nu - npl)
         t_total += nu * N * tau
         return a_t, int(npl), int(nu - npl)
 
@@ -294,28 +289,22 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
             diagnostic = f"non-finite estimate at step {k}: omega={w_hat}, dw={dw_hat}"
             break
 
-        if stage == STAGE_I:
-            gain = _eta_i(cfg) * ltk / dw_est
-        else:
-            gain = 2.0 / cfg.kappa**2
         records.append(StepRecord(
-            step_index=k, plan=plan, n_plus=n_plus, n_minus=n_minus,
+            plan=plan, n_plus=n_plus, n_minus=n_minus,
             omega_k=float(w_hat), delta_omega_k=float(dw_hat),
             zeta_k=zeta(N, cfg.omega_true, tau),
             scaled_alpha_k=float(np.sqrt(2 * cfg.nbar + 1) * a_t),
-            cumulative_time=t_total, gain_G_k=float(gain),
-            probe_time=probe_time,
+            cumulative_time=t_total, probe_time=probe_time,
         ))
         w_est, dw_est = w_hat, dw_hat
         if stage == STAGE_I and stage_transition(dw_hat, ltk):
             stage = STAGE_II
-            t_at_stage2 = t_total
 
-        if dw_hat < cfg.regrid_trigger_spacings * post.spacing:
+        if dw_hat < REGRID_TRIGGER_SPACINGS * post.spacing:
             # the new window keeps every node within KEEP_LOG_NATS of the peak
             lw = post.log_weights
             kept = post.grid[lw > lw.max() - KEEP_LOG_NATS]
-            hw = max(cfg.regrid_halfwidth_sigmas * dw_hat, 1.05 * float(np.abs(kept - w_hat).max()))
+            hw = max(REGRID_HALFWIDTH_SIGMAS * dw_hat, 1.05 * float(np.abs(kept - w_hat).max()))
             if hw < (post.omega_max - post.omega_min) / 2:
                 post = regrid(post, w_hat, hw, cfg.n_points)
 
@@ -324,15 +313,9 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         if cfg.max_total_time is not None and t_total >= cfg.max_total_time:
             break
 
-    if t_at_stage2 is None:
-        stage1_time, stage2_time = t_total, 0.0
-    else:
-        stage1_time, stage2_time = t_at_stage2, t_total - t_at_stage2
     return Trajectory(
         records=tuple(records),
         final_estimate=Estimate(omega_hat=float(w_est), delta_omega=float(dw_est)),
-        stage1_time=float(stage1_time),
-        stage2_time=float(stage2_time),
         aborted=aborted,
         diagnostic=diagnostic,
         final_posterior=post,

@@ -10,7 +10,8 @@ echoed into every output file.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+import typing
+from dataclasses import MISSING, asdict, fields
 
 import yaml
 
@@ -20,23 +21,26 @@ from .protocol import AdaptiveConfig
 # `lam` because the canonical name is a Python keyword.
 _LAMBDA_KEY = "lambda"
 
-ADAPTIVE_KEYS = (
-    "omega_true", "omega0", "delta_omega0", _LAMBDA_KEY, "nbar",
-    "c_i", "kappa_i", "c", "kappa",
-    "max_steps", "target_precision", "max_total_time", "seed",
-    "span_sigmas", "n_points", "regrid_trigger_spacings", "regrid_halfwidth_sigmas",
-)
+
+def _key(name: str) -> str:
+    return _LAMBDA_KEY if name == "lam" else name
+
+
+# The adaptive-run schema is AdaptiveConfig's fields under config-file
+# names: a field without a default is required, an `int` field takes
+# integers only, and a `... | None` field accepts null.
+_TYPES = typing.get_type_hints(AdaptiveConfig)
+ADAPTIVE_KEYS = tuple(_key(f.name) for f in fields(AdaptiveConfig))
+_REQUIRED_ADAPTIVE = tuple(_key(f.name) for f in fields(AdaptiveConfig) if f.default is MISSING)
+_INT_FIELDS = {_key(name) for name, t in _TYPES.items() if t is int} | {"n_reps"}
+_OPTIONAL_FIELDS = {_key(name) for name, t in _TYPES.items() if type(None) in typing.get_args(t)}
+
 HARNESS_KEYS = ("n_reps", "out_prefix", "fit_tail_fraction")
 HARNESS_DEFAULTS = {"n_reps": 500, "out_prefix": "adapt", "fit_tail_fraction": 0.6}
 
 COMPARE_KEYS = ("omega", _LAMBDA_KEY, "nbar", "t2", "k_factor")
 COMPARE_DEFAULTS = {"nbar": 0.0, "k_factor": 1.0}
-
-_REQUIRED_ADAPTIVE = ("omega_true", "omega0", "delta_omega0", _LAMBDA_KEY, "nbar")
 _REQUIRED_COMPARE = ("omega", _LAMBDA_KEY, "t2")
-
-_INT_FIELDS = {"max_steps", "seed", "n_points", "n_reps"}
-_OPTIONAL_FIELDS = {"target_precision", "max_total_time"}
 
 
 class ConfigError(Exception):
@@ -143,7 +147,7 @@ def load_compare_config(path: str, overrides: dict | None = None) -> dict:
 
 def config_keys(values: dict) -> dict:
     """The mapping under config-file key names: `lam` becomes `lambda`."""
-    return {(_LAMBDA_KEY if k == "lam" else k): v for k, v in values.items()}
+    return {_key(k): v for k, v in values.items()}
 
 
 def adaptive_echo(cfg: AdaptiveConfig) -> dict:

@@ -23,7 +23,6 @@ from .protocol import STAGE_II, AdaptiveConfig, run_adaptive
 from .runconfig import ConfigError
 
 __all__ = [
-    "ScanResult",
     "AggregateResult",
     "resolve_workers",
     "reference_config",
@@ -33,21 +32,6 @@ __all__ = [
     "gsq_scan",
     "fit_loglog_slope",
 ]
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """One tabulated curve y(x) with a label."""
-
-    x_values: np.ndarray
-    y_values: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        if len(self.x_values) != len(self.y_values):
-            raise ValueError("x and y lengths differ")
-        if len(self.x_values) > 1 and np.any(np.diff(self.x_values) <= 0):
-            raise ValueError("x grid must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -205,13 +189,12 @@ def matched_time_ratio(cold: AggregateResult, hot: AggregateResult) -> tuple[flo
     return float(t_star), float(dw[0] / dw[1])
 
 
-def fringe_scan(n_units: int, zeta_range: tuple[float, float],
-                n_points: int) -> tuple[ScanResult, ScanResult, ScanResult]:
+def fringe_scan(n_units: int, zeta_range: tuple[float, float], n_points: int) -> tuple:
     """Tabulate the normalized fringe pattern and its derivative envelopes.
 
     The frequency axis is parameterized by the fringe label through
-    omega*tau = 2*pi*(1 + zeta/N). Returns (|K|/N, finite-N derivative,
-    universal envelope) on the same zeta grid.
+    omega*tau = 2*pi*(1 + zeta/N). Returns the arrays (zeta, |K|/N,
+    finite-N derivative, universal envelope).
     """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
@@ -222,14 +205,10 @@ def fringe_scan(n_units: int, zeta_range: tuple[float, float],
     tau = 2 * np.pi
     omega = 1.0 + z / n_units
     k_over_n = np.abs(interference_factor(n_units, omega, tau)) / n_units
-    return (
-        ScanResult(z, k_over_n, "k_over_n"),
-        ScanResult(z, np.asarray(g_finite(n_units, z)), "g_finite"),
-        ScanResult(z, np.asarray(g_universal(z)), "g_universal"),
-    )
+    return z, k_over_n, np.asarray(g_finite(n_units, z)), np.asarray(g_universal(z))
 
 
-def gsq_scan(delta_zeta_values) -> ScanResult:
+def gsq_scan(delta_zeta_values) -> np.ndarray:
     """Mean squared fringe derivative over windows of increasing half-width."""
     dz = np.asarray(delta_zeta_values, dtype=float)
     if len(dz) == 0:
@@ -238,8 +217,7 @@ def gsq_scan(delta_zeta_values) -> ScanResult:
         raise ValueError("delta_zeta_values must be positive")
     if len(dz) > 1 and np.any(np.diff(dz) <= 0):
         raise ValueError("delta_zeta_values must be strictly increasing")
-    y = np.array([g_sq_mean(d) for d in dz])
-    return ScanResult(dz, y, "g_sq_mean")
+    return np.array([g_sq_mean(d) for d in dz])
 
 
 def fit_loglog_slope(x, y, window: tuple[int, int]) -> float:

@@ -42,8 +42,7 @@ FROZEN_SUP_BOUND_N50 = 5e-3
 
 def test_01_fringe_structure():
     t0 = perf_counter()
-    k_scan, _, _ = fringe_scan(50, (-10.0, 10.0), 2001)
-    z, y = k_scan.x_values, k_scan.y_values
+    z, y, _, _ = fringe_scan(50, (-10.0, 10.0), 2001)
     assert y[np.argmin(np.abs(z))] == pytest.approx(1.0, abs=1e-12)
     worst_node = max(y[np.argmin(np.abs(z - node))]
                      for node in (-2.0, -1.0, 1.0, 2.0))
@@ -71,8 +70,7 @@ def test_02_rms_envelope_constant():
 def test_03_mean_square_envelope_scaling():
     t0 = perf_counter()
     dz = np.logspace(1.0, 3.0, 25)
-    scan = gsq_scan(dz)
-    slope = fit_loglog_slope(scan.x_values, scan.y_values, (0, len(dz) - 1))
+    slope = fit_loglog_slope(dz, gsq_scan(dz), (0, len(dz) - 1))
     assert slope == pytest.approx(-1.0, abs=0.05)
     dt = perf_counter() - t0
     assert dt < 5.0

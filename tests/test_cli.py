@@ -84,6 +84,18 @@ class TestFringes:
                        "--out", str(tmp_path / "no-such-dir" / "x.csv")])
         assert rc == 3
 
+    @pytest.mark.parametrize("args", [
+        ["--n-units", "1"],
+        ["--zeta-min", "5", "--zeta-max", "1"],
+        ["--points", "1"],
+        ["--n-units", "5", "--zeta-max", "6"],
+    ], ids=["one-unit", "reversed-range", "one-point", "zeta-beyond-n-units"])
+    def test_bad_arguments_exit_2_and_write_nothing(self, tmp_path, capsys, args):
+        rc = cli.main(["fringes", *args, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGsq:
     def test_values_and_summary(self, tmp_path):
@@ -122,11 +134,16 @@ class TestGsq:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_empty_fit_window_exits_4(self, tmp_path):
-        rc = cli.main(["gsq", "--min", "0.1", "--max", "10", "--points", "5",
-                       "--fit-min", "9", "--fit-max", "9.5",
-                       "--out", str(tmp_path / "x.csv")])
-        assert rc == 4
+    @pytest.mark.parametrize("args", [
+        ["--min", "0.1", "--max", "10", "--points", "5", "--fit-min", "9", "--fit-max", "9.5"],
+        ["--fit-min", "2000", "--fit-max", "3000"],
+        ["--points", "1"],
+    ], ids=["empty-fit-window", "fit-window-beyond-scan", "one-point"])
+    def test_bad_arguments_exit_2_and_write_nothing(self, tmp_path, capsys, args):
+        rc = cli.main(["gsq", *args, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAdapt:
@@ -253,6 +270,15 @@ class TestAdapt:
         err = capsys.readouterr().err
         assert "config error: omega_ture: unknown key" in err
 
+    def test_regrid_threshold_is_an_unknown_key(self, tmp_path, capsys):
+        # the regrid thresholds are protocol constants, not config fields
+        cfg = write_adapt_config(tmp_path / "cfg.json", regrid_trigger_spacings=20.0)
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: regrid_trigger_spacings: unknown key"]
+        assert not (tmp_path / "x_steps.csv").exists()
+
     def test_non_string_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("omega_true: 50.0\nomega0: 50.5\ndelta_omega0: 0.5\n"
@@ -345,25 +371,6 @@ class TestCompare:
         assert doc["config"]["k_factor"] == 4.0
         assert doc["report"]["time_cost_ratio"] == pytest.approx(
             2 * self.OMEGA / self.LAM, rel=1e-12)
-
-    def test_abort_at_step_zero_is_reported(self, tmp_path, monkeypatch, capsys):
-        real = simkit.run_adaptive
-
-        def aborting(cfg, rng=None):
-            traj = real(cfg, rng)
-            if cfg.seed == 2027:
-                return dataclasses.replace(traj, records=(), aborted=True,
-                                           diagnostic="non-finite estimate at step 0: stub")
-            return traj
-
-        monkeypatch.setattr(simkit, "run_adaptive", aborting)
-        cfg = write_adapt_config(tmp_path / "cfg.json", n_reps=3)
-        rc = cli.main(["adapt", "--config", str(cfg), "--threads", "1",
-                       "--out-prefix", str(tmp_path / "a")])
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert ("adapt: 1 repetitions aborted; first, rep 1: "
-                "non-finite estimate at step 0: stub") in err
 
     @pytest.mark.parametrize("key,value", [("lambda", math.inf), ("nbar", math.nan)])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):

@@ -328,6 +328,17 @@ class TestOutcomeProbability:
         with pytest.raises(ValueError):
             outcome_probability(-1.0 - 1e-9)
 
+    def test_array_matches_scalar_calls(self):
+        L = np.array([-1.0 - 5e-13, -0.3, 0.0, 0.25, 1.0, 1.0 + 5e-13])
+        p_plus, p_minus = outcome_probability(L)
+        assert p_plus.shape == p_minus.shape == L.shape
+        for i, value in enumerate(L):
+            assert (p_plus[i], p_minus[i]) == outcome_probability(float(value))
+
+    def test_array_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="coherence 1.1 outside"):
+            outcome_probability(np.array([0.5, 1.1, -0.2]))
+
     @given(st.floats(min_value=-1.0, max_value=1.0))
     def test_probabilities_sum_to_one(self, L):
         p_plus, p_minus = outcome_probability(L)

@@ -139,6 +139,16 @@ class TestStagePlans:
             t_of[dw] = plan.n_units * plan.tau
         assert t_of[0.0025] / t_of[0.01] == pytest.approx(2.0, rel=0.05)
 
+    def test_plans_floor_n_at_two(self):
+        # N = 1 would put omega*tau = 4*pi on a zero of |alpha_1|, where
+        # the stage-(i) shot count overflows
+        cfg = AdaptiveConfig(omega_true=1.0, omega0=1.0, delta_omega0=0.5,
+                             lam=0.1, nbar=0.0, span_sigmas=1.9)
+        plan = stage1_plan(1.0, 0.5, cfg)
+        assert plan.n_units == 2 and plan.repetitions == 1
+        assert plan.tau == pytest.approx(3 * np.pi, rel=1e-15)
+        assert stage2_plan(1.0, 10.0, cfg).n_units == 2
+
     def test_plans_reject_bad_width(self):
         cfg = reference_config(nbar=10.0)
         with pytest.raises(ValueError):
@@ -223,7 +233,17 @@ class TestRunLoop:
     def test_thermal_start_skips_stage_one(self):
         traj = run_adaptive(reference_config(nbar=1000.0, max_steps=5))
         assert all(r.plan.stage == STAGE_II for r in traj.records)
-        assert traj.stage1_time == 0.0
+
+    def test_wide_prior_runs_to_the_true_frequency(self):
+        cfg = AdaptiveConfig(omega_true=1.0, omega0=1.0, delta_omega0=0.5,
+                             lam=0.1, nbar=0.0, span_sigmas=1.9, max_steps=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run_adaptive(cfg)
+        assert not traj.aborted and len(traj.records) == 60
+        est = traj.final_estimate
+        assert est.delta_omega < 1e-3
+        assert abs(est.omega_hat - 1.0) < 3 * est.delta_omega
 
     def test_cold_start_begins_in_stage_one(self, short_run):
         assert short_run.records[0].plan.stage == STAGE_I
@@ -252,16 +272,6 @@ class TestRunLoop:
                     prev + step_time, rel=1e-12)
             prev = r.cumulative_time
 
-    def test_stage_time_split(self, short_run):
-        total = short_run.records[-1].cumulative_time
-        assert short_run.stage1_time + short_run.stage2_time == pytest.approx(
-            total, rel=1e-12)
-        last_stage1 = max(
-            (r for r in short_run.records if r.plan.stage == STAGE_I),
-            key=lambda r: r.step_index)
-        assert short_run.stage1_time == pytest.approx(
-            last_stage1.cumulative_time, rel=1e-12)
-
     def test_uncertainty_contracts_substantially(self, short_run):
         assert short_run.records[-1].delta_omega_k < 0.01 * 0.5
         assert not short_run.aborted
@@ -269,19 +279,6 @@ class TestRunLoop:
     def test_late_fringe_lock(self, short_run):
         tail = [r.zeta_k for r in short_run.records[-20:]]
         assert 0.9 <= np.mean(tail) <= 1.1
-
-    def test_gain_diagnostics(self, short_run):
-        cfg = reference_config(nbar=10.0)
-        from qsense.information import G_RMS1
-        eta_i = 4 * np.pi * G_RMS1 / cfg.kappa_i**2
-        prev_dw = cfg.delta_omega0
-        for r in short_run.records:
-            if r.plan.stage == STAGE_I:
-                assert r.gain_G_k == pytest.approx(
-                    eta_i * r.plan.lambda_tilde_k / prev_dw, rel=1e-12)
-            else:
-                assert r.gain_G_k == pytest.approx(2.0 / cfg.kappa**2, rel=1e-12)
-            prev_dw = r.delta_omega_k
 
     def test_determinism_bit_identical(self):
         cfg = reference_config(nbar=10.0, max_steps=40)

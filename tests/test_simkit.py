@@ -15,7 +15,6 @@ from qsense import simkit
 from qsense.protocol import run_adaptive
 from qsense.simkit import (
     AggregateResult,
-    ScanResult,
     fit_loglog_slope,
     fringe_scan,
     gsq_scan,
@@ -160,27 +159,24 @@ class TestRunRepetitions:
 
 class TestFringeScan:
     def test_peak_and_nodes(self):
-        k_scan, _, _ = fringe_scan(50, (-10.0, 10.0), 2001)
-        z = k_scan.x_values
-        y = k_scan.y_values
+        z, y, _, _ = fringe_scan(50, (-10.0, 10.0), 2001)
         assert y[np.argmin(np.abs(z))] == pytest.approx(1.0, abs=1e-12)
         for node in (-2.0, -1.0, 1.0, 2.0):
             assert y[np.argmin(np.abs(z - node))] <= 1e-10
 
     def test_symmetry_under_zeta_reflection(self):
-        k_scan, _, _ = fringe_scan(50, (-3.0, 3.0), 601)
-        assert np.max(np.abs(k_scan.y_values - k_scan.y_values[::-1])) <= 1e-10
+        _, k, _, _ = fringe_scan(50, (-3.0, 3.0), 601)
+        assert np.max(np.abs(k - k[::-1])) <= 1e-10
 
     def test_overlay_tracks_universal_envelope(self):
-        _, gf, gu = fringe_scan(50, (-3.0, 3.0), 1201)
-        assert np.max(np.abs(gf.y_values - gu.y_values)) < 5e-3
+        _, _, gf, gu = fringe_scan(50, (-3.0, 3.0), 1201)
+        assert np.max(np.abs(gf - gu)) < 5e-3
 
     def test_grid_contract(self):
-        k_scan, gf, gu = fringe_scan(50, (-10.0, 10.0), 2001)
-        assert len(k_scan.x_values) == 2001
-        assert np.all(np.diff(k_scan.x_values) > 0)
-        assert np.array_equal(k_scan.x_values, gf.x_values)
-        assert np.array_equal(k_scan.x_values, gu.x_values)
+        z, k, gf, gu = fringe_scan(50, (-10.0, 10.0), 2001)
+        assert len(z) == 2001
+        assert np.all(np.diff(z) > 0)
+        assert len(k) == len(gf) == len(gu) == len(z)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -192,13 +188,11 @@ class TestFringeScan:
 class TestGsqScan:
     def test_matches_pointwise_evaluation(self):
         dz = np.array([0.5, 1.0, 2.0, 8.0])
-        scan = gsq_scan(dz)
-        for x, y in zip(scan.x_values, scan.y_values):
+        for x, y in zip(dz, gsq_scan(dz)):
             assert y == pytest.approx(g_sq_mean(float(x)), rel=1e-12)
 
     def test_first_window_value(self):
-        scan = gsq_scan(np.array([1.0]))
-        assert scan.y_values[0] == pytest.approx(0.6980, abs=1e-3)
+        assert gsq_scan(np.array([1.0]))[0] == pytest.approx(0.6980, abs=1e-3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -253,14 +247,6 @@ class TestLogLogFit:
 
 
 class TestResultTypes:
-    def test_scan_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ScanResult(np.arange(3.0), np.arange(4.0), "bad")
-
-    def test_scan_requires_increasing_x(self):
-        with pytest.raises(ValueError):
-            ScanResult(np.array([1.0, 1.0]), np.array([0.0, 0.0]), "bad")
-
     def test_aggregate_length_validation(self):
         n = 5
         good = dict(
