@@ -8,108 +8,19 @@ total time. `model` builds the displacement and the outcome statistics,
 against free evolution, `estimation` holds the gridded Bayesian update,
 `protocol` implements the two-stage adaptive schedule, and `simkit` and
 `cli` wrap the lot in ensemble runners and a command-line interface.
+
+The package exports every module's `__all__`, and nothing else.
 """
 
-from .estimation import (Estimate, Posterior, bayes_update, gaussian_prior, mass_beyond, mle,
-                         regrid, uncertainty)
-from .information import (
-    ComparisonReport,
-    cfi_binary,
-    compare_control,
-    dalpha_abs_domega,
-    g_finite,
-    g_rms,
-    g_sq_mean,
-    g_universal,
-    lambda_tilde_cpmg,
-    qfi_complex,
-    qfi_real,
-)
-from .model import (
-    ControlSchedule,
-    Coupling,
-    PulseSequence,
-    ThermalState,
-    alpha_cpmg,
-    alpha_single_unit,
-    coherence_thermal,
-    cpmg_displacement_abs,
-    interference_factor,
-    outcome_probability,
-    total_displacement,
-    total_displacement_direct,
-    zeta,
-)
-from .protocol import (
-    AdaptiveConfig,
-    StepPlan,
-    StepRecord,
-    Trajectory,
-    nint,
-    run_adaptive,
-    stage1_plan,
-    stage2_plan,
-    stage_transition,
-)
-from .runconfig import ConfigError, load_adaptive_config, load_compare_config
-from .simkit import (
-    AggregateResult,
-    fit_loglog_slope,
-    fringe_scan,
-    gsq_scan,
-    run_repetitions,
-)
+from . import estimation, information, model, protocol, runconfig, simkit
+from .estimation import *  # noqa: F401,F403
+from .information import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .protocol import *  # noqa: F401,F403
+from .runconfig import *  # noqa: F401,F403
+from .simkit import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptiveConfig",
-    "AggregateResult",
-    "ComparisonReport",
-    "ConfigError",
-    "ControlSchedule",
-    "Coupling",
-    "Estimate",
-    "Posterior",
-    "PulseSequence",
-    "StepPlan",
-    "StepRecord",
-    "ThermalState",
-    "Trajectory",
-    "alpha_cpmg",
-    "alpha_single_unit",
-    "bayes_update",
-    "cfi_binary",
-    "coherence_thermal",
-    "compare_control",
-    "cpmg_displacement_abs",
-    "dalpha_abs_domega",
-    "fit_loglog_slope",
-    "fringe_scan",
-    "g_finite",
-    "g_rms",
-    "g_sq_mean",
-    "g_universal",
-    "gaussian_prior",
-    "gsq_scan",
-    "interference_factor",
-    "lambda_tilde_cpmg",
-    "load_adaptive_config",
-    "load_compare_config",
-    "mass_beyond",
-    "mle",
-    "nint",
-    "outcome_probability",
-    "qfi_complex",
-    "qfi_real",
-    "regrid",
-    "run_adaptive",
-    "run_repetitions",
-    "stage1_plan",
-    "stage2_plan",
-    "stage_transition",
-    "total_displacement",
-    "total_displacement_direct",
-    "uncertainty",
-    "zeta",
-]
+__all__ = [name for module in (estimation, information, model, protocol, runconfig, simkit)
+           for name in module.__all__]

@@ -14,16 +14,17 @@ Exit codes: 0 success, 2 config error, 3 I/O error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import simkit
 from .information import compare_control
-from .runconfig import (ConfigError, adaptive_echo, config_keys, load_adaptive_config,
-                        load_compare_config)
+from .runconfig import ConfigError, echo, load_adaptive_config, load_compare_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,7 +123,7 @@ def cmd_adapt(args) -> int:
               file=sys.stderr)
         return EXIT_NUMERICAL
 
-    resolved = adaptive_echo(cfg)
+    resolved = echo(asdict(cfg))
     resolved.update({"n_reps": harness["n_reps"],
                      "fit_tail_fraction": harness["fit_tail_fraction"]})
     meta = {"command": "adapt"}
@@ -139,7 +140,7 @@ def cmd_adapt(args) -> int:
         "command": "adapt",
         "config": resolved,
         "fit_slope": agg.fit_slope,
-        "fit_window": list(agg.fit_window),
+        "fit_window": list(agg.fit_window) if agg.fit_window else None,
         "final_mean_delta_omega": float(agg.mean_delta_omega[-1]),
         "final_mean_time": float(agg.mean_cumulative_time[-1]),
         "n_common_steps": agg.n_common_steps,
@@ -158,10 +159,9 @@ def cmd_adapt(args) -> int:
 
 def cmd_compare(args) -> int:
     overrides = {"k_factor": args.k_factor, "t2": args.t2}
-    kwargs = load_compare_config(args.config, overrides)
-    report = compare_control(**kwargs)
-    doc = {"command": "compare", "config": config_keys(kwargs),
-           "report": config_keys(report.as_dict())}
+    report = asdict(load_compare_config(args.config, overrides))
+    inputs = {name: report[name] for name in inspect.signature(compare_control).parameters}
+    doc = {"command": "compare", "config": echo(inputs), "report": echo(report)}
     text = _json_text(doc)
     if args.out:
         _write_text(args.out, text)

@@ -35,36 +35,43 @@ __all__ = [
 ]
 
 
-def _grid(omega_min: float, omega_max: float, n_points: int) -> np.ndarray:
-    if not omega_min < omega_max:
-        raise ValueError(f"need omega_min < omega_max, got [{omega_min}, {omega_max}]")
-    if n_points < 64:
-        raise ValueError(f"n_points must be >= 64, got {n_points}")
-    return np.linspace(omega_min, omega_max, n_points)
-
-
 @dataclass(frozen=True)
 class Posterior:
     """Normalized log-domain posterior on a uniform frequency grid.
 
-    grid and weights are derived: the constructor builds them from the
-    window and exp(log_weights), while the functions below store the
-    ones they already hold.
+    The constructor shifts log_weights to unit mass and keeps the
+    weights exp(log_weights) from the one exp of that normalization.
     """
 
-    omega_min: float
-    omega_max: float
+    grid: np.ndarray = field(repr=False)
     log_weights: np.ndarray
-    n_points: int
-    grid: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = _grid(self.omega_min, self.omega_max, self.n_points)
-        if len(self.log_weights) != self.n_points:
-            raise ValueError("log_weights length does not match n_points")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "weights", np.exp(self.log_weights))
+        grid = self.grid
+        if len(grid) < 64:
+            raise ValueError(f"n_points must be >= 64, got {len(grid)}")
+        if len(self.log_weights) != len(grid):
+            raise ValueError("log_weights length does not match the grid")
+        if not grid[0] < grid[-1]:
+            raise ValueError(f"need omega_min < omega_max, got [{grid[0]}, {grid[-1]}]")
+        lw = self.log_weights - self.log_weights.max()
+        w = np.exp(lw)
+        total = w.sum()
+        object.__setattr__(self, "log_weights", lw - np.log(total))
+        object.__setattr__(self, "weights", w / total)
+
+    @property
+    def omega_min(self) -> float:
+        return float(self.grid[0])
+
+    @property
+    def omega_max(self) -> float:
+        return float(self.grid[-1])
+
+    @property
+    def n_points(self) -> int:
+        return len(self.grid)
 
     @property
     def spacing(self) -> float:
@@ -81,22 +88,6 @@ class Estimate:
     def __post_init__(self):
         if not self.delta_omega > 0:
             raise ValueError(f"delta_omega must be positive, got {self.delta_omega}")
-
-
-def _normalized(grid: np.ndarray, log_weights: np.ndarray) -> Posterior:
-    """Posterior with log-weights shifted to unit mass and weights
-    exp(log_weights - max) / total, from the one exp.
-
-    The arrays are already checked, so the constructor is bypassed.
-    """
-    lw = log_weights - log_weights.max()
-    w = np.exp(lw)
-    total = w.sum()
-    post = object.__new__(Posterior)
-    post.__dict__.update(omega_min=float(grid[0]), omega_max=float(grid[-1]),
-                         log_weights=lw - np.log(total), n_points=len(grid), grid=grid,
-                         weights=w / total)
-    return post
 
 
 def _window(post: Posterior, center: float, radius: float) -> tuple[int, int]:
@@ -130,8 +121,8 @@ def gaussian_prior(omega0: float, delta_omega0: float, span_sigmas: float,
     if not span_sigmas > 0:
         raise ValueError(f"span_sigmas must be positive, got {span_sigmas}")
     half = span_sigmas * delta_omega0
-    grid = _grid(omega0 - half, omega0 + half, n_points)
-    return _normalized(grid, -((grid - omega0) ** 2) / (2.0 * delta_omega0**2))
+    grid = np.linspace(omega0 - half, omega0 + half, n_points)
+    return Posterior(grid, -((grid - omega0) ** 2) / (2.0 * delta_omega0**2))
 
 
 def bayes_update(post: Posterior, p_plus: np.ndarray, n_plus: int,
@@ -158,7 +149,7 @@ def bayes_update(post: Posterior, p_plus: np.ndarray, n_plus: int,
         lw = lw + n_plus * np.log(pc)
     if n_minus:
         lw = lw + n_minus * np.log1p(-pc)
-    return _normalized(post.grid, lw)
+    return Posterior(post.grid, lw)
 
 
 def mle(post: Posterior) -> float:
@@ -242,6 +233,6 @@ def regrid(post: Posterior, center: float, half_width: float,
         raise ValueError(
             f"new window [{lo}, {hi}] does not overlap grid [{post.omega_min}, {post.omega_max}]"
         )
-    new_grid = _grid(lo, hi, n_points)
-    lw = np.interp(new_grid, post.grid, post.log_weights, left=LOG_FLOOR, right=LOG_FLOOR)
-    return _normalized(new_grid, lw)
+    grid = np.linspace(lo, hi, n_points)
+    return Posterior(grid, np.interp(grid, post.grid, post.log_weights,
+                                     left=LOG_FLOOR, right=LOG_FLOOR))

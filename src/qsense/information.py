@@ -13,7 +13,7 @@ controlled-vs-free evolution comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,11 +187,8 @@ class ComparisonReport:
     sensitivity_free: float
     sensitivity_gain: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
-
-def compare_control(omega: float, lam: float, nbar: float, t2: float,
+def compare_control(*, omega: float, lam: float, nbar: float = 0.0, t2: float,
                     k_factor: float = 1.0) -> ComparisonReport:
     """Compare pulsed-control sensing against free evolution at coherence time t2.
 

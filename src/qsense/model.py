@@ -248,11 +248,11 @@ def coherence_thermal(alpha, state: ThermalState):
 
 
 def outcome_probability(coherence_real):
-    """Probabilities (P_plus, P_minus) of the sigma_x outcomes for contrast L.
+    """Probability P_plus of the +1 sigma_x outcome for contrast L.
 
-    P(+-1) = (1 +- L)/2, elementwise for an array of contrasts. Values of
-    |L| within 1e-12 of 1 are clamped to the boundary; anything beyond is
-    rejected.
+    P(+1) = (1 + L)/2, elementwise for an array of contrasts; P(-1) is
+    its complement. Values of |L| within 1e-12 of 1 are clamped to the
+    boundary; anything beyond is rejected.
     """
     L = np.asarray(coherence_real, dtype=float)
     lo, hi = L.min(), L.max()
@@ -261,5 +261,4 @@ def outcome_probability(coherence_real):
     # clip only when needed: the run loop passes 4096-node grids
     if lo < -1.0 or hi > 1.0:
         L = np.clip(L, -1.0, 1.0)
-    p_plus = (1.0 + L) / 2.0 if L.shape else (1.0 + float(L)) / 2.0
-    return p_plus, 1.0 - p_plus
+    return (1.0 + L) / 2.0 if L.shape else (1.0 + float(L)) / 2.0

@@ -251,11 +251,11 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         frequency, fold the likelihood into the posterior, advance time."""
         nonlocal post, t_total
         L = coherence_thermal(cpmg_displacement_abs(coupling, N, post.grid, tau), state)
-        p_grid, _ = outcome_probability(L)
+        p_nodes = outcome_probability(L)
         a_t = cpmg_displacement_abs(coupling, N, cfg.omega_true, tau)
-        p_plus, _ = outcome_probability(coherence_thermal(a_t, state))
+        p_plus = outcome_probability(coherence_thermal(a_t, state))
         npl = rng.binomial(nu, p_plus)
-        post = bayes_update(post, p_grid, npl, nu - npl)
+        post = bayes_update(post, p_nodes, npl, nu - npl)
         t_total += nu * N * tau
         return a_t, int(npl), int(nu - npl)
 

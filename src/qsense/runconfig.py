@@ -5,42 +5,33 @@ YAML subset). Unknown keys are rejected rather than ignored, because a
 silent typo in a physics parameter is the dominant user error; missing
 keys fall back to documented defaults, and the fully resolved config is
 echoed into every output file.
+
+A config's schema is the signature of the callable it feeds
+(`AdaptiveConfig` for `adapt`, `compare_control` for `compare`), so the
+keys, their defaults and their types are declared once, there.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import typing
-from dataclasses import MISSING, asdict, fields
 
 import yaml
 
+from .information import compare_control
 from .protocol import AdaptiveConfig
 
-# Config-file key for the coupling strength; the dataclass attribute is
-# `lam` because the canonical name is a Python keyword.
-_LAMBDA_KEY = "lambda"
+__all__ = ["ConfigError", "load_adaptive_config", "load_compare_config", "echo"]
 
+# Config-file names of the parameters whose Python name differs: the
+# coupling strength is `lam` because `lambda` is a Python keyword.
+_FILE_KEYS = {"lam": "lambda"}
+_PARAMS = {key: name for name, key in _FILE_KEYS.items()}
 
-def _key(name: str) -> str:
-    return _LAMBDA_KEY if name == "lam" else name
-
-
-# The adaptive-run schema is AdaptiveConfig's fields under config-file
-# names: a field without a default is required, an `int` field takes
-# integers only, and a `... | None` field accepts null.
-_TYPES = typing.get_type_hints(AdaptiveConfig)
-ADAPTIVE_KEYS = tuple(_key(f.name) for f in fields(AdaptiveConfig))
-_REQUIRED_ADAPTIVE = tuple(_key(f.name) for f in fields(AdaptiveConfig) if f.default is MISSING)
-_INT_FIELDS = {_key(name) for name, t in _TYPES.items() if t is int} | {"n_reps"}
-_OPTIONAL_FIELDS = {_key(name) for name, t in _TYPES.items() if type(None) in typing.get_args(t)}
-
-HARNESS_KEYS = ("n_reps", "out_prefix", "fit_tail_fraction")
+# Keys `adapt` accepts beyond AdaptiveConfig's fields; the type of a
+# default is the type of its key.
 HARNESS_DEFAULTS = {"n_reps": 500, "out_prefix": "adapt", "fit_tail_fraction": 0.6}
-
-COMPARE_KEYS = ("omega", _LAMBDA_KEY, "nbar", "t2", "k_factor")
-COMPARE_DEFAULTS = {"nbar": 0.0, "k_factor": 1.0}
-_REQUIRED_COMPARE = ("omega", _LAMBDA_KEY, "t2")
 
 
 class ConfigError(Exception):
@@ -51,25 +42,28 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.problems))
 
 
-def _load_mapping(path: str, overrides: dict | None, known, required) -> dict:
-    """Read a config file, apply the non-None overrides, and check its keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError([f"config root must be a mapping, got {type(doc).__name__}"])
-    if overrides:
-        doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
-    problems = [f"{key}: unknown key" for key in sorted(set(doc) - set(known), key=str)]
-    problems += [f"{key}: required key missing" for key in required if key not in doc]
-    if problems:
-        raise ConfigError(problems)
-    return doc
+def echo(values: dict) -> dict:
+    """The mapping under config-file key names: `lam` becomes `lambda`."""
+    return {_FILE_KEYS.get(k, k): v for k, v in values.items()}
 
 
-def _coerce(key: str, value, problems: list[str]):
-    if value is None and key in _OPTIONAL_FIELDS:
+def _schema(target):
+    """Config keys of target's parameters: (all, required, integer, nullable).
+
+    A parameter without a default is required, an `int` one takes
+    integers only, and a `... | None` one accepts null.
+    """
+    params = inspect.signature(target).parameters.values()
+    hints = typing.get_type_hints(target)
+    keys = {p.name: _FILE_KEYS.get(p.name, p.name) for p in params}
+    return (tuple(keys.values()),
+            tuple(keys[p.name] for p in params if p.default is p.empty),
+            {keys[name] for name in keys if hints[name] is int},
+            {keys[name] for name in keys if type(None) in typing.get_args(hints[name])})
+
+
+def _coerce(key: str, value, problems: list[str], integer=False, nullable=False):
+    if value is None and nullable:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         problems.append(f"{key}: expected a number, got {value!r}")
@@ -82,7 +76,7 @@ def _coerce(key: str, value, problems: list[str]):
     if not math.isfinite(num):
         problems.append(f"{key}: expected a finite number, got {value!r}")
         return None
-    if key in _INT_FIELDS:
+    if integer:
         if num != int(num):
             problems.append(f"{key}: expected an integer, got {value!r}")
             return None
@@ -90,39 +84,60 @@ def _coerce(key: str, value, problems: list[str]):
     return num
 
 
-def load_adaptive_config(path: str, overrides: dict | None = None):
-    """Parse an adaptive-run config file into (AdaptiveConfig, harness dict).
+def _load(target, path: str, overrides: dict | None, harness_defaults: dict):
+    """Read a config file and call target with its values: (result, harness).
 
-    overrides (from command-line flags) replace file values; unknown
-    keys anywhere raise ConfigError with one message per offending
-    field.
+    overrides (from command-line flags) replace file values unless
+    None. Keys in harness_defaults are accepted besides target's
+    parameters and returned in the harness dict. Every problem, target's
+    own ValueError included, raises one ConfigError with one line per
+    problem.
     """
-    doc = _load_mapping(path, overrides, ADAPTIVE_KEYS + HARNESS_KEYS, _REQUIRED_ADAPTIVE)
-    problems = []
-    values = {}
-    for key in ADAPTIVE_KEYS:
-        if key in doc:
-            values[key] = _coerce(key, doc[key], problems)
-    harness = dict(HARNESS_DEFAULTS)
-    for key in HARNESS_KEYS:
-        if key in doc:
-            if key == "out_prefix":
-                if not isinstance(doc[key], str) or not doc[key]:
-                    problems.append(f"{key}: expected a nonempty string")
-                else:
-                    harness[key] = doc[key]
-            else:
-                val = _coerce(key, doc[key], problems)
-                if val is not None:
-                    harness[key] = val
+    keys, required, integer, nullable = _schema(target)
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = yaml.safe_load(fh)
+    if doc is None:
+        doc = {}
+    if not isinstance(doc, dict):
+        raise ConfigError([f"config root must be a mapping, got {type(doc).__name__}"])
+    if overrides:
+        doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
+    known = set(keys) | set(harness_defaults)
+    problems = [f"{key}: unknown key" for key in sorted(set(doc) - known, key=str)]
+    problems += [f"{key}: required key missing" for key in required if key not in doc]
     if problems:
         raise ConfigError(problems)
 
-    kwargs = {("lam" if k == _LAMBDA_KEY else k): v for k, v in values.items()}
+    kwargs = {_PARAMS.get(key, key): _coerce(key, doc[key], problems, key in integer,
+                                             key in nullable)
+              for key in keys if key in doc}
+    harness = dict(harness_defaults)
+    for key, default in harness_defaults.items():
+        if key not in doc:
+            continue
+        if isinstance(default, str):
+            if not isinstance(doc[key], str) or not doc[key]:
+                problems.append(f"{key}: expected a nonempty string")
+            else:
+                harness[key] = doc[key]
+        else:
+            value = _coerce(key, doc[key], problems, isinstance(default, int))
+            if value is not None:
+                harness[key] = value
+    if problems:
+        raise ConfigError(problems)
     try:
-        cfg = AdaptiveConfig(**kwargs)
+        return target(**kwargs), harness
     except ValueError as exc:
         raise ConfigError(str(exc).split("; ")) from exc
+
+
+def load_adaptive_config(path: str, overrides: dict | None = None):
+    """Parse an adaptive-run config file into (AdaptiveConfig, harness dict).
+
+    The harness dict holds n_reps, out_prefix and fit_tail_fraction.
+    """
+    cfg, harness = _load(AdaptiveConfig, path, overrides, HARNESS_DEFAULTS)
     if not 0.0 < harness["fit_tail_fraction"] <= 1.0:
         raise ConfigError(["fit_tail_fraction: must lie in (0, 1]"])
     if harness["n_reps"] < 1:
@@ -130,26 +145,6 @@ def load_adaptive_config(path: str, overrides: dict | None = None):
     return cfg, harness
 
 
-def load_compare_config(path: str, overrides: dict | None = None) -> dict:
-    """Parse a controlled-vs-free comparison config into keyword arguments."""
-    doc = _load_mapping(path, overrides, COMPARE_KEYS, _REQUIRED_COMPARE)
-    problems = []
-    out = dict(COMPARE_DEFAULTS)
-    for key in COMPARE_KEYS:
-        if key in doc:
-            val = _coerce(key, doc[key], problems)
-            if val is not None:
-                out[key] = val
-    if problems:
-        raise ConfigError(problems)
-    return {("lam" if k == _LAMBDA_KEY else k): v for k, v in out.items()}
-
-
-def config_keys(values: dict) -> dict:
-    """The mapping under config-file key names: `lam` becomes `lambda`."""
-    return {_key(k): v for k, v in values.items()}
-
-
-def adaptive_echo(cfg: AdaptiveConfig) -> dict:
-    """Resolved config as a flat mapping under canonical key names."""
-    return config_keys(asdict(cfg))
+def load_compare_config(path: str, overrides: dict | None = None):
+    """Parse a controlled-vs-free comparison config into its ComparisonReport."""
+    return _load(compare_control, path, overrides, {})[0]

@@ -45,6 +45,7 @@ class AggregateResult:
     trajectories end at different lengths. n_aborted counts the aborted
     repetitions, first_abort is the index and diagnostic of the first
     one, and rep0_posterior the final posterior of repetition 0.
+    fit_slope and fit_window are None when fewer than 3 steps are common.
     """
 
     step_axis: np.ndarray
@@ -53,8 +54,8 @@ class AggregateResult:
     mean_zeta: np.ndarray
     mean_scaled_alpha: np.ndarray
     n_repetitions: int
-    fit_slope: float
-    fit_window: tuple[int, int]
+    fit_slope: float | None
+    fit_window: tuple[int, int] | None
     stage_column: np.ndarray
     mean_n_units: np.ndarray
     mean_tau: np.ndarray
@@ -73,9 +74,9 @@ class AggregateResult:
                 raise ValueError(f"{name} length differs from step_axis")
         if self.n_repetitions < 1:
             raise ValueError("n_repetitions must be >= 1")
-        lo, hi = self.fit_window
-        if not (0 <= lo <= hi < n):
-            raise ValueError(f"fit_window {self.fit_window} outside [0, {n})")
+        window = self.fit_window
+        if window is not None and not 0 <= window[0] <= window[1] < n:
+            raise ValueError(f"fit_window {window} outside [0, {n})")
 
 
 def reference_config(nbar: float, max_steps: int = 250, seed: int = 12345) -> AdaptiveConfig:
@@ -123,7 +124,8 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
     left out of the means; if every repetition aborts, ValueError names
     the diagnostic of repetition 0. The log-log precision-vs-time slope
     is fitted over the trailing fit_tail_fraction of the steps where
-    every averaged repetition has reached stage (ii).
+    every averaged repetition has reached stage (ii), and over at least
+    3 steps; with fewer common steps no slope is fitted.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
@@ -149,12 +151,14 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
     _, mean_dw, mean_tt, mean_zt, mean_sa, mean_n_units, mean_tau, mean_nu = means.T
     stage_col = np.where((stacked[:, :, 0] == STAGE_II).all(axis=0), STAGE_II, 1)
 
-    all2 = np.flatnonzero(stage_col == STAGE_II)
-    s = int(all2[0]) if len(all2) else n_common - 1
-    lo = s + int(math.ceil((1.0 - fit_tail_fraction) * (n_common - s)))
-    lo = min(lo, n_common - 3) if n_common >= 3 else 0
-    lo = max(lo, 0)
-    slope = fit_loglog_slope(mean_tt, mean_dw, (lo, n_common - 1))
+    # the slope needs 3 points; a shorter ensemble reports none
+    window = slope = None
+    if n_common >= 3:
+        all2 = np.flatnonzero(stage_col == STAGE_II)
+        s = int(all2[0]) if len(all2) else n_common - 1
+        lo = s + int(math.ceil((1.0 - fit_tail_fraction) * (n_common - s)))
+        window = (min(lo, n_common - 3), n_common - 1)
+        slope = fit_loglog_slope(mean_tt, mean_dw, window)
 
     return AggregateResult(
         step_axis=np.arange(n_common),
@@ -163,8 +167,8 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
         mean_zeta=mean_zt,
         mean_scaled_alpha=mean_sa,
         n_repetitions=n_reps,
-        fit_slope=float(slope),
-        fit_window=(int(lo), int(n_common - 1)),
+        fit_slope=slope,
+        fit_window=window,
         stage_column=stage_col,
         mean_n_units=mean_n_units,
         mean_tau=mean_tau,

@@ -262,6 +262,20 @@ class TestAdapt:
         assert ("adapt: 1 repetitions aborted; first, rep 1: "
                 "non-finite estimate at step 0: stub") in err
 
+    @pytest.mark.parametrize("extra", [
+        {"max_steps": 1}, {"max_steps": 2}, {"nbar": 10.0, "target_precision": 0.3},
+    ], ids=["one-step", "two-steps", "target-reached-at-step-1"])
+    def test_fewer_than_three_steps_has_no_slope(self, tmp_path, extra):
+        cfg = write_adapt_config(tmp_path / "cfg.json", **extra)
+        rc = cli.main(["adapt", "--config", str(cfg), "--threads", "1",
+                       "--out-prefix", str(tmp_path / "s")])
+        assert rc == 0
+        summary = json.loads((tmp_path / "s_summary.json").read_text())
+        assert summary["n_common_steps"] < 3
+        assert summary["fit_slope"] is None and summary["fit_window"] is None
+        _, _, rows = read_csv(tmp_path / "s_steps.csv")
+        assert len(rows) == summary["n_common_steps"]
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_adapt_config(tmp_path / "cfg.json", omega_ture=50.0)
         rc = cli.main(["adapt", "--config", str(cfg),
@@ -380,6 +394,21 @@ class TestCompare:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"config error: {key}: expected a finite number, got {value!r}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,args,problem", [
+        ("omega", -50.0, [], "omega, lam, t2, k_factor must be positive"),
+        ("nbar", -2.0, [], "nbar must be nonnegative, got -2.0"),
+        (None, None, ["--k-factor", "0"], "omega, lam, t2, k_factor must be positive"),
+    ], ids=["negative-omega", "negative-nbar", "zero-k-factor"])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, key, value, args, problem):
+        cfg = self.write_config(tmp_path / "cmp.yaml")
+        if key is not None:
+            with_yaml_value(cfg, key, value)
+        out = tmp_path / "report.json"
+        rc = cli.main(["compare", "--config", str(cfg), *args, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
         assert not out.exists()
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):

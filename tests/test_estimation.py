@@ -24,7 +24,7 @@ from qsense.estimation import (
 
 def flat_posterior(omega_min=0.0, omega_max=1.0, n_points=64):
     lw = np.full(n_points, -np.log(n_points))
-    return Posterior(omega_min, omega_max, lw, n_points)
+    return Posterior(np.linspace(omega_min, omega_max, n_points), lw)
 
 
 class TestPosteriorType:
@@ -39,15 +39,22 @@ class TestPosteriorType:
 
     def test_ordering_required(self):
         with pytest.raises(ValueError):
-            Posterior(1.0, 1.0, np.zeros(64), 64)
+            Posterior(np.linspace(1.0, 1.0, 64), np.zeros(64))
 
     def test_minimum_grid_size(self):
         with pytest.raises(ValueError):
-            Posterior(0.0, 1.0, np.zeros(32), 32)
+            Posterior(np.linspace(0.0, 1.0, 32), np.zeros(32))
 
     def test_length_consistency(self):
         with pytest.raises(ValueError):
-            Posterior(0.0, 1.0, np.zeros(65), 64)
+            Posterior(np.linspace(0.0, 1.0, 64), np.zeros(65))
+
+    def test_constructor_normalizes(self):
+        post = Posterior(np.linspace(0.0, 1.0, 64), np.zeros(64))
+        assert post.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.exp(post.log_weights).sum() == pytest.approx(1.0, abs=1e-12)
+        mass, _ = mass_beyond(post, 0.5, 0.1)
+        assert 0.0 <= mass <= 1.0
 
 
 class TestGaussianPrior:
@@ -148,7 +155,7 @@ class TestBayesUpdate:
         # analytic likelihood at omega_true, expected counts: the
         # posterior width must fall as 1/sqrt(nu)
         omega_true = 0.0
-        grid_post = Posterior(-1.0, 1.0, np.full(4096, -np.log(4096)), 4096)
+        grid_post = Posterior(np.linspace(-1.0, 1.0, 4096), np.full(4096, -np.log(4096)))
         p_profile = 0.5 * (1.0 + 0.8 * np.sin(grid_post.grid))
         p_true = 0.5
         nus = np.array([100, 1000, 10_000, 100_000])
@@ -174,19 +181,19 @@ class TestMle:
         grid = np.linspace(0.0, 1.0, 101)
         true_peak = 0.503
         lw = -((grid - true_peak) ** 2) / (2 * 0.05**2)
-        post = Posterior(0.0, 1.0, lw, 101)
+        post = Posterior(np.linspace(0.0, 1.0, 101), lw)
         assert abs(mle(post) - true_peak) < 0.1 * post.spacing
 
     def test_symmetric_tie_takes_lower_index(self):
         lw = np.full(64, -10.0)
         lw[20] = lw[43] = -1.0
-        post = Posterior(0.0, 1.0, lw, 64)
+        post = Posterior(np.linspace(0.0, 1.0, 64), lw)
         assert mle(post) == pytest.approx(post.grid[20], abs=1e-12)
 
     def test_tie_prefers_center(self):
         lw = np.full(64, -10.0)
         lw[5] = lw[33] = -1.0
-        post = Posterior(0.0, 1.0, lw, 64)
+        post = Posterior(np.linspace(0.0, 1.0, 64), lw)
         assert mle(post) == pytest.approx(post.grid[33], abs=1e-12)
 
     def test_flat_posterior_warns_and_centers(self):
@@ -197,7 +204,7 @@ class TestMle:
 
     def test_boundary_maximum_no_refinement(self):
         lw = np.linspace(-5.0, 0.0, 64)
-        post = Posterior(0.0, 1.0, lw, 64)
+        post = Posterior(np.linspace(0.0, 1.0, 64), lw)
         assert mle(post) == pytest.approx(post.grid[-1], abs=1e-12)
 
 
@@ -205,7 +212,7 @@ class TestUncertainty:
     def test_bimodal_direct_sum(self):
         lw = np.full(64, LOG_FLOOR)
         lw[10] = lw[53] = -0.5
-        post = Posterior(0.0, 1.0, lw, 64)
+        post = Posterior(np.linspace(0.0, 1.0, 64), lw)
         omega_hat = post.grid[10]
         got = uncertainty(post, omega_hat)
         w = np.exp(np.maximum(lw, LOG_FLOOR))
@@ -219,7 +226,7 @@ class TestUncertainty:
     def test_single_node_resolution_floor(self):
         lw = np.full(64, LOG_FLOOR)
         lw[30] = 0.0
-        post = Posterior(0.0, 1.0, lw, 64)
+        post = Posterior(np.linspace(0.0, 1.0, 64), lw)
         with pytest.warns(UserWarning):
             val = uncertainty(post, post.grid[30])
         assert val == pytest.approx(post.spacing / np.sqrt(12.0))
@@ -328,7 +335,7 @@ class TestEstimatorConsistency:
         # binomial data from the true model: the interval omega_hat
         # +- 3 delta_omega must cover omega_true in at least 99% of trials
         omega_true = 0.35
-        base = Posterior(-1.0, 1.0, np.full(1024, -np.log(1024)), 1024)
+        base = Posterior(np.linspace(-1.0, 1.0, 1024), np.full(1024, -np.log(1024)))
         p_profile = 0.5 * (1.0 + 0.8 * np.sin(base.grid - omega_true))
         p_true = 0.5
         nu = 400

@@ -7,6 +7,8 @@ contrast, and the analytic displacement gradient is compared with
 finite differences and with the asymptotic precision formula it implies.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -271,7 +273,7 @@ class TestComparison:
 
     def test_all_outputs_positive(self):
         rep = compare_control(omega=10.0, lam=0.5, t2=0.3, nbar=3.0, k_factor=2.0)
-        for v in rep.as_dict().values():
+        for v in dataclasses.asdict(rep).values():
             assert v > 0
 
     def test_thermal_scaling_of_lambda_tilde(self):
@@ -292,5 +294,5 @@ class TestComparison:
 
     def test_report_round_trip(self):
         rep = compare_control(omega=10.0, lam=0.5, t2=0.3, nbar=3.0)
-        d = rep.as_dict()
+        d = dataclasses.asdict(rep)
         assert ComparisonReport(**d) == rep

@@ -310,17 +310,14 @@ class TestCoherence:
 
 class TestOutcomeProbability:
     def test_half_contrast(self):
-        p_plus, p_minus = outcome_probability(0.5)
-        assert p_plus == pytest.approx(0.75)
-        assert p_minus == pytest.approx(0.25)
+        assert outcome_probability(0.5) == pytest.approx(0.75)
 
     def test_extremes(self):
-        assert outcome_probability(1.0) == (1.0, 0.0)
-        assert outcome_probability(-1.0) == (0.0, 1.0)
+        assert outcome_probability(1.0) == 1.0
+        assert outcome_probability(-1.0) == 0.0
 
     def test_boundary_clamp(self):
-        p_plus, p_minus = outcome_probability(1.0 + 5e-13)
-        assert p_plus == 1.0 and p_minus == 0.0
+        assert outcome_probability(1.0 + 5e-13) == 1.0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -330,17 +327,11 @@ class TestOutcomeProbability:
 
     def test_array_matches_scalar_calls(self):
         L = np.array([-1.0 - 5e-13, -0.3, 0.0, 0.25, 1.0, 1.0 + 5e-13])
-        p_plus, p_minus = outcome_probability(L)
-        assert p_plus.shape == p_minus.shape == L.shape
+        p_plus = outcome_probability(L)
+        assert p_plus.shape == L.shape
         for i, value in enumerate(L):
-            assert (p_plus[i], p_minus[i]) == outcome_probability(float(value))
+            assert p_plus[i] == outcome_probability(float(value))
 
     def test_array_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="coherence 1.1 outside"):
             outcome_probability(np.array([0.5, 1.1, -0.2]))
-
-    @given(st.floats(min_value=-1.0, max_value=1.0))
-    def test_probabilities_sum_to_one(self, L):
-        p_plus, p_minus = outcome_probability(L)
-        assert 0.0 <= p_plus <= 1.0
-        assert p_plus + p_minus == pytest.approx(1.0, abs=1e-15)

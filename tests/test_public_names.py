@@ -3,10 +3,13 @@
 A name in `qsense.__all__` must be referenced somewhere under
 `src/qsense` or `scripts/`, outside its own definition, unless it is
 one of the named oracles below: independent implementations that only
-the tests call, to check the fast paths against.
+the tests call, to check the fast paths against. `qsense.__all__` is
+the concatenation of the library modules' own lists, so the guard sees
+every module-public name.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import qsense
@@ -52,3 +55,25 @@ def test_public_names_have_callers_or_are_oracles():
     files += sorted((ROOT / "scripts").glob("*.py"))
     used = set().union(*(referenced_names(p) for p in files))
     assert set(qsense.__all__) - used == ORACLES
+
+
+def library_modules():
+    """The modules `qsense` re-exports: every one but `cli` and `__init__`."""
+    paths = sorted((ROOT / "src" / "qsense").glob("*.py"))
+    return [importlib.import_module(f"qsense.{p.stem}") for p in paths
+            if p.stem not in ("cli", "__init__")]
+
+
+def test_every_library_module_declares_all():
+    missing = [m.__name__ for m in library_modules() if not hasattr(m, "__all__")]
+    assert missing == []
+
+
+def test_package_surface_has_no_duplicates():
+    # a name exported by two modules would be shadowed silently by import *
+    names = qsense.__all__
+    assert sorted({n for n in names if names.count(n) > 1}) == []
+
+
+def test_package_surface_is_the_module_lists():
+    assert qsense.__all__ == [n for m in library_modules() for n in m.__all__]
