@@ -55,11 +55,13 @@ class Posterior:
             raise ValueError("log_weights length does not match the grid")
         if not grid[0] < grid[-1]:
             raise ValueError(f"need omega_min < omega_max, got [{grid[0]}, {grid[-1]}]")
-        lw = self.log_weights - self.log_weights.max()
+        lw = np.subtract(self.log_weights, self.log_weights.max())
         w = np.exp(lw)
         total = w.sum()
-        object.__setattr__(self, "log_weights", lw - np.log(total))
-        object.__setattr__(self, "weights", w / total)
+        lw -= np.log(total)
+        w /= total
+        object.__setattr__(self, "log_weights", lw)
+        object.__setattr__(self, "weights", w)
 
     @property
     def omega_min(self) -> float:
@@ -104,11 +106,11 @@ def _window(post: Posterior, center: float, radius: float) -> tuple[int, int]:
         raise ValueError(f"need a finite center and radius >= 0, got {center}, {radius}")
     grid, n = post.grid, post.n_points
     lo, hi = int(grid.searchsorted(center - radius)), int(grid.searchsorted(center + radius))
-    while lo > 0 and abs(grid[lo - 1] - center) <= radius:
+    while lo > 0 and abs(grid.item(lo - 1) - center) <= radius:
         lo -= 1
-    while lo < hi and not abs(grid[lo] - center) <= radius:
+    while lo < hi and not abs(grid.item(lo) - center) <= radius:
         lo += 1
-    while hi < n and abs(grid[hi] - center) <= radius:
+    while hi < n and abs(grid.item(hi) - center) <= radius:
         hi += 1
     return lo, hi
 
@@ -144,11 +146,17 @@ def bayes_update(post: Posterior, p_plus: np.ndarray, n_plus: int,
     if np.fmin.reduce(p) < 0.0 or np.fmax.reduce(p) > 1.0:
         raise ValueError("per-node probabilities must lie in [0, 1]")
     pc = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
+    term = np.empty_like(pc)  # one scratch array serves both log terms
     lw = post.log_weights
     if n_plus:
-        lw = lw + n_plus * np.log(pc)
+        np.log(pc, out=term)
+        term *= n_plus
+        lw = lw + term
     if n_minus:
-        lw = lw + n_minus * np.log1p(-pc)
+        np.negative(pc, out=term)
+        np.log1p(term, out=term)
+        term *= n_minus
+        lw = lw + term
     return Posterior(post.grid, lw)
 
 
@@ -170,15 +178,15 @@ def mle(post: Posterior) -> float:
     if ties > 1:
         top = np.flatnonzero(w == w[i])
         i = int(top[np.argmin(np.abs(grid[top] - center))])
-    omega_hat = grid[i]
+    omega_hat = grid.item(i)
     if 0 < i < post.n_points - 1:
-        l0, l1, l2 = post.log_weights[i - 1], post.log_weights[i], post.log_weights[i + 1]
+        l0, l1, l2 = post.log_weights[i - 1:i + 2].tolist()
         den = l0 - 2.0 * l1 + l2
         if den < 0:
             off = 0.5 * (l0 - l2) / den
             if abs(off) <= 0.5:
-                omega_hat = grid[i] + off * post.spacing
-    return float(omega_hat)
+                omega_hat += off * post.spacing
+    return omega_hat
 
 
 def uncertainty(post: Posterior, omega_hat: float,
@@ -195,12 +203,15 @@ def uncertainty(post: Posterior, omega_hat: float,
     den = w.sum()
     if not den > 0.0:
         raise ValueError("degenerate posterior: zero total weight")
-    rms = np.sqrt(np.sum(w * (post.grid[lo:hi] - omega_hat) ** 2) / den)
-    floor = post.spacing / np.sqrt(12.0)
+    sq = np.subtract(post.grid[lo:hi], omega_hat)
+    np.square(sq, out=sq)
+    sq *= w
+    rms = math.sqrt(sq.sum() / den)
+    floor = post.spacing / math.sqrt(12.0)
     if rms < floor:
         warnings.warn("resolution-limited posterior: RMS below one grid cell")
-        return float(floor)
-    return float(rms)
+        return floor
+    return rms
 
 
 def mass_beyond(post: Posterior, center: float, radius: float) -> tuple[float, float]:

@@ -196,10 +196,15 @@ def compare_control(*, omega: float, lam: float, nbar: float = 0.0, t2: float,
     control shortens the time to a target precision; the sensitivity
     S = dw * sqrt(T) improves by sensitivity_gain = omega*t2/pi.
     """
-    if not all(math.isfinite(x) for x in (omega, lam, nbar, t2, k_factor)):
-        raise ValueError("omega, lam, nbar, t2, k_factor must be finite")
-    if not (omega > 0 and lam > 0 and t2 > 0 and k_factor > 0):
-        raise ValueError("omega, lam, t2, k_factor must be positive")
+    values = {"omega": omega, "lam": lam, "nbar": nbar, "t2": t2, "k_factor": k_factor}
+    problems = [f"{name} must be finite, got {v}" for name, v in values.items()
+                if not math.isfinite(v)]
+    if problems:
+        raise ValueError("; ".join(problems))
+    problems = [f"{name} must be positive, got {v}" for name, v in values.items()
+                if name != "nbar" and not v > 0]
+    if problems:
+        raise ValueError("; ".join(problems))
     lt = lambda_tilde_cpmg(lam, nbar)
     s_ctrl = np.pi / (lt * t2**1.5)
     s_free = omega / (lt * np.sqrt(t2))

@@ -188,20 +188,31 @@ def cpmg_displacement_abs(coupling: Coupling, n_units: int, omega, tau: float):
     if n_units < 1:
         raise ValueError(f"n_units must be >= 1, got {n_units}")
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
+    if (omega <= 0).any():
         raise ValueError("omega must be positive")
     if not tau > 0:
         raise ValueError("tau must be positive")
-    x = omega * (tau / 8.0)
-    c = np.cos(2.0 * x)
+    # every step writes into its own temporaries; a 0-d omega runs as a
+    # one-element array, since a numpy scalar cannot be an out= target
+    w = omega.reshape(omega.shape or 1)
+    x = np.multiply(w, tau / 8.0)
+    c = np.multiply(x, 2.0)
+    np.cos(c, out=c)
     s = np.sin(x)
+    ratio = np.multiply(x, 4 * n_units)
+    np.sin(ratio, out=ratio)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(np.sin(4 * n_units * x) / c)
-    near = np.abs(c) < 1e-12
+        np.divide(ratio, c, out=ratio)
+    np.abs(ratio, out=ratio)
+    np.abs(c, out=c)
+    near = c < 1e-12
     if near.any():
-        ratio = np.where(near, 2.0 * n_units, ratio)
-    out = (2.0 * coupling.lam / omega) * (s * s) * ratio
-    return out if out.shape else float(out)
+        ratio[near] = 2.0 * n_units
+    out = np.divide(2.0 * coupling.lam, w, out=x)
+    np.multiply(s, s, out=s)
+    out *= s
+    out *= ratio
+    return out if omega.shape else float(out[0])
 
 
 def total_displacement(sched: ControlSchedule, coupling: Coupling, omega) -> complex:
@@ -235,16 +246,20 @@ def zeta(n_units: int, omega, tau: float):
     Nonzero integers sit at the nodes of K around the major peak at
     omega*tau = 2*pi.
     """
-    omega = np.asarray(omega, dtype=float)
-    out = n_units * (omega * tau / (2.0 * np.pi) - 1.0)
-    return out if out.shape else float(out)
+    # a scalar omega stays a Python float, so the formula runs on floats
+    omega = float(omega) if np.ndim(omega) == 0 else np.asarray(omega, dtype=float)
+    return n_units * (omega * tau / (2.0 * np.pi) - 1.0)
 
 
 def coherence_thermal(alpha, state: ThermalState):
     """Fringe contrast for a thermal oscillator: exp(-2*(2*nbar+1)*|alpha|^2)."""
-    a2 = np.abs(np.asarray(alpha)) ** 2
-    out = np.exp(-2.0 * (2.0 * state.nbar + 1.0) * a2)
-    return out if out.shape else float(out)
+    alpha = np.asarray(alpha)
+    # one float temporary, reused by each step; 0-d input runs as one element
+    out = np.abs(alpha, out=np.empty(alpha.shape or 1))
+    np.square(out, out=out)
+    out *= -2.0 * (2.0 * state.nbar + 1.0)
+    np.exp(out, out=out)
+    return out if alpha.shape else float(out[0])
 
 
 def outcome_probability(coherence_real):
@@ -261,4 +276,6 @@ def outcome_probability(coherence_real):
     # clip only when needed: the run loop passes 4096-node grids
     if lo < -1.0 or hi > 1.0:
         L = np.clip(L, -1.0, 1.0)
-    return (1.0 + L) / 2.0 if L.shape else (1.0 + float(L)) / 2.0
+    p = np.add(L.reshape(L.shape or 1), 1.0)
+    p /= 2.0
+    return p if L.shape else float(p[0])

@@ -190,7 +190,7 @@ def stage1_plan(omega_est: float, delta_omega_est: float,
     N = max(nint(omega_est / (cfg.kappa_i * delta_omega_est) - 1), MIN_PERIODS)
     tau = (2 * np.pi / omega_est) * (1 + 1 / N)
     a1 = cpmg_displacement_abs(Coupling(cfg.lam), 1, omega_est, tau)
-    ltk = np.sqrt(2 * cfg.nbar + 1) * a1 / tau
+    ltk = math.sqrt(2 * cfg.nbar + 1) * a1 / tau
     eta_i = 4 * np.pi * G_RMS1 / cfg.kappa_i**2  # gain per unit lambda_tilde/dw
     nu = max(nint(cfg.c_i**2 * delta_omega_est**2 / (ltk**2 * eta_i**2)), 1)
     return StepPlan(stage=STAGE_I, n_units=N, tau=tau, repetitions=nu,
@@ -203,7 +203,7 @@ def stage2_plan(omega_est: float, delta_omega_est: float,
     if not delta_omega_est > 0:
         raise ValueError(f"delta_omega_est must be positive, got {delta_omega_est}")
     lt = lambda_tilde_cpmg(cfg.lam, cfg.nbar)
-    N = max(nint(omega_est / (cfg.kappa * np.sqrt(2 * np.pi * lt * delta_omega_est)) - 1),
+    N = max(nint(omega_est / (cfg.kappa * math.sqrt(2 * np.pi * lt * delta_omega_est)) - 1),
             MIN_PERIODS)
     tau = (2 * np.pi / omega_est) * (1 + 1 / N)
     nu = max(nint(cfg.c**2 * cfg.kappa**4 / 4), 1)
@@ -234,6 +234,7 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         rng = np.random.default_rng(cfg.seed)
 
     lt_cpmg = lambda_tilde_cpmg(cfg.lam, cfg.nbar)
+    sqrt_occupation = math.sqrt(2 * cfg.nbar + 1)
     coupling = Coupling(cfg.lam)
     state = ThermalState(cfg.nbar)
 
@@ -246,18 +247,20 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     aborted = False
     diagnostic = ""
 
+    # the likelihood nodes: the posterior grid with the true frequency
+    # appended, so one kernel pass gives the shot law and the update
+    nodes = np.append(post.grid, cfg.omega_true)
+
     def measure(N, tau, nu):
         """Apply nu shots of the (N, tau) schedule: sample at the true
         frequency, fold the likelihood into the posterior, advance time."""
         nonlocal post, t_total
-        L = coherence_thermal(cpmg_displacement_abs(coupling, N, post.grid, tau), state)
-        p_nodes = outcome_probability(L)
-        a_t = cpmg_displacement_abs(coupling, N, cfg.omega_true, tau)
-        p_plus = outcome_probability(coherence_thermal(a_t, state))
-        npl = rng.binomial(nu, p_plus)
-        post = bayes_update(post, p_nodes, npl, nu - npl)
+        a = cpmg_displacement_abs(coupling, N, nodes, tau)
+        p = outcome_probability(coherence_thermal(a, state))
+        npl = rng.binomial(nu, p[-1])
+        post = bayes_update(post, p[:-1], npl, nu - npl)
         t_total += nu * N * tau
-        return a_t, int(npl), int(nu - npl)
+        return float(a[-1]), int(npl), int(nu - npl)
 
     for k in range(cfg.max_steps):
         plan = (stage1_plan if stage == STAGE_I else stage2_plan)(w_est, dw_est, cfg)
@@ -284,16 +287,16 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
             measure(max(nint(m * w_r / abs(delta)), 2), 2 * np.pi / w_r, NU_PROBE)
         probe_time = t_total - t_probe_start
 
-        if not (np.isfinite(w_hat) and np.isfinite(dw_hat)):
+        if not (math.isfinite(w_hat) and math.isfinite(dw_hat)):
             aborted = True
             diagnostic = f"non-finite estimate at step {k}: omega={w_hat}, dw={dw_hat}"
             break
 
         records.append(StepRecord(
             plan=plan, n_plus=n_plus, n_minus=n_minus,
-            omega_k=float(w_hat), delta_omega_k=float(dw_hat),
+            omega_k=w_hat, delta_omega_k=dw_hat,
             zeta_k=zeta(N, cfg.omega_true, tau),
-            scaled_alpha_k=float(np.sqrt(2 * cfg.nbar + 1) * a_t),
+            scaled_alpha_k=sqrt_occupation * a_t,
             cumulative_time=t_total, probe_time=probe_time,
         ))
         w_est, dw_est = w_hat, dw_hat
@@ -307,6 +310,7 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
             hw = max(REGRID_HALFWIDTH_SIGMAS * dw_hat, 1.05 * float(np.abs(kept - w_hat).max()))
             if hw < (post.omega_max - post.omega_min) / 2:
                 post = regrid(post, w_hat, hw, cfg.n_points)
+                nodes = np.append(post.grid, cfg.omega_true)
 
         if cfg.target_precision is not None and dw_est < cfg.target_precision:
             break

@@ -129,7 +129,10 @@ def _load(target, path: str, overrides: dict | None, harness_defaults: dict):
     try:
         return target(**kwargs), harness
     except ValueError as exc:
-        raise ConfigError(str(exc).split("; ")) from exc
+        # a message that leads with a parameter name names its file key instead
+        lines = [line.partition(" ") for line in str(exc).split("; ")]
+        raise ConfigError([_FILE_KEYS.get(name, name) + sep + rest
+                           for name, sep, rest in lines]) from exc
 
 
 def load_adaptive_config(path: str, overrides: dict | None = None):

@@ -86,19 +86,26 @@ def reference_config(nbar: float, max_steps: int = 250, seed: int = 12345) -> Ad
 
 
 def resolve_workers(n_workers: int | None, n_jobs: int) -> int:
-    """Worker count from the argument, QSENSE_THREADS, or the CPU count."""
+    """Worker count from the argument, QSENSE_THREADS, or the CPU count.
+
+    A count below 1, from the argument or the environment, is a config
+    error; a count above n_jobs is cut to n_jobs.
+    """
+    source = "threads"
     if n_workers is None:
         env = os.environ.get("QSENSE_THREADS", "").strip()
-        if env:
-            try:
-                n_workers = int(env)
-            except ValueError:
-                raise ConfigError(
-                    [f"QSENSE_THREADS: expected an integer worker count, got {env!r}"]
-                ) from None
-        else:
-            n_workers = os.cpu_count() or 1
-    return max(1, min(n_workers, n_jobs))
+        if not env:
+            return min(os.cpu_count() or 1, n_jobs)
+        source = "QSENSE_THREADS"
+        try:
+            n_workers = int(env)
+        except ValueError:
+            raise ConfigError(
+                [f"QSENSE_THREADS: expected an integer worker count, got {env!r}"]
+            ) from None
+    if n_workers < 1:
+        raise ConfigError([f"{source}: expected a worker count >= 1, got {n_workers}"])
+    return min(n_workers, n_jobs)
 
 
 def _run_one(args) -> tuple:

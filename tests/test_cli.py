@@ -332,6 +332,24 @@ class TestAdapt:
         assert "config error: QSENSE_THREADS" in err and "'abc'" in err
         assert not (tmp_path / "t_steps.csv").exists()
 
+    @pytest.mark.parametrize("args,env,problem", [
+        (["--threads", "0"], None, "threads: expected a worker count >= 1, got 0"),
+        (["--threads", "-1"], None, "threads: expected a worker count >= 1, got -1"),
+        ([], "-3", "QSENSE_THREADS: expected a worker count >= 1, got -3"),
+    ], ids=["threads-0", "threads-negative", "env-negative"])
+    def test_worker_count_below_one_exits_2(self, tmp_path, monkeypatch, capsys,
+                                            args, env, problem):
+        if env is None:
+            monkeypatch.delenv("QSENSE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("QSENSE_THREADS", env)
+        cfg = write_adapt_config(tmp_path / "cfg.json")
+        rc = cli.main(["adapt", "--config", str(cfg), *args,
+                       "--out-prefix", str(tmp_path / "t")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+        assert not (tmp_path / "t_steps.csv").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("lambda", math.inf), ("nbar", math.nan), ("seed", math.inf),
     ])
@@ -342,6 +360,14 @@ class TestAdapt:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"config error: {key}: expected a finite number, got {value!r}"]
         assert not (tmp_path / "n_steps.csv").exists()
+
+    def test_out_of_range_value_names_the_file_key(self, tmp_path, capsys):
+        cfg = write_adapt_config(tmp_path / "cfg.json", **{"lambda": -0.1})
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: lambda must be positive, got -0.1"]
+        assert not (tmp_path / "r_steps.csv").exists()
 
     def test_prior_grid_below_zero_exits_2(self, tmp_path, capsys):
         cfg = write_adapt_config(tmp_path / "cfg.json", omega_true=1.0, omega0=1.0,
@@ -396,19 +422,21 @@ class TestCompare:
         assert err == [f"config error: {key}: expected a finite number, got {value!r}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("key,value,args,problem", [
-        ("omega", -50.0, [], "omega, lam, t2, k_factor must be positive"),
-        ("nbar", -2.0, [], "nbar must be nonnegative, got -2.0"),
-        (None, None, ["--k-factor", "0"], "omega, lam, t2, k_factor must be positive"),
-    ], ids=["negative-omega", "negative-nbar", "zero-k-factor"])
-    def test_out_of_range_value_exits_2(self, tmp_path, capsys, key, value, args, problem):
+    @pytest.mark.parametrize("key,value,args,problems", [
+        ("omega", -50.0, [], ["omega must be positive, got -50.0"]),
+        ("nbar", -2.0, [], ["nbar must be nonnegative, got -2.0"]),
+        (None, None, ["--k-factor", "0"], ["k_factor must be positive, got 0.0"]),
+        ("lambda", -1.0, ["--t2", "0"], ["lambda must be positive, got -1.0",
+                                         "t2 must be positive, got 0.0"]),
+    ], ids=["negative-omega", "negative-nbar", "zero-k-factor", "negative-lambda-zero-t2"])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, key, value, args, problems):
         cfg = self.write_config(tmp_path / "cmp.yaml")
         if key is not None:
             with_yaml_value(cfg, key, value)
         out = tmp_path / "report.json"
         rc = cli.main(["compare", "--config", str(cfg), *args, "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+        assert capsys.readouterr().err.splitlines() == [f"config error: {p}" for p in problems]
         assert not out.exists()
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):

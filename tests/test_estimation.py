@@ -125,8 +125,17 @@ class TestBayesUpdate:
     def test_input_unchanged(self):
         post = gaussian_prior(50.0, 1.0, 4.0, 128)
         before = post.log_weights.copy()
-        bayes_update(post, np.full(128, 0.7), 5, 3)
-        assert np.array_equal(post.log_weights, before)
+        p_plus = np.linspace(0.05, 0.95, 128)
+        p_before = p_plus.copy()
+        for n_plus, n_minus in ((5, 3), (5, 0), (0, 3)):
+            out = bayes_update(post, p_plus, n_plus, n_minus)
+            assert np.array_equal(post.log_weights, before)
+            assert np.array_equal(p_plus, p_before)
+        # the constructor normalizes a copy, not the caller's array
+        lw = out.log_weights + 7.0
+        lw_before = lw.copy()
+        Posterior(out.grid, lw)
+        assert np.array_equal(lw, lw_before)
 
     def test_boundary_probabilities_clamped(self):
         # a contrary outcome at a certain node must not produce -inf

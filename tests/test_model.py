@@ -260,15 +260,43 @@ class TestDisplacementMagnitude:
             assert cpmg_displacement_abs(coupling, n_units, 100.0, tau) <= 1e-12 * peak
 
     def test_scalar_and_array_inputs(self):
-        coupling, tau = Coupling(0.1), 2 * np.pi / 50.0 * 1.1
+        # each link of the likelihood chain: scalar in gives a float, an
+        # array keeps its shape, and the caller's array is left as it was
+        coupling, tau, state = Coupling(0.1), 2 * np.pi / 50.0 * 1.1, ThermalState(3.0)
         omegas = np.linspace(45.0, 55.0, 9)
-        arr = cpmg_displacement_abs(coupling, 10, omegas, tau)
-        assert isinstance(arr, np.ndarray) and arr.shape == omegas.shape
-        single = cpmg_displacement_abs(coupling, 10, float(omegas[3]), tau)
-        assert isinstance(single, float)
-        assert single == arr[3]
-        grid2d = cpmg_displacement_abs(coupling, 10, omegas.reshape(3, 3), tau)
-        assert np.array_equal(grid2d, arr.reshape(3, 3))
+        alpha = cpmg_displacement_abs(coupling, 10, omegas, tau)
+        links = [(lambda w: cpmg_displacement_abs(coupling, 10, w, tau), omegas),
+                 (lambda a: coherence_thermal(a, state), alpha),
+                 (outcome_probability, coherence_thermal(alpha, state))]
+        for fn, x in links:
+            before = x.copy()
+            arr = fn(x)
+            assert np.array_equal(x, before)
+            assert isinstance(arr, np.ndarray) and arr.shape == x.shape
+            single = fn(float(x[3]))
+            assert isinstance(single, float)
+            assert single == arr[3]
+            grid2d = fn(x.reshape(3, 3))
+            assert np.array_equal(grid2d, arr.reshape(3, 3))
+            assert np.array_equal(x, before)
+
+    def test_appended_node_matches_scalar_chain(self):
+        # the run loop evaluates the true frequency as one more grid node;
+        # that element must agree with the scalar chain to 2 ulp
+        rng = np.random.default_rng(7)
+        coupling = Coupling(0.1)
+        for _ in range(200):
+            n_units = int(rng.integers(2, 3000))
+            w = float(rng.uniform(45.0, 55.0))
+            tau = 2 * np.pi / w * (1 + 1 / n_units) * float(rng.uniform(0.99, 1.01))
+            state = ThermalState(float(rng.choice([0.0, 10.0, 1000.0])))
+            nodes = np.append(np.linspace(w - 0.5, w + 0.5, 4096), w)
+            a = cpmg_displacement_abs(coupling, n_units, nodes, tau)
+            p = outcome_probability(coherence_thermal(a, state))
+            a_w = cpmg_displacement_abs(coupling, n_units, w, tau)
+            p_w = outcome_probability(coherence_thermal(a_w, state))
+            assert abs(a[-1] - a_w) <= 2 * np.spacing(a_w)
+            assert abs(p[-1] - p_w) <= 2 * np.spacing(p_w)
 
     def test_invalid_inputs(self):
         coupling = Coupling(0.1)

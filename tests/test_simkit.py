@@ -13,6 +13,7 @@ import pytest
 
 from qsense import simkit
 from qsense.protocol import run_adaptive
+from qsense.runconfig import ConfigError
 from qsense.simkit import (
     AggregateResult,
     fit_loglog_slope,
@@ -37,7 +38,8 @@ class TestResolveWorkers:
     def test_clamped_to_job_count(self, monkeypatch):
         monkeypatch.delenv("QSENSE_THREADS", raising=False)
         assert resolve_workers(99, 4) == 4
-        assert resolve_workers(0, 4) == 1
+        with pytest.raises(ConfigError, match="worker count >= 1, got 0"):
+            resolve_workers(0, 4)
 
 
 class TestRunRepetitions:
