@@ -107,13 +107,11 @@ def cmd_gsq(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    overrides = {"n_reps": args.reps, "seed": args.seed,
-                 "out_prefix": args.out_prefix, "fit_tail_fraction": args.fit_tail}
+    overrides = {"n_reps": args.reps, "seed": args.seed, "out_prefix": args.out_prefix}
     cfg, harness = load_adaptive_config(args.config, overrides)
     t0 = time.perf_counter()
-    agg = simkit.run_repetitions(
-        cfg, harness["n_reps"], master_seed=cfg.seed,
-        n_workers=args.threads, fit_tail_fraction=harness["fit_tail_fraction"])
+    agg = simkit.run_repetitions(cfg, harness["n_reps"], master_seed=cfg.seed,
+                                 n_workers=args.threads)
     wall = time.perf_counter() - t0
     print(f"adapt: {harness['n_reps']} repetitions, {agg.n_common_steps} steps, "
           f"wall clock {wall:.2f} s", file=sys.stderr)
@@ -124,8 +122,7 @@ def cmd_adapt(args) -> int:
         return EXIT_NUMERICAL
 
     resolved = echo(asdict(cfg))
-    resolved.update({"n_reps": harness["n_reps"],
-                     "fit_tail_fraction": harness["fit_tail_fraction"]})
+    resolved["n_reps"] = harness["n_reps"]
     meta = {"command": "adapt"}
     meta.update({k: resolved[k] for k in sorted(resolved)})
     cols = (agg.mean_n_units, agg.mean_tau, agg.mean_nu, agg.mean_cumulative_time,
@@ -201,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--reps", type=int, default=None)
     a.add_argument("--seed", type=int, default=None)
     a.add_argument("--out-prefix", default=None)
-    a.add_argument("--fit-tail", type=float, default=None,
-                   help="fraction of the all-stage-2 span used for the slope fit")
     a.add_argument("--threads", type=int, default=None,
                    help="worker cap (QSENSE_THREADS, then CPU count, when unset)")
     a.add_argument("--snapshot-posterior", default=None,

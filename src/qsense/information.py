@@ -26,6 +26,10 @@ G_RMS1 = 0.8354402775650376
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
+# Central-difference step of g_finite: balances truncation against
+# round-off for an O(1)-curvature function.
+_FD_STEP = 1e-6
+
 __all__ = [
     "G_RMS1",
     "g_finite",
@@ -58,18 +62,18 @@ def g_universal(zeta):
     return out if out.shape else float(out)
 
 
-def g_finite(n_units: int, zeta, h: float = 1e-6):
+def g_finite(n_units: int, zeta):
     """Finite-N fringe derivative |d(K/N)/d zeta| near the major peak.
 
     The normalized interference pattern as a function of the fringe
     label is sinc(z)/sinc(z/N) (with sinc(x) = sin(pi x)/(pi x)), which
     is smooth through the nodes; the central difference of this signed
-    ratio converges to g_universal as N grows. Step h = 1e-6 balances
-    truncation against round-off for an O(1)-curvature function.
+    ratio converges to g_universal as N grows, with step _FD_STEP.
     """
     if n_units < 2:
         raise ValueError(f"n_units must be >= 2, got {n_units}")
     z = np.asarray(zeta, dtype=float)
+    h = _FD_STEP
     if np.any(np.abs(z) + h >= n_units):
         raise ValueError("zeta must satisfy |zeta| + h < n_units")
 

@@ -51,6 +51,14 @@ REGRID_HALFWIDTH_SIGMAS = 10.0
 NU_PROBE = 3
 MAX_PROBE_BLOCKS = 40
 
+# Schedule constants: stage (i) aims at evolution time 1/(KAPPA_I*dw) with
+# shot-budget scale C_I; stage (ii) at 1/(KAPPA*sqrt(2 pi lambda_tilde dw))
+# with C**2 * KAPPA**4 / 4 shots per step.
+C_I = 0.1
+KAPPA_I = 2.0
+C = 0.1
+KAPPA = 2.0
+
 __all__ = [
     "STAGE_I",
     "STAGE_II",
@@ -68,20 +76,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Physical parameters, schedule constants, and run policy."""
+    """Physical parameters and run policy."""
 
     omega_true: float
     omega0: float
     delta_omega0: float
     lam: float
     nbar: float
-    c_i: float = 0.1
-    kappa_i: float = 2.0
-    c: float = 0.1
-    kappa: float = 2.0
     max_steps: int = 200
-    target_precision: float | None = None
-    max_total_time: float | None = None
     seed: int = 12345
     span_sigmas: float = 8.0
     n_points: int = 4096
@@ -92,16 +94,11 @@ class AdaptiveConfig:
                     if isinstance(v, float) and not math.isfinite(v)]
         if problems:
             raise ValueError("; ".join(problems))
-        for name in ("omega_true", "omega0", "delta_omega0", "lam", "c_i", "c",
-                     "span_sigmas"):
+        for name in ("omega_true", "omega0", "delta_omega0", "lam", "span_sigmas"):
             if not getattr(self, name) > 0:
                 problems.append(f"{name} must be positive, got {getattr(self, name)}")
         if self.nbar < 0:
             problems.append(f"nbar must be nonnegative, got {self.nbar}")
-        if self.kappa_i < 1:
-            problems.append(f"kappa_i must be >= 1, got {self.kappa_i}")
-        if not self.kappa > 1:
-            problems.append(f"kappa must be > 1, got {self.kappa}")
         if not self.delta_omega0 < self.omega0:
             problems.append("delta_omega0 must be below omega0")
         if not self.omega0 - self.span_sigmas * self.delta_omega0 > 0:
@@ -110,10 +107,6 @@ class AdaptiveConfig:
                             f"{self.omega0 - self.span_sigmas * self.delta_omega0}")
         if self.max_steps < 1:
             problems.append(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.target_precision is not None and not self.target_precision > 0:
-            problems.append("target_precision must be positive when set")
-        if self.max_total_time is not None and not self.max_total_time > 0:
-            problems.append("max_total_time must be positive when set")
         if not 0 <= self.seed < 2**64:
             problems.append("seed must fit in 64 unsigned bits")
         if self.n_points < 64:
@@ -164,7 +157,10 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Complete record of one adaptive run, with its final posterior."""
+    """Complete record of one adaptive run, with its final posterior.
+
+    records holds cfg.max_steps steps, or fewer when the run aborted.
+    """
 
     records: tuple[StepRecord, ...]
     final_estimate: Estimate
@@ -180,19 +176,19 @@ def nint(a: float) -> int:
 
 def stage1_plan(omega_est: float, delta_omega_est: float,
                 cfg: AdaptiveConfig) -> StepPlan:
-    """Fringe-acquisition step: evolution time near 1/(kappa_i * dw).
+    """Fringe-acquisition step: evolution time near 1/(KAPPA_I * dw).
 
     The shot count spends only as many measurements as the per-shot
     information gain warrants at the current uncertainty.
     """
     if not delta_omega_est > 0:
         raise ValueError(f"delta_omega_est must be positive, got {delta_omega_est}")
-    N = max(nint(omega_est / (cfg.kappa_i * delta_omega_est) - 1), MIN_PERIODS)
+    N = max(nint(omega_est / (KAPPA_I * delta_omega_est) - 1), MIN_PERIODS)
     tau = (2 * np.pi / omega_est) * (1 + 1 / N)
     a1 = cpmg_displacement_abs(Coupling(cfg.lam), 1, omega_est, tau)
     ltk = math.sqrt(2 * cfg.nbar + 1) * a1 / tau
-    eta_i = 4 * np.pi * G_RMS1 / cfg.kappa_i**2  # gain per unit lambda_tilde/dw
-    nu = max(nint(cfg.c_i**2 * delta_omega_est**2 / (ltk**2 * eta_i**2)), 1)
+    eta_i = 4 * np.pi * G_RMS1 / KAPPA_I**2  # gain per unit lambda_tilde/dw
+    nu = max(nint(C_I**2 * delta_omega_est**2 / (ltk**2 * eta_i**2)), 1)
     return StepPlan(stage=STAGE_I, n_units=N, tau=tau, repetitions=nu,
                     lambda_tilde_k=float(ltk))
 
@@ -203,10 +199,10 @@ def stage2_plan(omega_est: float, delta_omega_est: float,
     if not delta_omega_est > 0:
         raise ValueError(f"delta_omega_est must be positive, got {delta_omega_est}")
     lt = lambda_tilde_cpmg(cfg.lam, cfg.nbar)
-    N = max(nint(omega_est / (cfg.kappa * math.sqrt(2 * np.pi * lt * delta_omega_est)) - 1),
+    N = max(nint(omega_est / (KAPPA * math.sqrt(2 * np.pi * lt * delta_omega_est)) - 1),
             MIN_PERIODS)
     tau = (2 * np.pi / omega_est) * (1 + 1 / N)
-    nu = max(nint(cfg.c**2 * cfg.kappa**4 / 4), 1)
+    nu = max(nint(C**2 * KAPPA**4 / 4), 1)
     return StepPlan(stage=STAGE_II, n_units=N, tau=tau, repetitions=nu,
                     lambda_tilde_k=float(lt))
 
@@ -311,11 +307,6 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
             if hw < (post.omega_max - post.omega_min) / 2:
                 post = regrid(post, w_hat, hw, cfg.n_points)
                 nodes = np.append(post.grid, cfg.omega_true)
-
-        if cfg.target_precision is not None and dw_est < cfg.target_precision:
-            break
-        if cfg.max_total_time is not None and t_total >= cfg.max_total_time:
-            break
 
     return Trajectory(
         records=tuple(records),

@@ -31,7 +31,7 @@ _PARAMS = {key: name for name, key in _FILE_KEYS.items()}
 
 # Keys `adapt` accepts beyond AdaptiveConfig's fields; the type of a
 # default is the type of its key.
-HARNESS_DEFAULTS = {"n_reps": 500, "out_prefix": "adapt", "fit_tail_fraction": 0.6}
+HARNESS_DEFAULTS = {"n_reps": 500, "out_prefix": "adapt"}
 
 
 class ConfigError(Exception):
@@ -48,26 +48,28 @@ def echo(values: dict) -> dict:
 
 
 def _schema(target):
-    """Config keys of target's parameters: (all, required, integer, nullable).
+    """Config keys of target's parameters: (all, required, integer).
 
-    A parameter without a default is required, an `int` one takes
-    integers only, and a `... | None` one accepts null.
+    A parameter without a default is required, and an `int` one takes
+    integers only.
     """
     params = inspect.signature(target).parameters.values()
     hints = typing.get_type_hints(target)
     keys = {p.name: _FILE_KEYS.get(p.name, p.name) for p in params}
     return (tuple(keys.values()),
             tuple(keys[p.name] for p in params if p.default is p.empty),
-            {keys[name] for name in keys if hints[name] is int},
-            {keys[name] for name in keys if type(None) in typing.get_args(hints[name])})
+            {keys[name] for name in keys if hints[name] is int})
 
 
-def _coerce(key: str, value, problems: list[str], integer=False, nullable=False):
-    if value is None and nullable:
-        return None
+def _coerce(key: str, value, problems: list[str], integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         problems.append(f"{key}: expected a number, got {value!r}")
         return None
+    if integer and isinstance(value, (int, str)):
+        try:
+            return int(value)  # exact, where float() rounds above 2**53
+        except ValueError:
+            pass
     try:
         num = float(value)
     except (TypeError, ValueError):
@@ -93,7 +95,7 @@ def _load(target, path: str, overrides: dict | None, harness_defaults: dict):
     own ValueError included, raises one ConfigError with one line per
     problem.
     """
-    keys, required, integer, nullable = _schema(target)
+    keys, required, integer = _schema(target)
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     if doc is None:
@@ -108,8 +110,7 @@ def _load(target, path: str, overrides: dict | None, harness_defaults: dict):
     if problems:
         raise ConfigError(problems)
 
-    kwargs = {_PARAMS.get(key, key): _coerce(key, doc[key], problems, key in integer,
-                                             key in nullable)
+    kwargs = {_PARAMS.get(key, key): _coerce(key, doc[key], problems, key in integer)
               for key in keys if key in doc}
     harness = dict(harness_defaults)
     for key, default in harness_defaults.items():
@@ -138,13 +139,16 @@ def _load(target, path: str, overrides: dict | None, harness_defaults: dict):
 def load_adaptive_config(path: str, overrides: dict | None = None):
     """Parse an adaptive-run config file into (AdaptiveConfig, harness dict).
 
-    The harness dict holds n_reps, out_prefix and fit_tail_fraction.
+    The harness dict holds n_reps and out_prefix. Repetition r runs with
+    seed + r, so every seed up to seed + n_reps - 1 must fit in 64
+    unsigned bits.
     """
     cfg, harness = _load(AdaptiveConfig, path, overrides, HARNESS_DEFAULTS)
-    if not 0.0 < harness["fit_tail_fraction"] <= 1.0:
-        raise ConfigError(["fit_tail_fraction: must lie in (0, 1]"])
     if harness["n_reps"] < 1:
         raise ConfigError(["n_reps: must be >= 1"])
+    if cfg.seed + harness["n_reps"] - 1 >= 2**64:
+        raise ConfigError([f"seed: seed + n_reps - 1 must fit in 64 unsigned bits, got "
+                           f"{cfg.seed} + {harness['n_reps']} - 1"])
     return cfg, harness
 
 

@@ -22,6 +22,9 @@ from .model import interference_factor
 from .protocol import STAGE_II, AdaptiveConfig, run_adaptive
 from .runconfig import ConfigError
 
+# The slope is fitted over this trailing fraction of the all-stage-(ii) steps.
+FIT_TAIL_FRACTION = 0.6
+
 __all__ = [
     "AggregateResult",
     "resolve_workers",
@@ -41,11 +44,11 @@ class AggregateResult:
     The means and stage_column cover the repetitions that did not
     abort. stage_column is 2 at a step only when every one of them has
     entered stage (ii) there; mean_n_units, mean_tau, mean_nu average
-    the per-step plans. n_common_steps counts the aligned prefix when
-    trajectories end at different lengths. n_aborted counts the aborted
+    the per-step plans. n_common_steps is the step count of every
+    repetition that did not abort. n_aborted counts the aborted
     repetitions, first_abort is the index and diagnostic of the first
     one, and rep0_posterior the final posterior of repetition 0.
-    fit_slope and fit_window are None when fewer than 3 steps are common.
+    fit_slope and fit_window are None when there are fewer than 3 steps.
     """
 
     step_axis: np.ndarray
@@ -120,8 +123,7 @@ def _run_one(args) -> tuple:
 
 
 def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
-                    n_workers: int | None = None,
-                    fit_tail_fraction: float = 0.6) -> AggregateResult:
+                    n_workers: int | None = None) -> AggregateResult:
     """Average n_reps independent adaptive runs and fit the late-time scaling.
 
     Repetition r runs with seed master_seed + r, so the result is a pure
@@ -130,14 +132,12 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
     have all but one in common. Aborted repetitions are counted but
     left out of the means; if every repetition aborts, ValueError names
     the diagnostic of repetition 0. The log-log precision-vs-time slope
-    is fitted over the trailing fit_tail_fraction of the steps where
+    is fitted over the trailing FIT_TAIL_FRACTION of the steps where
     every averaged repetition has reached stage (ii), and over at least
-    3 steps; with fewer common steps no slope is fitted.
+    3 steps; with max_steps below 3 no slope is fitted.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    if not 0.0 < fit_tail_fraction <= 1.0:
-        raise ValueError(f"fit_tail_fraction must lie in (0, 1], got {fit_tail_fraction}")
     jobs = [(cfg, master_seed + r, r == 0) for r in range(n_reps)]
     workers = resolve_workers(n_workers, n_reps)
     if workers == 1:
@@ -151,24 +151,24 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
     kept = [rows for rows, flag in zip(steps, aborted_flags) if not flag]
     if not kept:
         raise ValueError(f"all {n_reps} repetitions aborted; rep 0: {diagnostics[0]}")
-    # a run that does not abort records at least one step
-    n_common = min(len(rows) for rows in kept)
-    stacked = np.stack([rows[:n_common] for rows in kept])
+    # a run that does not abort records max_steps steps
+    stacked = np.stack(kept)
+    n_steps = stacked.shape[1]
     means = stacked.mean(axis=0)
     _, mean_dw, mean_tt, mean_zt, mean_sa, mean_n_units, mean_tau, mean_nu = means.T
     stage_col = np.where((stacked[:, :, 0] == STAGE_II).all(axis=0), STAGE_II, 1)
 
     # the slope needs 3 points; a shorter ensemble reports none
     window = slope = None
-    if n_common >= 3:
+    if n_steps >= 3:
         all2 = np.flatnonzero(stage_col == STAGE_II)
-        s = int(all2[0]) if len(all2) else n_common - 1
-        lo = s + int(math.ceil((1.0 - fit_tail_fraction) * (n_common - s)))
-        window = (min(lo, n_common - 3), n_common - 1)
+        s = int(all2[0]) if len(all2) else n_steps - 1
+        lo = s + int(math.ceil((1.0 - FIT_TAIL_FRACTION) * (n_steps - s)))
+        window = (min(lo, n_steps - 3), n_steps - 1)
         slope = fit_loglog_slope(mean_tt, mean_dw, window)
 
     return AggregateResult(
-        step_axis=np.arange(n_common),
+        step_axis=np.arange(n_steps),
         mean_delta_omega=mean_dw,
         mean_cumulative_time=mean_tt,
         mean_zeta=mean_zt,
@@ -180,7 +180,7 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
         mean_n_units=mean_n_units,
         mean_tau=mean_tau,
         mean_nu=mean_nu,
-        n_common_steps=int(n_common),
+        n_common_steps=n_steps,
         n_aborted=len(aborted),
         first_abort=(aborted[0], diagnostics[aborted[0]]) if aborted else None,
         rep0_posterior=posteriors[0],

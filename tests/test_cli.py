@@ -8,6 +8,8 @@ and byte-level reproducibility are asserted, not just parseability.
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,8 +265,8 @@ class TestAdapt:
                 "non-finite estimate at step 0: stub") in err
 
     @pytest.mark.parametrize("extra", [
-        {"max_steps": 1}, {"max_steps": 2}, {"nbar": 10.0, "target_precision": 0.3},
-    ], ids=["one-step", "two-steps", "target-reached-at-step-1"])
+        {"max_steps": 1}, {"max_steps": 2},
+    ], ids=["one-step", "two-steps"])
     def test_fewer_than_three_steps_has_no_slope(self, tmp_path, extra):
         cfg = write_adapt_config(tmp_path / "cfg.json", **extra)
         rc = cli.main(["adapt", "--config", str(cfg), "--threads", "1",
@@ -292,6 +294,63 @@ class TestAdapt:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: regrid_trigger_spacings: unknown key"]
         assert not (tmp_path / "x_steps.csv").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("c_i", 0.1), ("kappa_i", 2.0), ("c", 0.1), ("kappa", 2.0),
+        ("target_precision", 1e-3), ("max_total_time", 2000.0), ("fit_tail_fraction", 0.6),
+    ])
+    def test_removed_knob_is_an_unknown_key(self, tmp_path, capsys, key, value):
+        # schedule constants and the fit tail are constants; the stopping rules are gone
+        cfg = write_adapt_config(tmp_path / "cfg.json", **{key: value})
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {key}: unknown key"]
+        assert not list(tmp_path.glob("x*"))
+
+    def test_fit_tail_flag_is_a_usage_error(self, tmp_path):
+        cfg = write_adapt_config(tmp_path / "cfg.json")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["adapt", "--config", str(cfg), "--fit-tail", "0.5",
+                      "--out-prefix", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert not list(tmp_path.glob("x*"))
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"A minimal adapt config.*?```yaml\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.yaml"
+        path.write_text(block.group(1), encoding="utf-8")
+        cfg, harness = load_adaptive_config(str(path))
+        assert (cfg.nbar, cfg.max_steps, harness["n_reps"]) == (10.0, 250, 500)
+
+    @pytest.mark.parametrize("seed", [9007199254740993, 12345678901234567, 2**64 - 1])
+    def test_integer_seed_is_exact(self, tmp_path, seed):
+        quoted = write_adapt_config(tmp_path / "quoted.json", seed=str(seed), n_reps=1)
+        assert load_adaptive_config(str(quoted))[0].seed == seed
+        path = write_adapt_config(tmp_path / "cfg.json", seed=seed, n_reps=1)
+        assert load_adaptive_config(str(path))[0].seed == seed
+        rc = cli.main(["adapt", "--config", str(path), "--seed", str(seed), "--threads", "1",
+                       "--out-prefix", str(tmp_path / "e")])
+        assert rc == 0
+        assert json.loads((tmp_path / "e_summary.json").read_text())["config"]["seed"] == seed
+        assert read_csv(tmp_path / "e_steps.csv")[0]["seed"] == str(seed)
+
+    def test_non_integral_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_adapt_config(tmp_path / "cfg.json", seed=2026.5)
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: seed: expected an integer, got 2026.5"]
+
+    def test_last_rep_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        cfg = write_adapt_config(tmp_path / "cfg.json", seed=2**64 - 1, n_reps=2)
+        rc = cli.main(["adapt", "--config", str(cfg), "--threads", "1",
+                       "--out-prefix", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: seed: seed + n_reps - 1 must fit in 64 unsigned bits, "
+            f"got {2**64 - 1} + 2 - 1"]
+        assert not list(tmp_path.glob("x*"))
 
     def test_non_string_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
