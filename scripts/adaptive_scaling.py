@@ -21,7 +21,7 @@ def run_ensemble(nbar, reps, steps, seed, workers):
     agg = run_repetitions(cfg, reps, master_seed=seed, n_workers=workers)
     wall = time.perf_counter() - t0
     slope = "none" if agg.fit_slope is None else f"{agg.fit_slope:.3f}"
-    print(f"nbar = {nbar:g}: {reps} reps x {agg.n_common_steps} steps "
+    print(f"nbar = {nbar:g}: {reps} reps x {len(agg.mean_delta_omega)} steps "
           f"in {wall:.1f} s, slope {slope} "
           f"over window {agg.fit_window}, aborted {agg.n_aborted}")
     return agg

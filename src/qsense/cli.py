@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -101,19 +102,22 @@ def cmd_gsq(args) -> int:
         "fit_window": list(window),
         "n_points_in_fit": int(len(in_fit)),
     }
-    summary_path = args.summary or (args.out.rsplit(".", 1)[0] + "_summary.json")
+    summary_path = args.summary or (os.path.splitext(args.out)[0] + "_summary.json")
     _write_text(summary_path, _json_text(summary))
     return EXIT_OK
 
 
 def cmd_adapt(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError([f"threads: expected a worker count >= 1, got {args.threads}"])
     overrides = {"n_reps": args.reps, "seed": args.seed, "out_prefix": args.out_prefix}
     cfg, harness = load_adaptive_config(args.config, overrides)
     t0 = time.perf_counter()
     agg = simkit.run_repetitions(cfg, harness["n_reps"], master_seed=cfg.seed,
                                  n_workers=args.threads)
     wall = time.perf_counter() - t0
-    print(f"adapt: {harness['n_reps']} repetitions, {agg.n_common_steps} steps, "
+    n_steps = len(agg.mean_delta_omega)
+    print(f"adapt: {harness['n_reps']} repetitions, {n_steps} steps, "
           f"wall clock {wall:.2f} s", file=sys.stderr)
     if agg.n_aborted:
         rep, diagnostic = agg.first_abort
@@ -127,8 +131,8 @@ def cmd_adapt(args) -> int:
     meta.update({k: resolved[k] for k in sorted(resolved)})
     cols = (agg.mean_n_units, agg.mean_tau, agg.mean_nu, agg.mean_cumulative_time,
             agg.mean_delta_omega, agg.mean_zeta, agg.mean_scaled_alpha)
-    rows = [",".join((str(int(step)), str(int(stage)), *map(_fmt, values)))
-            for step, stage, *values in zip(agg.step_axis, agg.stage_column, *cols)]
+    rows = [",".join((str(step), str(int(stage)), *map(_fmt, values)))
+            for step, (stage, *values) in enumerate(zip(agg.stage_column, *cols))]
     prefix = harness["out_prefix"]
     header = "step,stage,n_units,tau,nu,mean_time,mean_delta_omega,mean_zeta,mean_scaled_alpha"
     _write_text(prefix + "_steps.csv", _csv_text(meta, header, rows))
@@ -140,7 +144,7 @@ def cmd_adapt(args) -> int:
         "fit_window": list(agg.fit_window) if agg.fit_window else None,
         "final_mean_delta_omega": float(agg.mean_delta_omega[-1]),
         "final_mean_time": float(agg.mean_cumulative_time[-1]),
-        "n_common_steps": agg.n_common_steps,
+        "n_common_steps": n_steps,
     }
     _write_text(prefix + "_summary.json", _json_text(summary))
 
@@ -199,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--seed", type=int, default=None)
     a.add_argument("--out-prefix", default=None)
     a.add_argument("--threads", type=int, default=None,
-                   help="worker cap (QSENSE_THREADS, then CPU count, when unset)")
+                   help="worker cap (default: the CPU count)")
     a.add_argument("--snapshot-posterior", default=None,
                    help="also write the final posterior CSV of repetition 0 here")
     a.set_defaults(func=cmd_adapt)

@@ -8,7 +8,8 @@ qubit-conditional displacement alpha_1; N identical periods interfere
 through the geometric factor K, so the total displacement is
 alpha = alpha_1 * K. The sigma_x fringe contrast of the qubit is the
 oscillator coherence factor L, which for a thermal state is
-exp(-2*(2*nbar+1)*|alpha|^2).
+exp(-2*(2*nbar+1)*|alpha|^2), and the +1 outcome has probability
+(1 + L)/2.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-COHERENCE_BOUNDARY_TOL = 1e-12
 
 __all__ = [
     "PulseSequence",
@@ -31,7 +30,6 @@ __all__ = [
     "total_displacement",
     "total_displacement_direct",
     "zeta",
-    "coherence_thermal",
     "outcome_probability",
 ]
 
@@ -251,31 +249,20 @@ def zeta(n_units: int, omega, tau: float):
     return n_units * (omega * tau / (2.0 * np.pi) - 1.0)
 
 
-def coherence_thermal(alpha, state: ThermalState):
-    """Fringe contrast for a thermal oscillator: exp(-2*(2*nbar+1)*|alpha|^2)."""
+def outcome_probability(alpha, state: ThermalState):
+    """Probability P_plus of the +1 sigma_x outcome at displacement alpha.
+
+    P(+1) = (1 + L)/2 with the thermal contrast
+    L = exp(-2*(2*nbar+1)*|alpha|^2), elementwise for an array of
+    displacements; P(-1) is its complement. L lies in [0, 1], so P_plus
+    lies in [1/2, 1].
+    """
     alpha = np.asarray(alpha)
     # one float temporary, reused by each step; 0-d input runs as one element
     out = np.abs(alpha, out=np.empty(alpha.shape or 1))
     np.square(out, out=out)
     out *= -2.0 * (2.0 * state.nbar + 1.0)
     np.exp(out, out=out)
+    out += 1.0
+    out /= 2.0
     return out if alpha.shape else float(out[0])
-
-
-def outcome_probability(coherence_real):
-    """Probability P_plus of the +1 sigma_x outcome for contrast L.
-
-    P(+1) = (1 + L)/2, elementwise for an array of contrasts; P(-1) is
-    its complement. Values of |L| within 1e-12 of 1 are clamped to the
-    boundary; anything beyond is rejected.
-    """
-    L = np.asarray(coherence_real, dtype=float)
-    lo, hi = L.min(), L.max()
-    if lo < -1.0 - COHERENCE_BOUNDARY_TOL or hi > 1.0 + COHERENCE_BOUNDARY_TOL:
-        raise ValueError(f"coherence {lo if lo < -1.0 else hi} outside [-1, 1]")
-    # clip only when needed: the run loop passes 4096-node grids
-    if lo < -1.0 or hi > 1.0:
-        L = np.clip(L, -1.0, 1.0)
-    p = np.add(L.reshape(L.shape or 1), 1.0)
-    p /= 2.0
-    return p if L.shape else float(p[0])

@@ -29,8 +29,7 @@ import numpy as np
 from .estimation import (Estimate, Posterior, bayes_update, gaussian_prior, mass_beyond, mle,
                          regrid, uncertainty)
 from .information import G_RMS1, lambda_tilde_cpmg
-from .model import (Coupling, ThermalState, coherence_thermal, cpmg_displacement_abs,
-                    outcome_probability, zeta)
+from .model import Coupling, ThermalState, cpmg_displacement_abs, outcome_probability, zeta
 
 STAGE_I = 1
 STAGE_II = 2
@@ -252,7 +251,7 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         frequency, fold the likelihood into the posterior, advance time."""
         nonlocal post, t_total
         a = cpmg_displacement_abs(coupling, N, nodes, tau)
-        p = outcome_probability(coherence_thermal(a, state))
+        p = outcome_probability(a, state)
         npl = rng.binomial(nu, p[-1])
         post = bayes_update(post, p[:-1], npl, nu - npl)
         t_total += nu * N * tau

@@ -97,7 +97,11 @@ def _load(target, path: str, overrides: dict | None, harness_defaults: dict):
     """
     keys, required, integer = _schema(target)
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            # one line, where a YAML error's message spans several
+            raise ConfigError(["malformed config file: " + " ".join(str(exc).split())]) from exc
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):

@@ -20,14 +20,12 @@ from .estimation import Posterior
 from .information import g_finite, g_sq_mean, g_universal
 from .model import interference_factor
 from .protocol import STAGE_II, AdaptiveConfig, run_adaptive
-from .runconfig import ConfigError
 
 # The slope is fitted over this trailing fraction of the all-stage-(ii) steps.
 FIT_TAIL_FRACTION = 0.6
 
 __all__ = [
     "AggregateResult",
-    "resolve_workers",
     "reference_config",
     "run_repetitions",
     "matched_time_ratio",
@@ -42,73 +40,34 @@ class AggregateResult:
     """Step-aligned ensemble means over repeated adaptive runs.
 
     The means and stage_column cover the repetitions that did not
-    abort. stage_column is 2 at a step only when every one of them has
+    abort, each of which records max_steps steps; row k is step k.
+    stage_column is 2 at a step only when every one of them has
     entered stage (ii) there; mean_n_units, mean_tau, mean_nu average
-    the per-step plans. n_common_steps is the step count of every
-    repetition that did not abort. n_aborted counts the aborted
-    repetitions, first_abort is the index and diagnostic of the first
-    one, and rep0_posterior the final posterior of repetition 0.
-    fit_slope and fit_window are None when there are fewer than 3 steps.
+    the per-step plans. n_aborted counts the aborted repetitions,
+    first_abort is the index and diagnostic of the first one, and
+    rep0_posterior the final posterior of repetition 0. fit_slope and
+    fit_window are None when there are fewer than 3 steps.
     """
 
-    step_axis: np.ndarray
     mean_delta_omega: np.ndarray
     mean_cumulative_time: np.ndarray
     mean_zeta: np.ndarray
     mean_scaled_alpha: np.ndarray
-    n_repetitions: int
     fit_slope: float | None
     fit_window: tuple[int, int] | None
     stage_column: np.ndarray
     mean_n_units: np.ndarray
     mean_tau: np.ndarray
     mean_nu: np.ndarray
-    n_common_steps: int
     n_aborted: int = 0
     first_abort: tuple[int, str] | None = None
     rep0_posterior: Posterior | None = None
-
-    def __post_init__(self):
-        n = len(self.step_axis)
-        for name in ("mean_delta_omega", "mean_cumulative_time", "mean_zeta",
-                     "mean_scaled_alpha", "stage_column", "mean_n_units",
-                     "mean_tau", "mean_nu"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length differs from step_axis")
-        if self.n_repetitions < 1:
-            raise ValueError("n_repetitions must be >= 1")
-        window = self.fit_window
-        if window is not None and not 0 <= window[0] <= window[1] < n:
-            raise ValueError(f"fit_window {window} outside [0, {n})")
 
 
 def reference_config(nbar: float, max_steps: int = 250, seed: int = 12345) -> AdaptiveConfig:
     """The reference scenario: omega 50, prior 50.5 +- 0.5, coupling 0.1."""
     return AdaptiveConfig(omega_true=50.0, omega0=50.5, delta_omega0=0.5, lam=0.1,
                           nbar=nbar, max_steps=max_steps, seed=seed)
-
-
-def resolve_workers(n_workers: int | None, n_jobs: int) -> int:
-    """Worker count from the argument, QSENSE_THREADS, or the CPU count.
-
-    A count below 1, from the argument or the environment, is a config
-    error; a count above n_jobs is cut to n_jobs.
-    """
-    source = "threads"
-    if n_workers is None:
-        env = os.environ.get("QSENSE_THREADS", "").strip()
-        if not env:
-            return min(os.cpu_count() or 1, n_jobs)
-        source = "QSENSE_THREADS"
-        try:
-            n_workers = int(env)
-        except ValueError:
-            raise ConfigError(
-                [f"QSENSE_THREADS: expected an integer worker count, got {env!r}"]
-            ) from None
-    if n_workers < 1:
-        raise ConfigError([f"{source}: expected a worker count >= 1, got {n_workers}"])
-    return min(n_workers, n_jobs)
 
 
 def _run_one(args) -> tuple:
@@ -134,12 +93,21 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
     the diagnostic of repetition 0. The log-log precision-vs-time slope
     is fitted over the trailing FIT_TAIL_FRACTION of the steps where
     every averaged repetition has reached stage (ii), and over at least
-    3 steps; with max_steps below 3 no slope is fitted.
+    3 steps; with max_steps below 3 no slope is fitted. The repetitions
+    run on min(n_workers, n_reps) processes, n_workers defaulting to the
+    CPU count; with one, they run in this process.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    if master_seed < 0 or master_seed + n_reps - 1 >= 2**64:
+        raise ValueError(f"seeds {master_seed} to {master_seed + n_reps - 1} "
+                         f"must fit in 64 unsigned bits")
+    if n_workers is None:
+        n_workers = os.cpu_count() or 1
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    workers = min(n_workers, n_reps)
     jobs = [(cfg, master_seed + r, r == 0) for r in range(n_reps)]
-    workers = resolve_workers(n_workers, n_reps)
     if workers == 1:
         results = [_run_one(j) for j in jobs]
     else:
@@ -168,19 +136,16 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
         slope = fit_loglog_slope(mean_tt, mean_dw, window)
 
     return AggregateResult(
-        step_axis=np.arange(n_steps),
         mean_delta_omega=mean_dw,
         mean_cumulative_time=mean_tt,
         mean_zeta=mean_zt,
         mean_scaled_alpha=mean_sa,
-        n_repetitions=n_reps,
         fit_slope=slope,
         fit_window=window,
         stage_column=stage_col,
         mean_n_units=mean_n_units,
         mean_tau=mean_tau,
         mean_nu=mean_nu,
-        n_common_steps=n_steps,
         n_aborted=len(aborted),
         first_abort=(aborted[0], diagnostics[aborted[0]]) if aborted else None,
         rep0_posterior=posteriors[0],

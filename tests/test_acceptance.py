@@ -83,8 +83,7 @@ def test_04_precision_scaling(ensemble_nbar10):
     assert agg.n_aborted == 0
     assert -2.2 <= agg.fit_slope <= -1.8
     print(f"\n[PASS] 04 precision scaling: log-log slope {agg.fit_slope:.3f} "
-          f"in [-2.2, -1.8] over fit window {agg.fit_window} "
-          f"({agg.n_repetitions} repetitions)")
+          f"in [-2.2, -1.8] over fit window {agg.fit_window}")
 
 
 def test_05_controller_convergence(ensemble_nbar10):

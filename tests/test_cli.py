@@ -130,6 +130,15 @@ class TestGsq:
         assert custom.exists()
         assert not (tmp_path / "scan_summary.json").exists()
 
+    def test_summary_beside_output_in_dotted_directory(self, tmp_path):
+        out_dir = tmp_path / "res.d"
+        out_dir.mkdir()
+        rc = cli.main(["gsq", "--min", "0.1", "--max", "10", "--points", "5",
+                       "--fit-min", "0.1", "--fit-max", "10", "--out", str(out_dir / "gsq")])
+        assert rc == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["gsq", "gsq_summary.json"]
+        assert not (tmp_path / "res_summary.json").exists()
+
     def test_bad_range_exits_2(self, tmp_path, capsys):
         rc = cli.main(["gsq", "--min", "5", "--max", "1",
                        "--out", str(tmp_path / "x.csv")])
@@ -374,40 +383,60 @@ class TestAdapt:
         rc = cli.main(["adapt", "--config", str(tmp_path / "absent.json")])
         assert rc == 3
 
-    def test_threads_env_is_honoured(self, tmp_path, monkeypatch):
+    def test_threads_env_is_ignored(self, tmp_path, monkeypatch):
+        # the worker count comes from --threads or the CPU count only
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simkit, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(simkit.os, "cpu_count", lambda: 3)
         monkeypatch.setenv("QSENSE_THREADS", "1")
         cfg = write_adapt_config(tmp_path / "cfg.json")
-        rc = cli.main(["adapt", "--config", str(cfg),
-                       "--out-prefix", str(tmp_path / "t")])
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "t")])
         assert rc == 0
+        assert sizes == [2]
 
-    def test_malformed_threads_env_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_malformed_threads_env_is_ignored(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QSENSE_THREADS", "abc")
         cfg = write_adapt_config(tmp_path / "cfg.json")
-        rc = cli.main(["adapt", "--config", str(cfg),
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "t")])
+        assert rc == 0
+        assert "QSENSE_THREADS" not in capsys.readouterr().err
+        assert (tmp_path / "t_steps.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"], ids=["threads-0", "threads-negative"])
+    def test_worker_count_below_one_exits_2(self, tmp_path, capsys, threads):
+        cfg = write_adapt_config(tmp_path / "cfg.json")
+        rc = cli.main(["adapt", "--config", str(cfg), "--threads", threads,
                        "--out-prefix", str(tmp_path / "t")])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "config error: QSENSE_THREADS" in err and "'abc'" in err
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: threads: expected a worker count >= 1, got {threads}"]
         assert not (tmp_path / "t_steps.csv").exists()
 
-    @pytest.mark.parametrize("args,env,problem", [
-        (["--threads", "0"], None, "threads: expected a worker count >= 1, got 0"),
-        (["--threads", "-1"], None, "threads: expected a worker count >= 1, got -1"),
-        ([], "-3", "QSENSE_THREADS: expected a worker count >= 1, got -3"),
-    ], ids=["threads-0", "threads-negative", "env-negative"])
-    def test_worker_count_below_one_exits_2(self, tmp_path, monkeypatch, capsys,
-                                            args, env, problem):
-        if env is None:
-            monkeypatch.delenv("QSENSE_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("QSENSE_THREADS", env)
-        cfg = write_adapt_config(tmp_path / "cfg.json")
-        rc = cli.main(["adapt", "--config", str(cfg), *args,
-                       "--out-prefix", str(tmp_path / "t")])
+    @pytest.mark.parametrize("content", [b"omega_true: [50.0\nnbar: 10\n",
+                                         b"omega_true: 50.0\nnbar: 1\xff0\n"],
+                             ids=["malformed-yaml", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_bytes(content)
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "u")])
         assert rc == 2
-        assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
-        assert not (tmp_path / "t_steps.csv").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: malformed config file: ")
+        assert not list(tmp_path.glob("u*"))
 
     @pytest.mark.parametrize("key,value", [
         ("lambda", math.inf), ("nbar", math.nan), ("seed", math.inf),
@@ -496,6 +525,18 @@ class TestCompare:
         rc = cli.main(["compare", "--config", str(cfg), *args, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: {p}" for p in problems]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"omega: {1.0\n", b"omega: 1.0\nt2: \xfe\n"],
+                             ids=["malformed-yaml", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cmp.yaml"
+        cfg.write_bytes(content)
+        out = tmp_path / "report.json"
+        rc = cli.main(["compare", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: malformed config file: ")
         assert not out.exists()
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):

@@ -21,7 +21,6 @@ from qsense.model import (
     ThermalState,
     alpha_cpmg,
     alpha_single_unit,
-    coherence_thermal,
     cpmg_displacement_abs,
     interference_factor,
     outcome_probability,
@@ -266,8 +265,7 @@ class TestDisplacementMagnitude:
         omegas = np.linspace(45.0, 55.0, 9)
         alpha = cpmg_displacement_abs(coupling, 10, omegas, tau)
         links = [(lambda w: cpmg_displacement_abs(coupling, 10, w, tau), omegas),
-                 (lambda a: coherence_thermal(a, state), alpha),
-                 (outcome_probability, coherence_thermal(alpha, state))]
+                 (lambda a: outcome_probability(a, state), alpha)]
         for fn, x in links:
             before = x.copy()
             arr = fn(x)
@@ -292,9 +290,9 @@ class TestDisplacementMagnitude:
             state = ThermalState(float(rng.choice([0.0, 10.0, 1000.0])))
             nodes = np.append(np.linspace(w - 0.5, w + 0.5, 4096), w)
             a = cpmg_displacement_abs(coupling, n_units, nodes, tau)
-            p = outcome_probability(coherence_thermal(a, state))
+            p = outcome_probability(a, state)
             a_w = cpmg_displacement_abs(coupling, n_units, w, tau)
-            p_w = outcome_probability(coherence_thermal(a_w, state))
+            p_w = outcome_probability(a_w, state)
             assert abs(a[-1] - a_w) <= 2 * np.spacing(a_w)
             assert abs(p[-1] - p_w) <= 2 * np.spacing(p_w)
 
@@ -313,23 +311,39 @@ class TestDisplacementMagnitude:
 
 
 class TestCoherence:
+    """The outcome law P+ = (1 + L)/2 with the thermal contrast L."""
+
     def test_zero_displacement_full_contrast(self):
-        assert coherence_thermal(0.0, ThermalState(10.0)) == pytest.approx(1.0)
+        assert outcome_probability(0.0, ThermalState(10.0)) == 1.0
 
     @pytest.mark.parametrize("alpha,nbar", [
         (0.05, 0.0), (0.1 + 0.07j, 1.0), (0.3j, 10.0), (0.02, 100.0),
         (0.4, 2.5),
     ])
     def test_matches_fock_laguerre_sum(self, alpha, nbar):
-        got = coherence_thermal(alpha, ThermalState(nbar))
-        want = laguerre_oracle(alpha, nbar)
+        got = outcome_probability(alpha, ThermalState(nbar))
+        want = (1.0 + laguerre_oracle(alpha, nbar)) / 2.0
         assert got == pytest.approx(want, abs=1e-6)
 
     def test_monotone_in_magnitude(self):
         state = ThermalState(5.0)
         mags = np.linspace(0.0, 0.5, 20)
-        vals = coherence_thermal(mags, state)
+        vals = outcome_probability(mags, state)
         assert np.all(np.diff(vals) < 0)
+
+    @given(re=st.floats(min_value=-1e154, max_value=1e154),
+           im=st.floats(min_value=-1e154, max_value=1e154),
+           nbar=st.floats(min_value=0.0, max_value=1e6))
+    @settings(max_examples=200, deadline=None)
+    def test_in_range_for_any_displacement(self, re, im, nbar):
+        # L lies in [0, 1] by construction, so no input leaves [1/2, 1];
+        # an exponent beyond the float range overflows to -inf, and L to 0
+        state = ThermalState(nbar)
+        with np.errstate(over="ignore"):
+            for alpha in (re, complex(re, im)):
+                assert 0.5 <= outcome_probability(alpha, state) <= 1.0
+            p = outcome_probability(np.array([re, im, 0.0]) + 1j * im, state)
+        assert np.all((p >= 0.5) & (p <= 1.0))
 
     def test_negative_nbar_rejected(self):
         with pytest.raises(ValueError):
@@ -338,28 +352,23 @@ class TestCoherence:
 
 class TestOutcomeProbability:
     def test_half_contrast(self):
-        assert outcome_probability(0.5) == pytest.approx(0.75)
+        # L = 1/2 where 2*(2*nbar+1)*|alpha|^2 = ln 2
+        state = ThermalState(3.0)
+        alpha = np.sqrt(np.log(2.0) / (2.0 * 7.0))
+        assert outcome_probability(alpha, state) == pytest.approx(0.75, rel=1e-15)
+        assert outcome_probability(1j * alpha, state) == pytest.approx(0.75, rel=1e-15)
 
     def test_extremes(self):
-        assert outcome_probability(1.0) == 1.0
-        assert outcome_probability(-1.0) == 0.0
-
-    def test_boundary_clamp(self):
-        assert outcome_probability(1.0 + 5e-13) == 1.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            outcome_probability(1.1)
-        with pytest.raises(ValueError):
-            outcome_probability(-1.0 - 1e-9)
+        state = ThermalState(10.0)
+        assert outcome_probability(0.0, state) == 1.0
+        assert outcome_probability(1e3, state) == 0.5
+        with np.errstate(over="ignore"):
+            assert outcome_probability(1e200, state) == 0.5
 
     def test_array_matches_scalar_calls(self):
-        L = np.array([-1.0 - 5e-13, -0.3, 0.0, 0.25, 1.0, 1.0 + 5e-13])
-        p_plus = outcome_probability(L)
-        assert p_plus.shape == L.shape
-        for i, value in enumerate(L):
-            assert p_plus[i] == outcome_probability(float(value))
-
-    def test_array_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="coherence 1.1 outside"):
-            outcome_probability(np.array([0.5, 1.1, -0.2]))
+        state = ThermalState(2.0)
+        alpha = np.array([0.0, 0.01, -0.2, 0.3j, 0.1 - 0.1j, 5.0, 1e100])
+        p_plus = outcome_probability(alpha, state)
+        assert p_plus.shape == alpha.shape
+        for i, value in enumerate(alpha):
+            assert p_plus[i] == outcome_probability(complex(value), state)

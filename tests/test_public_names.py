@@ -6,6 +6,9 @@ one of the named oracles below: independent implementations that only
 the tests call, to check the fast paths against. `qsense.__all__` is
 the concatenation of the library modules' own lists, so the guard sees
 every module-public name.
+
+The config-file layer sits above the library: only `cli` imports
+`runconfig` (the package `__init__` re-exports it, as every module).
 """
 
 import ast
@@ -77,3 +80,22 @@ def test_package_surface_has_no_duplicates():
 
 def test_package_surface_is_the_module_lists():
     assert qsense.__all__ == [n for m in library_modules() for n in m.__all__]
+
+
+def imported_modules(path):
+    """Names of the qsense modules a file imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            # `from . import x` and `from qsense import x` import the names
+            module = (node.module or "").removeprefix("qsense").lstrip(".")
+            found.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("qsense.") for alias in node.names)
+    return found
+
+
+def test_only_cli_imports_runconfig():
+    importers = [p.stem for p in sorted((ROOT / "src" / "qsense").glob("*.py"))
+                 if "runconfig" in imported_modules(p)]
+    assert importers == ["__init__", "cli"]

@@ -13,33 +13,55 @@ import pytest
 
 from qsense import simkit
 from qsense.protocol import run_adaptive
-from qsense.runconfig import ConfigError
 from qsense.simkit import (
-    AggregateResult,
     fit_loglog_slope,
     fringe_scan,
     gsq_scan,
     reference_config,
-    resolve_workers,
     run_repetitions,
 )
 from qsense.information import g_sq_mean
 
 
+def pool_size(monkeypatch, n_reps, n_workers, cpu_count=8):
+    """Worker count run_repetitions asks the pool for; 1 when it runs serially."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(simkit, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(simkit.os, "cpu_count", lambda: cpu_count)
+    run_repetitions(reference_config(nbar=1000.0, max_steps=3), n_reps, master_seed=1,
+                    n_workers=n_workers)
+    return sizes[0] if sizes else 1
+
+
 class TestResolveWorkers:
     def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("QSENSE_THREADS", "3")
-        assert resolve_workers(2, 8) == 2
+        assert pool_size(monkeypatch, 8, 2) == 2
 
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv("QSENSE_THREADS", "3")
-        assert resolve_workers(None, 8) == 3
+    def test_cpu_count_fallback(self, monkeypatch):
+        # QSENSE_THREADS is no longer read
+        monkeypatch.setenv("QSENSE_THREADS", "1")
+        assert pool_size(monkeypatch, 8, None, cpu_count=3) == 3
 
     def test_clamped_to_job_count(self, monkeypatch):
-        monkeypatch.delenv("QSENSE_THREADS", raising=False)
-        assert resolve_workers(99, 4) == 4
-        with pytest.raises(ConfigError, match="worker count >= 1, got 0"):
-            resolve_workers(0, 4)
+        assert pool_size(monkeypatch, 4, 99) == 4
+        assert pool_size(monkeypatch, 2, None) == 2
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=f"n_workers must be >= 1, got {bad}"):
+                pool_size(monkeypatch, 4, bad)
 
 
 class TestRunRepetitions:
@@ -51,7 +73,6 @@ class TestRunRepetitions:
                               [r.delta_omega_k for r in traj.records])
         assert np.array_equal(agg.mean_cumulative_time,
                               [r.cumulative_time for r in traj.records])
-        assert agg.n_repetitions == 1
         assert agg.n_aborted == 0
 
     def test_aggregation_linearity(self):
@@ -91,12 +112,12 @@ class TestRunRepetitions:
         cfg = reference_config(nbar=1000.0, max_steps=20)
         agg = run_repetitions(cfg, 2, master_seed=7, n_workers=1)
         lo, hi = agg.fit_window
-        assert hi == agg.n_common_steps - 1
+        assert len(agg.mean_delta_omega) == 20
+        assert hi == 19
         # hot-start runs enter stage (ii) immediately, so the window is
         # the plain trailing fraction of all recorded steps
         assert np.all(agg.stage_column == 2)
-        assert lo == min(math.ceil(0.4 * agg.n_common_steps),
-                         agg.n_common_steps - 3)
+        assert lo == math.ceil(0.4 * 20)
 
     def test_first_abort_is_reported(self, monkeypatch):
         real = simkit.run_adaptive
@@ -130,7 +151,6 @@ class TestRunRepetitions:
         agg = run_repetitions(cfg, 3, master_seed=40, n_workers=1)
         assert agg.n_aborted == 1
         assert agg.first_abort == (1, diag)
-        assert agg.n_repetitions == 3
         singles = [[rec.delta_omega_k for rec in
                     run_adaptive(dataclasses.replace(cfg, seed=seed)).records]
                    for seed in (40, 42)]
@@ -153,6 +173,19 @@ class TestRunRepetitions:
         cfg = reference_config(nbar=1000.0, max_steps=5)
         with pytest.raises(ValueError):
             run_repetitions(cfg, 0, master_seed=1)
+
+    @pytest.mark.parametrize("master_seed,n_reps,last", [
+        (2**64 - 1, 2, 2**64), (2**64 - 3, 5, 2**64 + 1), (-1, 3, 1),
+    ])
+    def test_seeds_beyond_64_bits_rejected_before_any_run(self, monkeypatch, master_seed,
+                                                         n_reps, last):
+        def never(cfg, rng=None):
+            raise AssertionError(f"rep with seed {cfg.seed} ran")
+
+        monkeypatch.setattr(simkit, "run_adaptive", never)
+        cfg = reference_config(nbar=1000.0, max_steps=3)
+        with pytest.raises(ValueError, match=f"to {last} must fit in 64 unsigned bits"):
+            run_repetitions(cfg, n_reps, master_seed=master_seed, n_workers=1)
 
 
 class TestFringeScan:
@@ -243,28 +276,3 @@ class TestLogLogFit:
         with pytest.raises(ValueError):
             fit_loglog_slope(x, y, (0, 9))
 
-
-class TestResultTypes:
-    def test_aggregate_length_validation(self):
-        n = 5
-        good = dict(
-            step_axis=np.arange(n),
-            mean_delta_omega=np.ones(n),
-            mean_cumulative_time=np.ones(n),
-            mean_zeta=np.ones(n),
-            mean_scaled_alpha=np.ones(n),
-            n_repetitions=2,
-            fit_slope=-2.0,
-            fit_window=(0, n - 1),
-            stage_column=np.full(n, 2),
-            mean_n_units=np.ones(n),
-            mean_tau=np.ones(n),
-            mean_nu=np.ones(n),
-            n_common_steps=n,
-        )
-        AggregateResult(**good)
-        bad = dict(good, mean_zeta=np.ones(n + 1))
-        with pytest.raises(ValueError):
-            AggregateResult(**bad)
-        with pytest.raises(ValueError):
-            AggregateResult(**dict(good, fit_window=(0, n)))
