@@ -143,19 +143,27 @@ def bayes_update(post: Posterior, p_plus: np.ndarray, n_plus: int,
     if n_plus < 0 or n_minus < 0:
         raise ValueError("outcome counts must be nonnegative")
     # fmin/fmax skip NaN, as the elementwise comparisons p < 0, p > 1 do
-    if np.fmin.reduce(p) < 0.0 or np.fmax.reduce(p) > 1.0:
+    lowest = np.fmin.reduce(p)
+    if lowest < 0.0 or np.fmax.reduce(p) > 1.0:
         raise ValueError("per-node probabilities must lie in [0, 1]")
-    pc = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
+    # with every P+ at or above the lower clamp only the upper one can act
+    # (minimum passes NaN, as clip does); P+ of a likelihood lies in [1/2, 1]
+    if lowest >= P_CLAMP:
+        pc = np.minimum(p, 1.0 - P_CLAMP)
+    else:
+        pc = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
     term = np.empty_like(pc)  # one scratch array serves both log terms
     lw = post.log_weights
     if n_plus:
         np.log(pc, out=term)
-        term *= n_plus
+        if n_plus != 1:
+            term *= n_plus
         lw = lw + term
     if n_minus:
         np.negative(pc, out=term)
         np.log1p(term, out=term)
-        term *= n_minus
+        if n_minus != 1:
+            term *= n_minus
         lw = lw + term
     return Posterior(post.grid, lw)
 

@@ -190,14 +190,26 @@ def cpmg_displacement_abs(coupling: Coupling, n_units: int, omega, tau: float):
         raise ValueError("omega must be positive")
     if not tau > 0:
         raise ValueError("tau must be positive")
-    # every step writes into its own temporaries; a 0-d omega runs as a
-    # one-element array, since a numpy scalar cannot be an out= target
+    # a 0-d omega runs as a one-element array, since a numpy scalar
+    # cannot be an out= target
     w = omega.reshape(omega.shape or 1)
+    out = _displacement_abs(2.0 * coupling.lam / w, n_units, w, tau)
+    return out if omega.shape else float(out[0])
+
+
+def _displacement_abs(scale, n_units: int, w: np.ndarray, tau: float) -> np.ndarray:
+    """cpmg_displacement_abs without its checks: a 1-d w > 0, tau > 0,
+    n_units >= 1, and scale = 2*lam/w, which a caller with a fixed w
+    computes once.
+
+    The steps work in place in three temporaries, and the result is one
+    of them.
+    """
     x = np.multiply(w, tau / 8.0)
     c = np.multiply(x, 2.0)
     np.cos(c, out=c)
     s = np.sin(x)
-    ratio = np.multiply(x, 4 * n_units)
+    ratio = np.multiply(x, 4 * n_units, out=x)
     np.sin(ratio, out=ratio)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(ratio, c, out=ratio)
@@ -206,11 +218,10 @@ def cpmg_displacement_abs(coupling: Coupling, n_units: int, omega, tau: float):
     near = c < 1e-12
     if near.any():
         ratio[near] = 2.0 * n_units
-    out = np.divide(2.0 * coupling.lam, w, out=x)
     np.multiply(s, s, out=s)
-    out *= s
-    out *= ratio
-    return out if omega.shape else float(out[0])
+    s *= scale
+    s *= ratio
+    return s
 
 
 def total_displacement(sched: ControlSchedule, coupling: Coupling, omega) -> complex:
@@ -259,8 +270,13 @@ def outcome_probability(alpha, state: ThermalState):
     """
     alpha = np.asarray(alpha)
     # one float temporary, reused by each step; 0-d input runs as one element
-    out = np.abs(alpha, out=np.empty(alpha.shape or 1))
-    np.square(out, out=out)
+    out = np.empty(alpha.shape or 1)
+    if np.iscomplexobj(alpha):
+        np.abs(alpha, out=out)
+        np.square(out, out=out)
+    else:
+        # a real alpha squares to |alpha|^2 bit for bit
+        np.square(alpha.reshape(out.shape), out=out, dtype=float)
     out *= -2.0 * (2.0 * state.nbar + 1.0)
     np.exp(out, out=out)
     out += 1.0

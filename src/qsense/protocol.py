@@ -29,7 +29,8 @@ import numpy as np
 from .estimation import (Estimate, Posterior, bayes_update, gaussian_prior, mass_beyond, mle,
                          regrid, uncertainty)
 from .information import G_RMS1, lambda_tilde_cpmg
-from .model import Coupling, ThermalState, cpmg_displacement_abs, outcome_probability, zeta
+from .model import (Coupling, ThermalState, _displacement_abs, cpmg_displacement_abs,
+                    outcome_probability, zeta)
 
 STAGE_I = 1
 STAGE_II = 2
@@ -230,7 +231,6 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
 
     lt_cpmg = lambda_tilde_cpmg(cfg.lam, cfg.nbar)
     sqrt_occupation = math.sqrt(2 * cfg.nbar + 1)
-    coupling = Coupling(cfg.lam)
     state = ThermalState(cfg.nbar)
 
     post = gaussian_prior(cfg.omega0, cfg.delta_omega0, cfg.span_sigmas, cfg.n_points)
@@ -242,15 +242,26 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     aborted = False
     diagnostic = ""
 
-    # the likelihood nodes: the posterior grid with the true frequency
-    # appended, so one kernel pass gives the shot law and the update
-    nodes = np.append(post.grid, cfg.omega_true)
+    def likelihood_nodes(grid):
+        """The likelihood nodes and their 2*lam/omega. The nodes are the
+        posterior grid with the true frequency appended, so one kernel
+        pass gives the shot law and the update.
+
+        The kernel's omega > 0 check runs here, once per grid; every
+        plan and probe has N >= 2 and tau > 0.
+        """
+        nodes = np.append(grid, cfg.omega_true)
+        if (nodes <= 0).any():
+            raise ValueError("omega must be positive")
+        return nodes, 2.0 * cfg.lam / nodes
+
+    nodes, scale = likelihood_nodes(post.grid)
 
     def measure(N, tau, nu):
         """Apply nu shots of the (N, tau) schedule: sample at the true
         frequency, fold the likelihood into the posterior, advance time."""
         nonlocal post, t_total
-        a = cpmg_displacement_abs(coupling, N, nodes, tau)
+        a = _displacement_abs(scale, N, nodes, tau)
         p = outcome_probability(a, state)
         npl = rng.binomial(nu, p[-1])
         post = bayes_update(post, p[:-1], npl, nu - npl)
@@ -305,7 +316,7 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
             hw = max(REGRID_HALFWIDTH_SIGMAS * dw_hat, 1.05 * float(np.abs(kept - w_hat).max()))
             if hw < (post.omega_max - post.omega_min) / 2:
                 post = regrid(post, w_hat, hw, cfg.n_points)
-                nodes = np.append(post.grid, cfg.omega_true)
+                nodes, scale = likelihood_nodes(post.grid)
 
     return Trajectory(
         records=tuple(records),

@@ -1,10 +1,11 @@
 """Config-file parsing for the command-line runs.
 
 Configs are human-readable key-value documents (YAML; JSON parses as a
-YAML subset). Unknown keys are rejected rather than ignored, because a
-silent typo in a physics parameter is the dominant user error; missing
-keys fall back to documented defaults, and the fully resolved config is
-echoed into every output file.
+YAML subset). Unknown keys and keys set twice are rejected rather than
+resolved silently, because a silent typo in a physics parameter is the
+dominant user error; missing keys fall back to documented defaults, and
+the fully resolved config is echoed into every output file. The YAML
+parser is imported by the first config read, not with the package.
 
 A config's schema is the signature of the callable it feeds
 (`AdaptiveConfig` for `adapt`, `compare_control` for `compare`), so the
@@ -16,8 +17,6 @@ from __future__ import annotations
 import inspect
 import math
 import typing
-
-import yaml
 
 from .information import compare_control
 from .protocol import AdaptiveConfig
@@ -86,6 +85,34 @@ def _coerce(key: str, value, problems: list[str], integer=False):
     return num
 
 
+def _parse(fh):
+    """The YAML document in fh, as yaml.safe_load reads it, except that a
+    key set twice in one mapping raises ConfigError naming it (safe_load
+    keeps the last value). A malformed or non-UTF-8 file raises
+    ConfigError too.
+    """
+    import yaml
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            # a merge key (<<) brings in keys that the mapping may override
+            keys = [self.construct_object(k, deep=True) for k, _ in node.value
+                    if k.tag != "tag:yaml.org,2002:merge"]
+            twice = []
+            for i, key in enumerate(keys):
+                if key in keys[:i] and key not in twice:
+                    twice.append(key)
+            if twice:
+                raise ConfigError([f"{key}: key set more than once" for key in twice])
+            return super().construct_mapping(node, deep=deep)
+
+    try:
+        return yaml.load(fh, Loader=UniqueKeyLoader)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        # one line, where a YAML error's message spans several
+        raise ConfigError(["malformed config file: " + " ".join(str(exc).split())]) from exc
+
+
 def _load(target, path: str, overrides: dict | None, harness_defaults: dict):
     """Read a config file and call target with its values: (result, harness).
 
@@ -97,11 +124,7 @@ def _load(target, path: str, overrides: dict | None, harness_defaults: dict):
     """
     keys, required, integer = _schema(target)
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
-            # one line, where a YAML error's message spans several
-            raise ConfigError(["malformed config file: " + " ".join(str(exc).split())]) from exc
+        doc = _parse(fh)
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -111,6 +110,9 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
     if workers == 1:
         results = [_run_one(j) for j in jobs]
     else:
+        # imported here, so that importing qsense starts no pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_one, jobs, chunksize=max(1, n_reps // (4 * workers))))
 
@@ -177,6 +179,8 @@ def fringe_scan(n_units: int, zeta_range: tuple[float, float], n_points: int) ->
     z0, z1 = zeta_range
     if not z0 < z1:
         raise ValueError(f"need zeta_min < zeta_max, got ({z0}, {z1})")
+    if n_units < 1:
+        raise ValueError(f"n_units must be >= 1, got {n_units}")
     z = np.linspace(z0, z1, n_points)
     tau = 2 * np.pi
     omega = 1.0 + z / n_units

@@ -5,6 +5,7 @@ The output format is treated as frozen: header strings, metadata lines,
 and byte-level reproducibility are asserted, not just parseability.
 """
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -96,6 +97,16 @@ class TestFringes:
         rc = cli.main(["fringes", *args, "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_units_exits_2_without_warnings(self, tmp_path, capsys, recwarn):
+        # n_units is checked before it divides the zeta axis; outside pytest
+        # a numpy warning would reach stderr ahead of the config error
+        rc = cli.main(["fringes", "--n-units", "0", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: n_units must be >= 1, got 0"]
+        assert [str(w.message) for w in recwarn] == []
         assert list(tmp_path.iterdir()) == []
 
 
@@ -400,7 +411,7 @@ class TestAdapt:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(simkit, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(simkit.os, "cpu_count", lambda: 3)
         monkeypatch.setenv("QSENSE_THREADS", "1")
         cfg = write_adapt_config(tmp_path / "cfg.json")
@@ -437,6 +448,18 @@ class TestAdapt:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: malformed config file: ")
         assert not list(tmp_path.glob("u*"))
+
+    def test_duplicate_key_exits_2(self, tmp_path, capsys):
+        # YAML keeps the last of two values; the config rejects the pair
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(write_adapt_config(tmp_path / "cfg.json").read_text(encoding="utf-8")
+                       .replace('"nbar": 1000.0', '"nbar": 10.0, "nbar": 1000.0'),
+                       encoding="utf-8")
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "d")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: nbar: key set more than once"]
+        assert not list(tmp_path.glob("d*"))
 
     @pytest.mark.parametrize("key,value", [
         ("lambda", math.inf), ("nbar", math.nan), ("seed", math.inf),
@@ -537,6 +560,16 @@ class TestCompare:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: malformed config file: ")
+        assert not out.exists()
+
+    def test_duplicate_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cmp.yaml"
+        cfg.write_text("omega: 1.0\nlambda: 0.1\nt2: 1.0\nlambda: 0.2\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        rc = cli.main(["compare", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: lambda: key set more than once"]
         assert not out.exists()
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):

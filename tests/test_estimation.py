@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qsense.estimation import (
     LOG_FLOOR,
+    P_CLAMP,
     Posterior,
     bayes_update,
     gaussian_prior,
@@ -80,6 +81,17 @@ class TestGaussianPrior:
             gaussian_prior(50.0, 0.5, -1.0, 4096)
 
 
+def clip_update(post, p_plus, n_plus, n_minus):
+    """The Bayes update written plainly, with P+ clipped on both sides."""
+    pc = np.clip(np.asarray(p_plus, dtype=float), P_CLAMP, 1.0 - P_CLAMP)
+    lw = post.log_weights
+    if n_plus:
+        lw = lw + n_plus * np.log(pc)
+    if n_minus:
+        lw = lw + n_minus * np.log1p(-pc)
+    return Posterior(post.grid, lw)
+
+
 class TestBayesUpdate:
     def test_no_data_identity(self):
         post = gaussian_prior(50.0, 1.0, 4.0, 128)
@@ -116,6 +128,24 @@ class TestBayesUpdate:
         split = bayes_update(bayes_update(post, p, a_plus, a_minus), p, b_plus, b_minus)
         joint = bayes_update(post, p, a_plus + b_plus, a_minus + b_minus)
         assert np.allclose(split.log_weights, joint.log_weights, atol=1e-12)
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, P_CLAMP, 1.0 - P_CLAMP, 1.0]),
+                              st.floats(min_value=0.0, max_value=1.0)),
+                    min_size=64, max_size=64),
+           st.booleans(),
+           st.sampled_from([0, 1, 3]),
+           st.sampled_from([0, 1, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_two_sided_clip_bitwise(self, p_list, floored, n_plus, n_minus):
+        # with every P+ at or above P_CLAMP the update clamps one side only
+        p = np.array(p_list)
+        if floored:
+            p = np.maximum(p, P_CLAMP)
+        post = gaussian_prior(50.0, 1.0, 4.0, 64)
+        got = bayes_update(post, p, n_plus, n_minus)
+        want = clip_update(post, p, n_plus, n_minus)
+        assert np.array_equal(got.log_weights, want.log_weights)
+        assert np.array_equal(got.weights, want.weights)
 
     def test_renormalized(self):
         post = flat_posterior(n_points=64)

@@ -365,6 +365,19 @@ class TestOutcomeProbability:
         with np.errstate(over="ignore"):
             assert outcome_probability(1e200, state) == 0.5
 
+    @given(alpha=st.lists(st.floats(min_value=-1e200, max_value=1e200), min_size=1, max_size=40),
+           nbar=st.floats(min_value=0.0, max_value=1e6))
+    @settings(max_examples=200, deadline=None)
+    def test_real_alpha_matches_complex_bitwise(self, alpha, nbar):
+        # a real alpha is squared directly, a complex one through |alpha|
+        state = ThermalState(nbar)
+        a = np.array(alpha)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(outcome_probability(a, state),
+                                  outcome_probability(a.astype(complex), state))
+            assert outcome_probability(alpha[0], state) == outcome_probability(
+                complex(alpha[0]), state)
+
     def test_array_matches_scalar_calls(self):
         state = ThermalState(2.0)
         alpha = np.array([0.0, 0.01, -0.2, 0.3j, 0.1 - 0.1j, 5.0, 1e100])

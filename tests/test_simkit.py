@@ -5,6 +5,7 @@ runs, abort reporting against a stubbed run, and the fit harness
 against synthetic power laws with known exponents.
 """
 
+import concurrent.futures
 import dataclasses
 import math
 
@@ -40,7 +41,8 @@ def pool_size(monkeypatch, n_reps, n_workers, cpu_count=8):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(simkit, "ProcessPoolExecutor", SerialPool)
+    # run_repetitions imports the pool from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(simkit.os, "cpu_count", lambda: cpu_count)
     run_repetitions(reference_config(nbar=1000.0, max_steps=3), n_reps, master_seed=1,
                     n_workers=n_workers)
