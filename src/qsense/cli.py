@@ -53,7 +53,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _check_finite(args, *names) -> None:
+    """Raise ConfigError naming each of these float flags that is not finite."""
+    problems = [f"--{name.replace('_', '-')}: expected a finite number, got {getattr(args, name)!r}"
+                for name in names if not np.isfinite(getattr(args, name))]
+    if problems:
+        raise ConfigError(problems)
+
+
 def cmd_fringes(args) -> int:
+    _check_finite(args, "zeta_min", "zeta_max")
     meta = {
         "command": "fringes",
         "n_units": args.n_units,
@@ -72,6 +81,7 @@ def cmd_fringes(args) -> int:
 
 
 def cmd_gsq(args) -> int:
+    _check_finite(args, "min", "max", "fit_min", "fit_max")
     if not (args.min > 0 and args.max > args.min):
         raise ConfigError(["gsq range: need 0 < min < max"])
     if args.points < 2:

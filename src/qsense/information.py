@@ -5,9 +5,9 @@ contrast moves with omega. Near the major interference peak the
 derivative of the normalized fringe pattern approaches a universal
 envelope g(zeta) independent of the period count N; its root-mean-square
 over a fringe-tuning window enters the adaptive schedule as a constant.
-Both the quantum and the outcome-level (binary) Fisher information are
-provided, together with the effective coupling rate and a
-controlled-vs-free evolution comparison.
+The quantum Fisher information of a real contrast and that of the
+binary outcome are provided, together with the effective coupling rate
+and a controlled-vs-free evolution comparison.
 """
 
 from __future__ import annotations
@@ -37,13 +37,10 @@ __all__ = [
     "g_sq_mean",
     "g_rms",
     "qfi_real",
-    "qfi_complex",
     "cfi_binary",
     "lambda_tilde_cpmg",
     "ComparisonReport",
     "compare_control",
-    "DerivativeResult",
-    "dalpha_abs_domega",
 ]
 
 
@@ -107,10 +104,12 @@ def _gsq_integral(a: float, b: float) -> float:
 
 
 def g_sq_mean(delta_zeta: float) -> float:
-    """Mean of g_universal^2 over the window [1 - dz, 1 + dz]."""
+    """Mean of g_universal^2 over the window [1 - dz, 1 + dz], as rounded."""
     if not delta_zeta > 0:
         raise ValueError(f"delta_zeta must be positive, got {delta_zeta}")
-    return _gsq_integral(1.0 - delta_zeta, 1.0 + delta_zeta) / (2.0 * delta_zeta)
+    a, b = 1.0 - delta_zeta, 1.0 + delta_zeta
+    # a window below the float spacing at 1 collapses onto its limit
+    return _gsq_integral(a, b) / (b - a) if b > a else float(g_universal(a)) ** 2
 
 
 def g_rms(delta_zeta: float) -> float:
@@ -127,24 +126,6 @@ def qfi_real(coherence: float, d_coherence: float) -> float:
             return 0.0
         raise ValueError(f"Fisher information singular at |L| = {abs(L)} with dL != 0")
     return dL * dL / (1.0 - L * L)
-
-
-def qfi_complex(coherence: complex, d_coherence: complex) -> float:
-    """Quantum Fisher information for a complex contrast.
-
-    F = |dL|^2 + |L|^2 (d|L|)^2 / (1 - |L|^2) with
-    d|L| = Re(conj(L) dL)/|L| (zero at L = 0). Reduces to qfi_real for
-    real arguments.
-    """
-    L = complex(coherence)
-    dL = complex(d_coherence)
-    mod = abs(L)
-    if mod >= 1.0:
-        if dL == 0:
-            return 0.0
-        raise ValueError(f"Fisher information singular at |L| = {mod} with dL != 0")
-    dmod = (L.conjugate() * dL).real / mod if mod > 0.0 else 0.0
-    return abs(dL) ** 2 + mod**2 * dmod**2 / (1.0 - mod**2)
 
 
 def cfi_binary(p_plus: float, dp_plus: float) -> float:
@@ -224,62 +205,3 @@ def compare_control(*, omega: float, lam: float, nbar: float = 0.0, t2: float,
         sensitivity_free=float(s_free),
         sensitivity_gain=float(s_free / s_ctrl),
     )
-
-
-@dataclass(frozen=True)
-class DerivativeResult:
-    """Value of d|alpha|/d omega plus a flag for node-offset evaluation."""
-
-    value: float
-    offset_applied: bool
-
-
-def _alpha_and_derivative(lam: float, n_units: int, tau: float, omega: float):
-    """CPMG total displacement and its analytic omega derivative."""
-    theta = omega * tau / 8.0
-    phase = np.exp(1j * omega * tau / 2.0)
-    u = np.cos(theta) * np.sin(theta) ** 3
-    du = (tau / 8.0) * np.sin(theta) ** 2 * (3.0 * np.cos(theta) ** 2 - np.sin(theta) ** 2)
-    a1 = 1j * (8.0 * lam / omega) * phase * u
-    da1 = 1j * 8.0 * lam * (
-        -u * phase / omega**2
-        + (1j * tau / 2.0) * u * phase / omega
-        + du * phase / omega
-    )
-    n = np.arange(n_units)
-    en = np.exp(1j * omega * n * tau)
-    K = np.sum(en)
-    dK = np.sum(1j * n * tau * en)
-    alpha = a1 * K
-    dalpha = da1 * K + a1 * dK
-    return alpha, dalpha
-
-
-def dalpha_abs_domega(lam: float, n_units: int, tau: float, omega: float,
-                      method: str = "analytic") -> DerivativeResult:
-    """Derivative of the total displacement magnitude with respect to omega.
-
-    |alpha| is non-differentiable at its zeros; when |alpha| < 1e-14 the
-    evaluation point is shifted one finite-difference step off the node
-    and the result is flagged rather than silently returning 0. The
-    finite-difference branch uses a central difference with relative
-    step 1e-7.
-    """
-    if not (lam > 0 and tau > 0 and omega > 0 and n_units >= 1):
-        raise ValueError("lam, tau, omega must be positive and n_units >= 1")
-    h = 1e-7 * omega
-    offset = False
-    alpha, _ = _alpha_and_derivative(lam, n_units, tau, omega)
-    if abs(alpha) < 1e-14:
-        omega = omega + h
-        offset = True
-    if method == "analytic":
-        alpha, dalpha = _alpha_and_derivative(lam, n_units, tau, omega)
-        val = (alpha.conjugate() * dalpha).real / abs(alpha)
-    elif method == "fd":
-        ap, _ = _alpha_and_derivative(lam, n_units, tau, omega + h)
-        am, _ = _alpha_and_derivative(lam, n_units, tau, omega - h)
-        val = (abs(ap) - abs(am)) / (2.0 * h)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return DerivativeResult(value=float(val), offset_applied=offset)

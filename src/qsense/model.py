@@ -261,22 +261,18 @@ def zeta(n_units: int, omega, tau: float):
 
 
 def outcome_probability(alpha, state: ThermalState):
-    """Probability P_plus of the +1 sigma_x outcome at displacement alpha.
+    """Probability P_plus of the +1 sigma_x outcome at displacement amplitude alpha.
 
-    P(+1) = (1 + L)/2 with the thermal contrast
-    L = exp(-2*(2*nbar+1)*|alpha|^2), elementwise for an array of
-    displacements; P(-1) is its complement. L lies in [0, 1], so P_plus
-    lies in [1/2, 1].
+    P(+1) = (1 + L)/2 with the thermal contrast L = exp(-2*(2*nbar+1)*alpha^2)
+    of a real amplitude alpha = |alpha_1 K|, elementwise for an array;
+    a complex alpha raises TypeError. P(-1) is its complement. L lies in
+    [0, 1], so P_plus lies in [1/2, 1].
     """
     alpha = np.asarray(alpha)
     # one float temporary, reused by each step; 0-d input runs as one element
     out = np.empty(alpha.shape or 1)
-    if np.iscomplexobj(alpha):
-        np.abs(alpha, out=out)
-        np.square(out, out=out)
-    else:
-        # a real alpha squares to |alpha|^2 bit for bit
-        np.square(alpha.reshape(out.shape), out=out, dtype=float)
+    # squared in float64, so an integer cannot wrap and a complex fails the cast
+    np.square(alpha.reshape(out.shape), out=out, dtype=float)
     out *= -2.0 * (2.0 * state.nbar + 1.0)
     np.exp(out, out=out)
     out += 1.0

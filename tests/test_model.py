@@ -321,7 +321,8 @@ class TestCoherence:
         (0.4, 2.5),
     ])
     def test_matches_fock_laguerre_sum(self, alpha, nbar):
-        got = outcome_probability(alpha, ThermalState(nbar))
+        # the oracle depends on |alpha| only, the amplitude the law takes
+        got = outcome_probability(abs(alpha), ThermalState(nbar))
         want = (1.0 + laguerre_oracle(alpha, nbar)) / 2.0
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -340,9 +341,9 @@ class TestCoherence:
         # an exponent beyond the float range overflows to -inf, and L to 0
         state = ThermalState(nbar)
         with np.errstate(over="ignore"):
-            for alpha in (re, complex(re, im)):
+            for alpha in (re, abs(complex(re, im))):
                 assert 0.5 <= outcome_probability(alpha, state) <= 1.0
-            p = outcome_probability(np.array([re, im, 0.0]) + 1j * im, state)
+            p = outcome_probability(np.abs(np.array([re, im, 0.0]) + 1j * im), state)
         assert np.all((p >= 0.5) & (p <= 1.0))
 
     def test_negative_nbar_rejected(self):
@@ -356,7 +357,7 @@ class TestOutcomeProbability:
         state = ThermalState(3.0)
         alpha = np.sqrt(np.log(2.0) / (2.0 * 7.0))
         assert outcome_probability(alpha, state) == pytest.approx(0.75, rel=1e-15)
-        assert outcome_probability(1j * alpha, state) == pytest.approx(0.75, rel=1e-15)
+        assert outcome_probability(-alpha, state) == pytest.approx(0.75, rel=1e-15)
 
     def test_extremes(self):
         state = ThermalState(10.0)
@@ -365,23 +366,31 @@ class TestOutcomeProbability:
         with np.errstate(over="ignore"):
             assert outcome_probability(1e200, state) == 0.5
 
-    @given(alpha=st.lists(st.floats(min_value=-1e200, max_value=1e200), min_size=1, max_size=40),
+    @given(ints=st.lists(st.integers(min_value=-2**62, max_value=2**62), min_size=1, max_size=40),
+           floats=st.lists(st.floats(min_value=-1e200, max_value=1e200), min_size=1, max_size=40),
            nbar=st.floats(min_value=0.0, max_value=1e6))
     @settings(max_examples=200, deadline=None)
-    def test_real_alpha_matches_complex_bitwise(self, alpha, nbar):
-        # a real alpha is squared directly, a complex one through |alpha|
+    def test_real_alpha_squares_in_float64_bitwise(self, ints, floats, nbar):
+        # the amplitude is squared in float64, whatever its dtype: an integer
+        # square cannot wrap, and a narrower square would round differently
         state = ThermalState(nbar)
-        a = np.array(alpha)
         with np.errstate(over="ignore"):
-            assert np.array_equal(outcome_probability(a, state),
-                                  outcome_probability(a.astype(complex), state))
-            assert outcome_probability(alpha[0], state) == outcome_probability(
-                complex(alpha[0]), state)
+            for alpha in (ints, floats):
+                x = np.array(alpha, dtype=float)
+                want = (np.exp(x * x * (-2.0 * (2.0 * nbar + 1.0))) + 1.0) / 2.0
+                assert np.array_equal(outcome_probability(np.array(alpha), state), want)
+                assert outcome_probability(alpha[0], state) == want[0]
+
+    def test_complex_alpha_rejected(self):
+        state = ThermalState(1.0)
+        for alpha in (0.1j, np.array([0.1, 0.2 + 0.0j]), np.complex64(0.3)):
+            with pytest.raises(TypeError):
+                outcome_probability(alpha, state)
 
     def test_array_matches_scalar_calls(self):
         state = ThermalState(2.0)
-        alpha = np.array([0.0, 0.01, -0.2, 0.3j, 0.1 - 0.1j, 5.0, 1e100])
+        alpha = np.abs(np.array([0.0, 0.01, -0.2, 0.3j, 0.1 - 0.1j, 5.0, 1e100]))
         p_plus = outcome_probability(alpha, state)
         assert p_plus.shape == alpha.shape
         for i, value in enumerate(alpha):
-            assert p_plus[i] == outcome_probability(complex(value), state)
+            assert p_plus[i] == outcome_probability(float(value), state)

@@ -24,10 +24,9 @@ ORACLES = frozenset({
     "alpha_cpmg",
     "total_displacement",
     "total_displacement_direct",
-    # the 1/T^2 gradient bound and the Fisher identities of acceptance check 07
-    "dalpha_abs_domega",
+    # the binary-readout Fisher identity of acceptance check 07, for the
+    # efficiency gate that will give cfi_binary a caller in the run loop
     "qfi_real",
-    "qfi_complex",
     "cfi_binary",
     # recomputes the frozen constant G_RMS1 (acceptance check 02)
     "g_rms",
