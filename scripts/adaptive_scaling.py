@@ -18,7 +18,7 @@ from qsense.simkit import matched_time_ratio, reference_config, run_repetitions
 def run_ensemble(nbar, reps, steps, seed, workers):
     cfg = reference_config(nbar, max_steps=steps, seed=seed)
     t0 = time.perf_counter()
-    agg = run_repetitions(cfg, reps, master_seed=seed, n_workers=workers)
+    agg = run_repetitions(cfg, reps, n_workers=workers)
     wall = time.perf_counter() - t0
     slope = "none" if agg.fit_slope is None else f"{agg.fit_slope:.3f}"
     print(f"nbar = {nbar:g}: {reps} reps x {len(agg.mean_delta_omega)} steps "

@@ -98,7 +98,11 @@ def cmd_gsq(args) -> int:
         "fit_min": _fmt(args.fit_min),
         "fit_max": _fmt(args.fit_max),
     }
-    y = simkit.gsq_scan(dz)
+    try:
+        y = simkit.gsq_scan(dz)
+    except ValueError as exc:
+        # gsq_scan raises ValueError only for windows it rejects
+        raise ConfigError([str(exc)]) from exc
     rows = [",".join((_fmt(x), _fmt(g))) for x, g in zip(dz, y)]
     _write_text(args.out, _csv_text(meta, "delta_zeta,g_sq_mean", rows))
 
@@ -120,11 +124,10 @@ def cmd_gsq(args) -> int:
 def cmd_adapt(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise ConfigError([f"threads: expected a worker count >= 1, got {args.threads}"])
-    overrides = {"n_reps": args.reps, "seed": args.seed, "out_prefix": args.out_prefix}
+    overrides = {"n_reps": args.reps, "seed": args.seed}
     cfg, harness = load_adaptive_config(args.config, overrides)
     t0 = time.perf_counter()
-    agg = simkit.run_repetitions(cfg, harness["n_reps"], master_seed=cfg.seed,
-                                 n_workers=args.threads)
+    agg = simkit.run_repetitions(cfg, harness["n_reps"], n_workers=args.threads)
     wall = time.perf_counter() - t0
     n_steps = len(agg.mean_delta_omega)
     print(f"adapt: {harness['n_reps']} repetitions, {n_steps} steps, "
@@ -143,7 +146,7 @@ def cmd_adapt(args) -> int:
             agg.mean_delta_omega, agg.mean_zeta, agg.mean_scaled_alpha)
     rows = [",".join((str(step), str(int(stage)), *map(_fmt, values)))
             for step, (stage, *values) in enumerate(zip(agg.stage_column, *cols))]
-    prefix = harness["out_prefix"]
+    prefix = args.out_prefix
     header = "step,stage,n_units,tau,nu,mean_time,mean_delta_omega,mean_zeta,mean_scaled_alpha"
     _write_text(prefix + "_steps.csv", _csv_text(meta, header, rows))
 
@@ -211,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--config", required=True)
     a.add_argument("--reps", type=int, default=None)
     a.add_argument("--seed", type=int, default=None)
-    a.add_argument("--out-prefix", default=None)
+    a.add_argument("--out-prefix", default="adapt")
     a.add_argument("--threads", type=int, default=None,
                    help="worker cap (default: the CPU count)")
     a.add_argument("--snapshot-posterior", default=None,

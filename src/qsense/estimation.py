@@ -87,10 +87,6 @@ class Estimate:
     omega_hat: float
     delta_omega: float
 
-    def __post_init__(self):
-        if not self.delta_omega > 0:
-            raise ValueError(f"delta_omega must be positive, got {self.delta_omega}")
-
 
 def _window(post: Posterior, center: float, radius: float) -> tuple[int, int]:
     """Index range [lo, hi) of the nodes with |omega - center| <= radius.

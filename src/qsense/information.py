@@ -191,8 +191,13 @@ def compare_control(*, omega: float, lam: float, nbar: float = 0.0, t2: float,
     if problems:
         raise ValueError("; ".join(problems))
     lt = lambda_tilde_cpmg(lam, nbar)
-    s_ctrl = np.pi / (lt * t2**1.5)
-    s_free = omega / (lt * np.sqrt(t2))
+    # finite inputs can still push a ratio out of float range: that raises
+    # FloatingPointError rather than reporting inf or nan
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        s_ctrl = np.pi / (lt * t2**1.5)
+        s_free = omega / (lt * np.sqrt(t2))
+        time_cost = np.sqrt(k_factor) * omega / lam
+        gain = s_free / s_ctrl
     return ComparisonReport(
         omega=omega,
         lam=lam,
@@ -200,8 +205,8 @@ def compare_control(*, omega: float, lam: float, nbar: float = 0.0, t2: float,
         t2=t2,
         k_factor=k_factor,
         lambda_tilde=float(lt),
-        time_cost_ratio=float(np.sqrt(k_factor) * omega / lam),
+        time_cost_ratio=float(time_cost),
         sensitivity_controlled=float(s_ctrl),
         sensitivity_free=float(s_free),
-        sensitivity_gain=float(s_free / s_ctrl),
+        sensitivity_gain=float(gain),
     )

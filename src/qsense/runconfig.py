@@ -28,9 +28,8 @@ __all__ = ["ConfigError", "load_adaptive_config", "load_compare_config", "echo"]
 _FILE_KEYS = {"lam": "lambda"}
 _PARAMS = {key: name for name, key in _FILE_KEYS.items()}
 
-# Keys `adapt` accepts beyond AdaptiveConfig's fields; the type of a
-# default is the type of its key.
-HARNESS_DEFAULTS = {"n_reps": 500, "out_prefix": "adapt"}
+# Keys `adapt` accepts beyond AdaptiveConfig's fields, all integers.
+HARNESS_DEFAULTS = {"n_reps": 500}
 
 
 class ConfigError(Exception):
@@ -117,8 +116,9 @@ def _load(target, path: str, overrides: dict | None, harness_defaults: dict):
     """Read a config file and call target with its values: (result, harness).
 
     overrides (from command-line flags) replace file values unless
-    None. Keys in harness_defaults are accepted besides target's
-    parameters and returned in the harness dict. Every problem, target's
+    None. Keys in harness_defaults, which take integers, are accepted
+    besides target's parameters and returned in the harness dict. Every
+    problem, target's
     own ValueError included, raises one ConfigError with one line per
     problem.
     """
@@ -139,19 +139,8 @@ def _load(target, path: str, overrides: dict | None, harness_defaults: dict):
 
     kwargs = {_PARAMS.get(key, key): _coerce(key, doc[key], problems, key in integer)
               for key in keys if key in doc}
-    harness = dict(harness_defaults)
-    for key, default in harness_defaults.items():
-        if key not in doc:
-            continue
-        if isinstance(default, str):
-            if not isinstance(doc[key], str) or not doc[key]:
-                problems.append(f"{key}: expected a nonempty string")
-            else:
-                harness[key] = doc[key]
-        else:
-            value = _coerce(key, doc[key], problems, isinstance(default, int))
-            if value is not None:
-                harness[key] = value
+    harness = {**harness_defaults, **{key: _coerce(key, doc[key], problems, integer=True)
+                                      for key in harness_defaults if key in doc}}
     if problems:
         raise ConfigError(problems)
     try:
@@ -166,16 +155,11 @@ def _load(target, path: str, overrides: dict | None, harness_defaults: dict):
 def load_adaptive_config(path: str, overrides: dict | None = None):
     """Parse an adaptive-run config file into (AdaptiveConfig, harness dict).
 
-    The harness dict holds n_reps and out_prefix. Repetition r runs with
-    seed + r, so every seed up to seed + n_reps - 1 must fit in 64
-    unsigned bits.
+    The harness dict holds n_reps.
     """
     cfg, harness = _load(AdaptiveConfig, path, overrides, HARNESS_DEFAULTS)
     if harness["n_reps"] < 1:
         raise ConfigError(["n_reps: must be >= 1"])
-    if cfg.seed + harness["n_reps"] - 1 >= 2**64:
-        raise ConfigError([f"seed: seed + n_reps - 1 must fit in 64 unsigned bits, got "
-                           f"{cfg.seed} + {harness['n_reps']} - 1"])
     return cfg, harness
 
 

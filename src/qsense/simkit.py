@@ -58,9 +58,9 @@ class AggregateResult:
     mean_n_units: np.ndarray
     mean_tau: np.ndarray
     mean_nu: np.ndarray
-    n_aborted: int = 0
-    first_abort: tuple[int, str] | None = None
-    rep0_posterior: Posterior | None = None
+    n_aborted: int
+    first_abort: tuple[int, str] | None
+    rep0_posterior: Posterior
 
 
 def reference_config(nbar: float, max_steps: int = 250, seed: int = 12345) -> AdaptiveConfig:
@@ -70,43 +70,41 @@ def reference_config(nbar: float, max_steps: int = 250, seed: int = 12345) -> Ad
 
 
 def _run_one(args) -> tuple:
-    cfg, seed, first = args
-    traj = run_adaptive(replace(cfg, seed=seed))
+    cfg, r = args
+    traj = run_adaptive(replace(cfg, seed=cfg.seed + r))
     # one row per step; the integer columns are exact in float64
-    steps = np.array([(r.plan.stage, r.delta_omega_k, r.cumulative_time, r.zeta_k,
-                       r.scaled_alpha_k, r.plan.n_units, r.plan.tau, r.plan.repetitions)
-                      for r in traj.records], dtype=float)
+    steps = np.array([(s.plan.stage, s.delta_omega_k, s.cumulative_time, s.zeta_k,
+                       s.scaled_alpha_k, s.plan.n_units, s.plan.tau, s.plan.repetitions)
+                      for s in traj.records], dtype=float)
     # only repetition 0's posterior is sent back across the pool
-    return steps, traj.aborted, traj.diagnostic, traj.final_posterior if first else None
+    return steps, traj.aborted, traj.diagnostic, traj.final_posterior if r == 0 else None
 
 
-def run_repetitions(cfg: AdaptiveConfig, n_reps: int, master_seed: int,
+def run_repetitions(cfg: AdaptiveConfig, n_reps: int,
                     n_workers: int | None = None) -> AggregateResult:
     """Average n_reps independent adaptive runs and fit the late-time scaling.
 
-    Repetition r runs with seed master_seed + r, so the result is a pure
-    function of (cfg, master_seed) and does not depend on the worker
-    count. Nearby master seeds share repetitions: master seeds 1 and 2
-    have all but one in common. Aborted repetitions are counted but
-    left out of the means; if every repetition aborts, ValueError names
-    the diagnostic of repetition 0. The log-log precision-vs-time slope
-    is fitted over the trailing FIT_TAIL_FRACTION of the steps where
-    every averaged repetition has reached stage (ii), and over at least
-    3 steps; with max_steps below 3 no slope is fitted. The repetitions
-    run on min(n_workers, n_reps) processes, n_workers defaulting to the
-    CPU count; with one, they run in this process.
+    Repetition r runs with seed cfg.seed + r, so repetition 0 is
+    run_adaptive(cfg) and the result is a pure function of cfg and
+    n_reps; it does not depend on the worker count. Nearby seeds share
+    repetitions: seeds 1 and 2 have all but one in common. Aborted
+    repetitions are counted but left out of the means; if every
+    repetition aborts, ValueError names the diagnostic of repetition 0.
+    The log-log precision-vs-time slope is fitted over the trailing
+    FIT_TAIL_FRACTION of the steps where every averaged repetition has
+    reached stage (ii), and over at least 3 steps; with max_steps below
+    3 no slope is fitted. The repetitions run on min(n_workers, n_reps)
+    processes, n_workers defaulting to the CPU count; with one, they run
+    in this process.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    if master_seed < 0 or master_seed + n_reps - 1 >= 2**64:
-        raise ValueError(f"seeds {master_seed} to {master_seed + n_reps - 1} "
-                         f"must fit in 64 unsigned bits")
     if n_workers is None:
         n_workers = os.cpu_count() or 1
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     workers = min(n_workers, n_reps)
-    jobs = [(cfg, master_seed + r, r == 0) for r in range(n_reps)]
+    jobs = [(cfg, r) for r in range(n_reps)]
     if workers == 1:
         results = [_run_one(j) for j in jobs]
     else:

@@ -15,11 +15,9 @@ REFERENCE_REPS = 500
 
 @pytest.fixture(scope="session")
 def ensemble_nbar10():
-    cfg = reference_config(nbar=10.0)
-    return run_repetitions(cfg, REFERENCE_REPS, master_seed=cfg.seed)
+    return run_repetitions(reference_config(nbar=10.0), REFERENCE_REPS)
 
 
 @pytest.fixture(scope="session")
 def ensemble_nbar1000():
-    cfg = reference_config(nbar=1000.0)
-    return run_repetitions(cfg, REFERENCE_REPS, master_seed=cfg.seed)
+    return run_repetitions(reference_config(nbar=1000.0), REFERENCE_REPS)

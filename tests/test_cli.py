@@ -160,7 +160,10 @@ class TestGsq:
         ["--min", "0.1", "--max", "10", "--points", "5", "--fit-min", "9", "--fit-max", "9.5"],
         ["--fit-min", "2000", "--fit-max", "3000"],
         ["--points", "1"],
-    ], ids=["empty-fit-window", "fit-window-beyond-scan", "one-point"])
+        # log10 of the two ends is equal, so the scan repeats delta_zeta = 1
+        ["--min", "1", "--max", "1.0000000000000004", "--points", "5",
+         "--fit-min", "1", "--fit-max", "2"],
+    ], ids=["empty-fit-window", "fit-window-beyond-scan", "one-point", "range-below-float-step"])
     def test_bad_arguments_exit_2_and_write_nothing(self, tmp_path, capsys, args):
         rc = cli.main(["gsq", *args, "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -335,9 +338,11 @@ class TestAdapt:
     @pytest.mark.parametrize("key,value", [
         ("c_i", 0.1), ("kappa_i", 2.0), ("c", 0.1), ("kappa", 2.0),
         ("target_precision", 1e-3), ("max_total_time", 2000.0), ("fit_tail_fraction", 0.6),
+        ("out_prefix", "x"),
     ])
     def test_removed_knob_is_an_unknown_key(self, tmp_path, capsys, key, value):
-        # schedule constants and the fit tail are constants; the stopping rules are gone
+        # schedule constants and the fit tail are constants; the stopping rules
+        # are gone; the output prefix is the --out-prefix flag only
         cfg = write_adapt_config(tmp_path / "cfg.json", **{key: value})
         rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "x")])
         assert rc == 2
@@ -360,11 +365,13 @@ class TestAdapt:
         cfg, harness = load_adaptive_config(str(path))
         assert (cfg.nbar, cfg.max_steps, harness["n_reps"]) == (10.0, 250, 500)
 
-    @pytest.mark.parametrize("seed", [9007199254740993, 12345678901234567, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [9007199254740993, 12345678901234567, 2**64 - 1,
+                                      2**64, 2**70])
     def test_integer_seed_is_exact(self, tmp_path, seed):
-        quoted = write_adapt_config(tmp_path / "quoted.json", seed=str(seed), n_reps=1)
+        # any nonnegative integer seeds the ensemble; rep 1 runs seed + 1
+        quoted = write_adapt_config(tmp_path / "quoted.json", seed=str(seed))
         assert load_adaptive_config(str(quoted))[0].seed == seed
-        path = write_adapt_config(tmp_path / "cfg.json", seed=seed, n_reps=1)
+        path = write_adapt_config(tmp_path / "cfg.json", seed=seed)
         assert load_adaptive_config(str(path))[0].seed == seed
         rc = cli.main(["adapt", "--config", str(path), "--seed", str(seed), "--threads", "1",
                        "--out-prefix", str(tmp_path / "e")])
@@ -378,16 +385,6 @@ class TestAdapt:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             "config error: seed: expected an integer, got 2026.5"]
-
-    def test_last_rep_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
-        cfg = write_adapt_config(tmp_path / "cfg.json", seed=2**64 - 1, n_reps=2)
-        rc = cli.main(["adapt", "--config", str(cfg), "--threads", "1",
-                       "--out-prefix", str(tmp_path / "x")])
-        assert rc == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"config error: seed: seed + n_reps - 1 must fit in 64 unsigned bits, "
-            f"got {2**64 - 1} + 2 - 1"]
-        assert not list(tmp_path.glob("x*"))
 
     def test_non_string_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
@@ -587,6 +584,24 @@ class TestCompare:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             "config error: lambda: key set more than once"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", [
+        {"omega": 100.0, "lambda": 1.0, "t2": 1e-300},
+        {"omega": 1e300, "lambda": 1e-300, "t2": 1.0},
+        {"omega": 100.0, "lambda": 1.0, "t2": 1e250},
+        {"omega": 100.0, "lambda": 1.0, "nbar": 1e308, "t2": 1.0},
+    ], ids=["t2-underflow", "ratio-overflow", "t2-overflow", "nbar-overflow"])
+    def test_report_beyond_float_range_exits_4(self, tmp_path, capsys, recwarn, values):
+        # each input is finite and in range, but the report would hold inf or nan
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text(json.dumps(values), encoding="utf-8")
+        out = tmp_path / "report.json"
+        rc = cli.main(["compare", "--config", str(cfg), "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+        assert [str(w.message) for w in recwarn] == []
         assert not out.exists()
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):

@@ -44,12 +44,12 @@ def pool_size(monkeypatch, n_reps, n_workers, cpu_count=8):
     # run_repetitions imports the pool from concurrent.futures when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(simkit.os, "cpu_count", lambda: cpu_count)
-    run_repetitions(reference_config(nbar=1000.0, max_steps=3), n_reps, master_seed=1,
+    run_repetitions(reference_config(nbar=1000.0, max_steps=3, seed=1), n_reps,
                     n_workers=n_workers)
     return sizes[0] if sizes else 1
 
 
-class TestResolveWorkers:
+class TestWorkerCount:
     def test_explicit_argument_wins(self, monkeypatch):
         assert pool_size(monkeypatch, 8, 2) == 2
 
@@ -69,7 +69,7 @@ class TestResolveWorkers:
 class TestRunRepetitions:
     def test_single_repetition_equals_trajectory(self):
         cfg = reference_config(nbar=1000.0, max_steps=12, seed=777)
-        agg = run_repetitions(cfg, 1, master_seed=777, n_workers=1)
+        agg = run_repetitions(cfg, 1, n_workers=1)
         traj = run_adaptive(cfg)
         assert np.array_equal(agg.mean_delta_omega,
                               [r.delta_omega_k for r in traj.records])
@@ -78,41 +78,40 @@ class TestRunRepetitions:
         assert agg.n_aborted == 0
 
     def test_aggregation_linearity(self):
-        cfg = reference_config(nbar=1000.0, max_steps=10)
-        master = 4242
-        agg = run_repetitions(cfg, 3, master_seed=master, n_workers=1)
+        cfg = reference_config(nbar=1000.0, max_steps=10, seed=4242)
+        agg = run_repetitions(cfg, 3, n_workers=1)
         singles = []
         for r in range(3):
-            traj = run_adaptive(dataclasses.replace(cfg, seed=master + r))
+            traj = run_adaptive(dataclasses.replace(cfg, seed=4242 + r))
             singles.append([rec.delta_omega_k for rec in traj.records])
         hand = np.array(singles).mean(axis=0)
         assert np.array_equal(agg.mean_delta_omega, hand)
 
-    def test_deterministic_given_master_seed(self):
-        cfg = reference_config(nbar=1000.0, max_steps=10)
-        a = run_repetitions(cfg, 4, master_seed=99, n_workers=1)
-        b = run_repetitions(cfg, 4, master_seed=99, n_workers=1)
+    def test_deterministic_given_config(self):
+        cfg = reference_config(nbar=1000.0, max_steps=10, seed=99)
+        a = run_repetitions(cfg, 4, n_workers=1)
+        b = run_repetitions(cfg, 4, n_workers=1)
         assert np.array_equal(a.mean_delta_omega, b.mean_delta_omega)
         assert np.array_equal(a.mean_cumulative_time, b.mean_cumulative_time)
         assert a.fit_slope == b.fit_slope
 
     def test_pool_matches_serial(self):
-        cfg = reference_config(nbar=1000.0, max_steps=8)
-        serial = run_repetitions(cfg, 3, master_seed=5, n_workers=1)
-        pooled = run_repetitions(cfg, 3, master_seed=5, n_workers=2)
+        cfg = reference_config(nbar=1000.0, max_steps=8, seed=5)
+        serial = run_repetitions(cfg, 3, n_workers=1)
+        pooled = run_repetitions(cfg, 3, n_workers=2)
         assert np.array_equal(serial.mean_delta_omega, pooled.mean_delta_omega)
         assert serial.fit_slope == pooled.fit_slope
 
     def test_stage_column_requires_unanimity(self):
         cfg = reference_config(nbar=10.0, max_steps=15)
-        agg = run_repetitions(cfg, 4, master_seed=12345, n_workers=1)
+        agg = run_repetitions(cfg, 4, n_workers=1)
         assert agg.stage_column[0] == 1
         assert agg.stage_column[-1] == 2
         assert np.all(np.diff(agg.stage_column) >= 0)
 
     def test_fit_window_covers_stage_two_tail(self):
-        cfg = reference_config(nbar=1000.0, max_steps=20)
-        agg = run_repetitions(cfg, 2, master_seed=7, n_workers=1)
+        cfg = reference_config(nbar=1000.0, max_steps=20, seed=7)
+        agg = run_repetitions(cfg, 2, n_workers=1)
         lo, hi = agg.fit_window
         assert len(agg.mean_delta_omega) == 20
         assert hi == 19
@@ -132,8 +131,8 @@ class TestRunRepetitions:
             return traj
 
         monkeypatch.setattr(simkit, "run_adaptive", aborting)
-        cfg = reference_config(nbar=1000.0, max_steps=5)
-        agg = run_repetitions(cfg, 3, master_seed=30, n_workers=1)
+        cfg = reference_config(nbar=1000.0, max_steps=5, seed=30)
+        agg = run_repetitions(cfg, 3, n_workers=1)
         assert agg.n_aborted == 2
         assert agg.first_abort == (1, "stub abort, seed 31")
 
@@ -149,8 +148,8 @@ class TestRunRepetitions:
             return traj
 
         monkeypatch.setattr(simkit, "run_adaptive", aborting)
-        cfg = reference_config(nbar=1000.0, max_steps=8)
-        agg = run_repetitions(cfg, 3, master_seed=40, n_workers=1)
+        cfg = reference_config(nbar=1000.0, max_steps=8, seed=40)
+        agg = run_repetitions(cfg, 3, n_workers=1)
         assert agg.n_aborted == 1
         assert agg.first_abort == (1, diag)
         singles = [[rec.delta_omega_k for rec in
@@ -167,27 +166,14 @@ class TestRunRepetitions:
                                        diagnostic=f"stub abort, seed {cfg.seed}")
 
         monkeypatch.setattr(simkit, "run_adaptive", aborting)
-        cfg = reference_config(nbar=1000.0, max_steps=3)
+        cfg = reference_config(nbar=1000.0, max_steps=3, seed=50)
         with pytest.raises(ValueError, match="rep 0: stub abort, seed 50"):
-            run_repetitions(cfg, 2, master_seed=50, n_workers=1)
+            run_repetitions(cfg, 2, n_workers=1)
 
     def test_validation(self):
         cfg = reference_config(nbar=1000.0, max_steps=5)
         with pytest.raises(ValueError):
-            run_repetitions(cfg, 0, master_seed=1)
-
-    @pytest.mark.parametrize("master_seed,n_reps,last", [
-        (2**64 - 1, 2, 2**64), (2**64 - 3, 5, 2**64 + 1), (-1, 3, 1),
-    ])
-    def test_seeds_beyond_64_bits_rejected_before_any_run(self, monkeypatch, master_seed,
-                                                         n_reps, last):
-        def never(cfg, rng=None):
-            raise AssertionError(f"rep with seed {cfg.seed} ran")
-
-        monkeypatch.setattr(simkit, "run_adaptive", never)
-        cfg = reference_config(nbar=1000.0, max_steps=3)
-        with pytest.raises(ValueError, match=f"to {last} must fit in 64 unsigned bits"):
-            run_repetitions(cfg, n_reps, master_seed=master_seed, n_workers=1)
+            run_repetitions(cfg, 0)
 
 
 class TestFringeScan:
