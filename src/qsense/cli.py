@@ -4,9 +4,9 @@ Four subcommands: `fringes` tabulates the interference pattern and its
 derivative envelopes, `gsq` scans the windowed mean squared derivative
 and fits its large-window slope, `adapt` runs the adaptive-estimation
 ensemble, and `compare` reports the controlled-vs-free sensitivity
-comparison. Every output embeds the fully resolved configuration, so a
-run can be reproduced byte for byte from its own metadata; wall-clock
-timing goes to stderr only.
+comparison. Every output embeds the fully resolved configuration that
+`runconfig` returns, so a run can be reproduced byte for byte from its
+own metadata; wall-clock timing goes to stderr only.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numerical failure.
 """
@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 config error, 3 I/O error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -24,8 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import simkit
-from .information import compare_control
-from .runconfig import ConfigError, echo, load_adaptive_config, load_compare_config
+from .runconfig import ConfigError, load_adaptive_config, load_compare_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,12 +123,12 @@ def cmd_adapt(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise ConfigError([f"threads: expected a worker count >= 1, got {args.threads}"])
     overrides = {"n_reps": args.reps, "seed": args.seed}
-    cfg, harness = load_adaptive_config(args.config, overrides)
+    cfg, resolved = load_adaptive_config(args.config, overrides)
     t0 = time.perf_counter()
-    agg = simkit.run_repetitions(cfg, harness["n_reps"], n_workers=args.threads)
+    agg = simkit.run_repetitions(cfg, resolved["n_reps"], n_workers=args.threads)
     wall = time.perf_counter() - t0
     n_steps = len(agg.mean_delta_omega)
-    print(f"adapt: {harness['n_reps']} repetitions, {n_steps} steps, "
+    print(f"adapt: {resolved['n_reps']} repetitions, {n_steps} steps, "
           f"wall clock {wall:.2f} s", file=sys.stderr)
     if agg.n_aborted:
         rep, diagnostic = agg.first_abort
@@ -138,8 +136,6 @@ def cmd_adapt(args) -> int:
               file=sys.stderr)
         return EXIT_NUMERICAL
 
-    resolved = echo(asdict(cfg))
-    resolved["n_reps"] = harness["n_reps"]
     meta = {"command": "adapt"}
     meta.update({k: resolved[k] for k in sorted(resolved)})
     cols = (agg.mean_n_units, agg.mean_tau, agg.mean_nu, agg.mean_cumulative_time,
@@ -172,10 +168,8 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    overrides = {"k_factor": args.k_factor, "t2": args.t2}
-    report = asdict(load_compare_config(args.config, overrides))
-    inputs = {name: report[name] for name in inspect.signature(compare_control).parameters}
-    doc = {"command": "compare", "config": echo(inputs), "report": echo(report)}
+    report, resolved = load_compare_config(args.config)
+    doc = {"command": "compare", "config": resolved, "report": asdict(report)}
     text = _json_text(doc)
     if args.out:
         _write_text(args.out, text)
@@ -223,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compare", help="controlled vs free-evolution sensitivity report")
     c.add_argument("--config", required=True)
-    c.add_argument("--k-factor", type=float, default=None)
-    c.add_argument("--t2", type=float, default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_compare)
     return p

@@ -161,11 +161,6 @@ class ComparisonReport:
     unknown O(1) prefactors), not tight bounds.
     """
 
-    omega: float
-    lam: float
-    nbar: float
-    t2: float
-    k_factor: float
     lambda_tilde: float
     time_cost_ratio: float
     sensitivity_controlled: float
@@ -199,11 +194,6 @@ def compare_control(*, omega: float, lam: float, nbar: float = 0.0, t2: float,
         time_cost = np.sqrt(k_factor) * omega / lam
         gain = s_free / s_ctrl
     return ComparisonReport(
-        omega=omega,
-        lam=lam,
-        nbar=nbar,
-        t2=t2,
-        k_factor=k_factor,
         lambda_tilde=float(lt),
         time_cost_ratio=float(time_cost),
         sensitivity_controlled=float(s_ctrl),

@@ -94,6 +94,9 @@ class ThermalState:
     def __post_init__(self):
         if self.nbar < 0:
             raise ValueError(f"nbar must be nonnegative, got {self.nbar}")
+        # the contrast's factor -2*(2*nbar+1) must stay finite; Python floats reach inf silently
+        if not np.isfinite(4.0 * float(self.nbar) + 2.0):
+            raise ValueError(f"nbar must keep 2*(2*nbar+1) finite, got {self.nbar}")
 
 
 @dataclass(frozen=True)

@@ -97,8 +97,10 @@ class AdaptiveConfig:
         for name in ("omega_true", "omega0", "delta_omega0", "lam", "span_sigmas"):
             if not getattr(self, name) > 0:
                 problems.append(f"{name} must be positive, got {getattr(self, name)}")
-        if self.nbar < 0:
-            problems.append(f"nbar must be nonnegative, got {self.nbar}")
+        try:
+            ThermalState(self.nbar)  # the outcome law's own bounds on nbar
+        except ValueError as exc:
+            problems.append(str(exc))
         if not self.delta_omega0 < self.omega0:
             problems.append("delta_omega0 must be below omega0")
         if not self.omega0 - self.span_sigmas * self.delta_omega0 > 0:

@@ -1,11 +1,11 @@
 """Config-file parsing for the command-line runs.
 
-Configs are human-readable key-value documents (YAML; JSON parses as a
-YAML subset). Unknown keys and keys set twice are rejected rather than
+A config is a JSON object of key-value pairs, read with the standard
+library. Unknown keys and keys set twice are rejected rather than
 resolved silently, because a silent typo in a physics parameter is the
-dominant user error; missing keys fall back to documented defaults, and
-the fully resolved config is echoed into every output file. The YAML
-parser is imported by the first config read, not with the package.
+dominant user error; missing keys fall back to documented defaults.
+Each loader returns, beside its result, the fully resolved config: every
+accepted key with the value used, which `cli` echoes into every output.
 
 A config's schema is the signature of the callable it feeds
 (`AdaptiveConfig` for `adapt`, `compare_control` for `compare`), so the
@@ -15,13 +15,14 @@ keys, their defaults and their types are declared once, there.
 from __future__ import annotations
 
 import inspect
+import json
 import math
 import typing
 
 from .information import compare_control
 from .protocol import AdaptiveConfig
 
-__all__ = ["ConfigError", "load_adaptive_config", "load_compare_config", "echo"]
+__all__ = ["ConfigError", "load_adaptive_config", "load_compare_config"]
 
 # Config-file names of the parameters whose Python name differs: the
 # coupling strength is `lam` because `lambda` is a Python keyword.
@@ -38,11 +39,6 @@ class ConfigError(Exception):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
-
-
-def echo(values: dict) -> dict:
-    """The mapping under config-file key names: `lam` becomes `lambda`."""
-    return {_FILE_KEYS.get(k, k): v for k, v in values.items()}
 
 
 def _schema(target):
@@ -84,85 +80,72 @@ def _coerce(key: str, value, problems: list[str], integer=False):
     return num
 
 
-def _parse(fh):
-    """The YAML document in fh, as yaml.safe_load reads it, except that a
-    key set twice in one mapping raises ConfigError naming it (safe_load
-    keeps the last value). A malformed or non-UTF-8 file raises
-    ConfigError too.
-    """
-    import yaml
-
-    class UniqueKeyLoader(yaml.SafeLoader):
-        def construct_mapping(self, node, deep=False):
-            # a merge key (<<) brings in keys that the mapping may override
-            keys = [self.construct_object(k, deep=True) for k, _ in node.value
-                    if k.tag != "tag:yaml.org,2002:merge"]
-            twice = []
-            for i, key in enumerate(keys):
-                if key in keys[:i] and key not in twice:
-                    twice.append(key)
-            if twice:
-                raise ConfigError([f"{key}: key set more than once" for key in twice])
-            return super().construct_mapping(node, deep=deep)
-
-    try:
-        return yaml.load(fh, Loader=UniqueKeyLoader)
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        # one line, where a YAML error's message spans several
-        raise ConfigError(["malformed config file: " + " ".join(str(exc).split())]) from exc
+def _unique_keys(pairs):
+    """A JSON object as a dict, or ConfigError naming each key it sets twice."""
+    keys = [key for key, _ in pairs]
+    twice = dict.fromkeys(key for i, key in enumerate(keys) if key in keys[:i])
+    if twice:
+        raise ConfigError([f"{key}: key set more than once" for key in twice])
+    return dict(pairs)
 
 
 def _load(target, path: str, overrides: dict | None, harness_defaults: dict):
-    """Read a config file and call target with its values: (result, harness).
+    """Read a JSON config file and call target with its values: (result, resolved).
 
     overrides (from command-line flags) replace file values unless
     None. Keys in harness_defaults, which take integers, are accepted
-    besides target's parameters and returned in the harness dict. Every
-    problem, target's
-    own ValueError included, raises one ConfigError with one line per
-    problem.
+    besides target's parameters. resolved maps every accepted key to
+    the value used: the file or flag value, else the default. Every
+    problem, target's own ValueError included, raises one ConfigError
+    with one line per problem.
     """
     keys, required, integer = _schema(target)
     with open(path, "r", encoding="utf-8") as fh:
-        doc = _parse(fh)
-    if doc is None:
-        doc = {}
+        try:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:
+            # a JSONDecodeError, a UnicodeDecodeError, or an integer literal
+            # longer than Python's int-to-string digit limit
+            raise ConfigError([f"malformed config file: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError([f"config root must be a mapping, got {type(doc).__name__}"])
     if overrides:
         doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
     known = set(keys) | set(harness_defaults)
-    problems = [f"{key}: unknown key" for key in sorted(set(doc) - known, key=str)]
+    problems = [f"{key}: unknown key" for key in sorted(set(doc) - known)]
     problems += [f"{key}: required key missing" for key in required if key not in doc]
     if problems:
         raise ConfigError(problems)
 
     kwargs = {_PARAMS.get(key, key): _coerce(key, doc[key], problems, key in integer)
               for key in keys if key in doc}
-    harness = {**harness_defaults, **{key: _coerce(key, doc[key], problems, integer=True)
-                                      for key in harness_defaults if key in doc}}
+    harness = {key: _coerce(key, doc.get(key, default), problems, integer=True)
+               for key, default in harness_defaults.items()}
     if problems:
         raise ConfigError(problems)
     try:
-        return target(**kwargs), harness
+        result = target(**kwargs)
     except ValueError as exc:
         # a message that leads with a parameter name names its file key instead
         lines = [line.partition(" ") for line in str(exc).split("; ")]
         raise ConfigError([_FILE_KEYS.get(name, name) + sep + rest
                            for name, sep, rest in lines]) from exc
+    bound = inspect.signature(target).bind(**kwargs)
+    bound.apply_defaults()
+    return result, {**{_FILE_KEYS.get(k, k): v for k, v in bound.arguments.items()}, **harness}
 
 
 def load_adaptive_config(path: str, overrides: dict | None = None):
-    """Parse an adaptive-run config file into (AdaptiveConfig, harness dict).
+    """Parse an adaptive-run config file into (AdaptiveConfig, resolved config).
 
-    The harness dict holds n_reps.
+    The resolved config holds n_reps besides the AdaptiveConfig fields.
     """
-    cfg, harness = _load(AdaptiveConfig, path, overrides, HARNESS_DEFAULTS)
-    if harness["n_reps"] < 1:
+    cfg, resolved = _load(AdaptiveConfig, path, overrides, HARNESS_DEFAULTS)
+    if resolved["n_reps"] < 1:
         raise ConfigError(["n_reps: must be >= 1"])
-    return cfg, harness
+    return cfg, resolved
 
 
-def load_compare_config(path: str, overrides: dict | None = None):
-    """Parse a controlled-vs-free comparison config into its ComparisonReport."""
-    return _load(compare_control, path, overrides, {})[0]
+def load_compare_config(path: str):
+    """Parse a controlled-vs-free comparison config into (ComparisonReport, resolved config)."""
+    return _load(compare_control, path, None, {})

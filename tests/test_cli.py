@@ -10,11 +10,12 @@ import dataclasses
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 
 from qsense import cli, simkit
 from qsense.protocol import run_adaptive
@@ -51,11 +52,11 @@ def write_adapt_config(path, **extra):
     return path
 
 
-def with_yaml_value(path, key, value):
-    """Rewrite a config file as YAML with key set to value (inf, nan as .inf, .nan)."""
-    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+def with_value(path, key, value):
+    """Rewrite a JSON config file with key set to value (inf, nan as Infinity, NaN)."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
     doc[key] = value
-    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
@@ -359,11 +360,38 @@ class TestAdapt:
 
     def test_readme_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        block = re.search(r"A minimal adapt config.*?```yaml\n(.*?)```", readme, re.S)
-        path = tmp_path / "readme.yaml"
+        block = re.search(r"A minimal adapt config.*?```json\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.json"
         path.write_text(block.group(1), encoding="utf-8")
-        cfg, harness = load_adaptive_config(str(path))
-        assert (cfg.nbar, cfg.max_steps, harness["n_reps"]) == (10.0, 250, 500)
+        cfg, resolved = load_adaptive_config(str(path))
+        assert (cfg.nbar, cfg.max_steps, resolved["n_reps"]) == (10.0, 250, 500)
+        # every accepted key, under its file name, with the default where unset
+        assert resolved == {**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                               if f.name != "lam"}, "lambda": 0.1, "n_reps": 500}
+        assert resolved["span_sigmas"] == 8.0 and resolved["n_points"] == 4096
+
+    def test_yaml_config_exits_2(self, tmp_path, capsys):
+        # the minimal config as YAML, the format configs were read in before JSON
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("omega_true: 50.0\nomega0: 50.5\ndelta_omega0: 0.5\nlambda: 0.1\n"
+                       "nbar: 10.0\nseed: 12345\nmax_steps: 250\nn_reps: 500\n",
+                       encoding="utf-8")
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "y")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: malformed config file: ")
+        assert not list(tmp_path.glob("y*"))
+
+    def test_runs_without_pyyaml(self, tmp_path):
+        cfg = write_adapt_config(tmp_path / "cfg.json")
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys; sys.modules['yaml'] = None; from qsense import cli; "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", code, "adapt", "--config", str(cfg),
+                               "--threads", "1", "--out-prefix", str(tmp_path / "n")],
+                              env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "n_summary.json").exists()
 
     @pytest.mark.parametrize("seed", [9007199254740993, 12345678901234567, 2**64 - 1,
                                       2**64, 2**70])
@@ -385,15 +413,6 @@ class TestAdapt:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             "config error: seed: expected an integer, got 2026.5"]
-
-    def test_non_string_unknown_key_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("omega_true: 50.0\nomega0: 50.5\ndelta_omega0: 0.5\n"
-                       "lambda: 0.1\nnbar: 10.0\n1: 2\nzz: 3\n", encoding="utf-8")
-        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "x")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "config error: 1: unknown key\nconfig error: zz: unknown key" in err
 
     def test_missing_required_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -452,10 +471,11 @@ class TestAdapt:
         assert not (tmp_path / "t_steps.csv").exists()
 
     @pytest.mark.parametrize("content", [b"omega_true: [50.0\nnbar: 10\n",
-                                         b"omega_true: 50.0\nnbar: 1\xff0\n"],
-                             ids=["malformed-yaml", "not-utf8"])
+                                         b"omega_true: 50.0\nnbar: 1\xff0\n",
+                                         b'{"seed": ' + b"1" * 5000 + b"}"],
+                             ids=["malformed-yaml", "not-utf8", "integer-beyond-digit-limit"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
-        cfg = tmp_path / "cfg.yaml"
+        cfg = tmp_path / "cfg.json"
         cfg.write_bytes(content)
         rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "u")])
         assert rc == 2
@@ -464,9 +484,9 @@ class TestAdapt:
         assert not list(tmp_path.glob("u*"))
 
     def test_duplicate_key_exits_2(self, tmp_path, capsys):
-        # YAML keeps the last of two values; the config rejects the pair
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(write_adapt_config(tmp_path / "cfg.json").read_text(encoding="utf-8")
+        # json.load keeps the last of two values; the config rejects the pair
+        cfg = write_adapt_config(tmp_path / "cfg.json")
+        cfg.write_text(cfg.read_text(encoding="utf-8")
                        .replace('"nbar": 1000.0', '"nbar": 10.0, "nbar": 1000.0'),
                        encoding="utf-8")
         rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "d")])
@@ -479,7 +499,7 @@ class TestAdapt:
         ("lambda", math.inf), ("nbar", math.nan), ("seed", math.inf),
     ])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
-        cfg = with_yaml_value(write_adapt_config(tmp_path / "cfg.yaml"), key, value)
+        cfg = with_value(write_adapt_config(tmp_path / "cfg.json"), key, value)
         rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "n")])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
@@ -493,6 +513,17 @@ class TestAdapt:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: lambda must be positive, got -0.1"]
         assert not (tmp_path / "r_steps.csv").exists()
+
+    @pytest.mark.parametrize("nbar", [1.0e308, 5.0e307])
+    def test_nbar_beyond_float_range_exits_2(self, tmp_path, capsys, recwarn, nbar):
+        # finite, but the contrast's factor -2*(2*nbar+1) would be -inf
+        cfg = write_adapt_config(tmp_path / "cfg.json", nbar=nbar)
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "b")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: nbar must keep 2*(2*nbar+1) finite, got {nbar}"]
+        assert [str(w.message) for w in recwarn] == []
+        assert not list(tmp_path.glob("b*"))
 
     def test_prior_grid_below_zero_exits_2(self, tmp_path, capsys):
         cfg = write_adapt_config(tmp_path / "cfg.json", omega_true=1.0, omega0=1.0,
@@ -527,19 +558,40 @@ class TestCompare:
             self.OMEGA / self.LAM, rel=1e-12)
 
     def test_out_file_and_overrides(self, tmp_path):
-        cfg = self.write_config(tmp_path / "cmp.json")
+        cfg = with_value(self.write_config(tmp_path / "cmp.json"), "k_factor", 4)
         out = tmp_path / "report.json"
-        rc = cli.main(["compare", "--config", str(cfg),
-                       "--k-factor", "4", "--out", str(out)])
+        rc = cli.main(["compare", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["config"]["k_factor"] == 4.0
         assert doc["report"]["time_cost_ratio"] == pytest.approx(
             2 * self.OMEGA / self.LAM, rel=1e-12)
 
+    def test_report_holds_only_computed_values(self, tmp_path, capsys):
+        # the inputs are stated once, under "config"
+        cfg = self.write_config(tmp_path / "cmp.json")
+        rc = cli.main(["compare", "--config", str(cfg)])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc["report"]) == ["lambda_tilde", "sensitivity_controlled",
+                                         "sensitivity_free", "sensitivity_gain",
+                                         "time_cost_ratio"]
+        assert doc["config"] == {"omega": self.OMEGA, "lambda": self.LAM, "nbar": 0.0,
+                                 "t2": 1e-3, "k_factor": 1.0}
+
+    @pytest.mark.parametrize("flag", ["--t2", "--k-factor"])
+    def test_value_flag_is_a_usage_error(self, tmp_path, flag):
+        # compare's values come from the config file only
+        cfg = self.write_config(tmp_path / "cmp.json")
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compare", "--config", str(cfg), flag, "4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("key,value", [("lambda", math.inf), ("nbar", math.nan)])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
-        cfg = with_yaml_value(self.write_config(tmp_path / "cmp.yaml"), key, value)
+        cfg = with_value(self.write_config(tmp_path / "cmp.json"), key, value)
         out = tmp_path / "report.json"
         rc = cli.main(["compare", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
@@ -547,19 +599,19 @@ class TestCompare:
         assert err == [f"config error: {key}: expected a finite number, got {value!r}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("key,value,args,problems", [
-        ("omega", -50.0, [], ["omega must be positive, got -50.0"]),
-        ("nbar", -2.0, [], ["nbar must be nonnegative, got -2.0"]),
-        (None, None, ["--k-factor", "0"], ["k_factor must be positive, got 0.0"]),
-        ("lambda", -1.0, ["--t2", "0"], ["lambda must be positive, got -1.0",
-                                         "t2 must be positive, got 0.0"]),
+    @pytest.mark.parametrize("values,problems", [
+        ({"omega": -50.0}, ["omega must be positive, got -50.0"]),
+        ({"nbar": -2.0}, ["nbar must be nonnegative, got -2.0"]),
+        ({"k_factor": 0}, ["k_factor must be positive, got 0.0"]),
+        ({"lambda": -1.0, "t2": 0}, ["lambda must be positive, got -1.0",
+                                     "t2 must be positive, got 0.0"]),
     ], ids=["negative-omega", "negative-nbar", "zero-k-factor", "negative-lambda-zero-t2"])
-    def test_out_of_range_value_exits_2(self, tmp_path, capsys, key, value, args, problems):
-        cfg = self.write_config(tmp_path / "cmp.yaml")
-        if key is not None:
-            with_yaml_value(cfg, key, value)
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, values, problems):
+        cfg = self.write_config(tmp_path / "cmp.json")
+        for key, value in values.items():
+            with_value(cfg, key, value)
         out = tmp_path / "report.json"
-        rc = cli.main(["compare", "--config", str(cfg), *args, "--out", str(out)])
+        rc = cli.main(["compare", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: {p}" for p in problems]
         assert not out.exists()
@@ -567,7 +619,7 @@ class TestCompare:
     @pytest.mark.parametrize("content", [b"omega: {1.0\n", b"omega: 1.0\nt2: \xfe\n"],
                              ids=["malformed-yaml", "not-utf8"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
-        cfg = tmp_path / "cmp.yaml"
+        cfg = tmp_path / "cmp.json"
         cfg.write_bytes(content)
         out = tmp_path / "report.json"
         rc = cli.main(["compare", "--config", str(cfg), "--out", str(out)])
@@ -577,8 +629,8 @@ class TestCompare:
         assert not out.exists()
 
     def test_duplicate_key_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "cmp.yaml"
-        cfg.write_text("omega: 1.0\nlambda: 0.1\nt2: 1.0\nlambda: 0.2\n", encoding="utf-8")
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text('{"omega": 1.0, "lambda": 0.1, "t2": 1.0, "lambda": 0.2}', encoding="utf-8")
         out = tmp_path / "report.json"
         rc = cli.main(["compare", "--config", str(cfg), "--out", str(out)])
         assert rc == 2

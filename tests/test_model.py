@@ -350,6 +350,12 @@ class TestCoherence:
         with pytest.raises(ValueError):
             ThermalState(-0.5)
 
+    @pytest.mark.parametrize("nbar", [5e307, np.float64(5e307), 1e308])
+    def test_nbar_beyond_float_range_rejected(self, nbar):
+        # 2*nbar+1 is finite at 5e307, but the contrast's factor -2*(2*nbar+1) is not
+        with pytest.raises(ValueError, match=r"nbar must keep 2\*\(2\*nbar\+1\) finite"):
+            ThermalState(nbar)
+
 
 class TestOutcomeProbability:
     def test_half_contrast(self):
