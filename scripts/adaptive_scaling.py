@@ -21,9 +21,9 @@ def run_ensemble(nbar, reps, steps, seed, workers):
     agg = run_repetitions(cfg, reps, n_workers=workers)
     wall = time.perf_counter() - t0
     slope = "none" if agg.fit_slope is None else f"{agg.fit_slope:.3f}"
-    print(f"nbar = {nbar:g}: {reps} reps x {len(agg.mean_delta_omega)} steps "
+    print(f"nbar = {nbar:g}: {reps} reps x {len(agg.steps['stage'])} steps "
           f"in {wall:.1f} s, slope {slope} "
-          f"over window {agg.fit_window}, aborted {agg.n_aborted}")
+          f"over window {agg.fit_window}, aborted {len(agg.aborted)}")
     return agg
 
 
@@ -41,8 +41,8 @@ def main():
     t_star, ratio = matched_time_ratio(cold, hot)
     print(f"matched total time {t_star:.3e}: "
           f"precision ratio (nbar 10 over nbar 1000) = {ratio:.2f}")
-    print(f"final mean uncertainty, nbar=10:   {cold.mean_delta_omega[-1]:.3e}")
-    print(f"final mean uncertainty, nbar=1000: {hot.mean_delta_omega[-1]:.3e}")
+    print(f"final mean uncertainty, nbar=10:   {cold.steps['mean_delta_omega'][-1]:.3e}")
+    print(f"final mean uncertainty, nbar=1000: {hot.steps['mean_delta_omega'][-1]:.3e}")
 
 
 if __name__ == "__main__":

@@ -40,11 +40,12 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _csv_text(meta: dict, header: str, rows) -> str:
+def _write_csv(path: str, meta: dict, columns: dict) -> None:
+    """Write `# key = value` lines, a header of the column names, then one row per index."""
     lines = [f"# {k} = {v}" for k, v in meta.items()]
-    lines.append(header)
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns.values()))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _json_text(obj) -> str:
@@ -73,8 +74,7 @@ def cmd_fringes(args) -> int:
     except ValueError as exc:
         # fringe_scan raises ValueError only for arguments it rejects
         raise ConfigError([str(exc)]) from exc
-    rows = [",".join(map(_fmt, row)) for row in zip(*cols)]
-    _write_text(args.out, _csv_text(meta, "zeta,k_over_n,g_finite,g_universal", rows))
+    _write_csv(args.out, meta, dict(zip(("zeta", "k_over_n", "g_finite", "g_universal"), cols)))
     return EXIT_OK
 
 
@@ -101,8 +101,7 @@ def cmd_gsq(args) -> int:
     except ValueError as exc:
         # gsq_scan raises ValueError only for windows it rejects
         raise ConfigError([str(exc)]) from exc
-    rows = [",".join((_fmt(x), _fmt(g))) for x, g in zip(dz, y)]
-    _write_text(args.out, _csv_text(meta, "delta_zeta,g_sq_mean", rows))
+    _write_csv(args.out, meta, {"delta_zeta": dz, "g_sq_mean": y})
 
     window = (int(in_fit[0]), int(in_fit[-1]))
     slope = simkit.fit_loglog_slope(dz, y, window)
@@ -127,43 +126,35 @@ def cmd_adapt(args) -> int:
     t0 = time.perf_counter()
     agg = simkit.run_repetitions(cfg, resolved["n_reps"], n_workers=args.threads)
     wall = time.perf_counter() - t0
-    n_steps = len(agg.mean_delta_omega)
+    n_steps = len(agg.steps["stage"])
     print(f"adapt: {resolved['n_reps']} repetitions, {n_steps} steps, "
           f"wall clock {wall:.2f} s", file=sys.stderr)
-    if agg.n_aborted:
-        rep, diagnostic = agg.first_abort
-        print(f"adapt: {agg.n_aborted} repetitions aborted; first, rep {rep}: {diagnostic}",
+    if agg.aborted:
+        rep, diagnostic = agg.aborted[0]
+        print(f"adapt: {len(agg.aborted)} repetitions aborted; first, rep {rep}: {diagnostic}",
               file=sys.stderr)
         return EXIT_NUMERICAL
 
     meta = {"command": "adapt"}
     meta.update({k: resolved[k] for k in sorted(resolved)})
-    cols = (agg.mean_n_units, agg.mean_tau, agg.mean_nu, agg.mean_cumulative_time,
-            agg.mean_delta_omega, agg.mean_zeta, agg.mean_scaled_alpha)
-    rows = [",".join((str(step), str(int(stage)), *map(_fmt, values)))
-            for step, (stage, *values) in enumerate(zip(agg.stage_column, *cols))]
     prefix = args.out_prefix
-    header = "step,stage,n_units,tau,nu,mean_time,mean_delta_omega,mean_zeta,mean_scaled_alpha"
-    _write_text(prefix + "_steps.csv", _csv_text(meta, header, rows))
+    _write_csv(prefix + "_steps.csv", meta, {"step": range(n_steps), **agg.steps})
 
     summary = {
         "command": "adapt",
         "config": resolved,
         "fit_slope": agg.fit_slope,
         "fit_window": list(agg.fit_window) if agg.fit_window else None,
-        "final_mean_delta_omega": float(agg.mean_delta_omega[-1]),
-        "final_mean_time": float(agg.mean_cumulative_time[-1]),
+        "final_mean_delta_omega": float(agg.steps["mean_delta_omega"][-1]),
+        "final_mean_time": float(agg.steps["mean_time"][-1]),
         "n_common_steps": n_steps,
     }
     _write_text(prefix + "_summary.json", _json_text(summary))
 
     if args.snapshot_posterior:
         post = agg.rep0_posterior
-        snap_meta = {"command": "adapt snapshot", "seed": cfg.seed}
-        snap_rows = [",".join((_fmt(om), _fmt(w)))
-                     for om, w in zip(post.grid, post.weights)]
-        _write_text(args.snapshot_posterior,
-                    _csv_text(snap_meta, "omega,weight", snap_rows))
+        _write_csv(args.snapshot_posterior, {"command": "adapt snapshot", "seed": cfg.seed},
+                   {"omega": post.grid, "weight": post.weights})
     return EXIT_OK
 
 

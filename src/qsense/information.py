@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import ThermalState
+
 # RMS of the universal fringe derivative over the first fringe window
 # (half-width 1 around zeta = 1): the correctly rounded value of
 # sqrt(1/2 * int_0^2 g_universal^2), checked against a 30-digit mpmath
@@ -183,6 +185,10 @@ def compare_control(*, omega: float, lam: float, nbar: float = 0.0, t2: float,
         raise ValueError("; ".join(problems))
     problems = [f"{name} must be positive, got {v}" for name, v in values.items()
                 if name != "nbar" and not v > 0]
+    try:
+        ThermalState(nbar)  # the outcome law's own bounds on nbar
+    except ValueError as exc:
+        problems.append(str(exc))
     if problems:
         raise ValueError("; ".join(problems))
     lt = lambda_tilde_cpmg(lam, nbar)

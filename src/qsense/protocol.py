@@ -39,8 +39,10 @@ MIN_PERIODS = 2
 
 # Disambiguation-probe thresholds: far mass above PROBE_ON arms the
 # probe latch; the latch stays armed across steps until far mass falls
-# below PROBE_OFF. The regrid keeper threshold (in nats below the peak)
-# matches PROBE_OFF so only probe-cleared mass can be dropped.
+# below PROBE_OFF. A regrid keeps every node whose log weight is within
+# KEEP_LOG_NATS of the peak: 25.3 is -ln(PROBE_OFF) = 25.328 rounded to one
+# decimal, so a node is kept down to exp(-25.3) = 1.03e-11 of the peak weight,
+# a shade above PROBE_OFF. Changing it moves output bits (ROADMAP item 5).
 PROBE_ON = 1e-6
 PROBE_OFF = 1e-11
 KEEP_LOG_NATS = 25.3
@@ -103,10 +105,15 @@ class AdaptiveConfig:
             problems.append(str(exc))
         if not self.delta_omega0 < self.omega0:
             problems.append("delta_omega0 must be below omega0")
-        if not self.omega0 - self.span_sigmas * self.delta_omega0 > 0:
+        half = self.span_sigmas * self.delta_omega0
+        if not self.omega0 - half > 0:
             problems.append("prior grid must stay above omega = 0: need "
-                            "omega0 - span_sigmas*delta_omega0 > 0, got "
-                            f"{self.omega0 - self.span_sigmas * self.delta_omega0}")
+                            f"omega0 - span_sigmas*delta_omega0 > 0, got {self.omega0 - half}")
+        # the prior grid's own check, made where the values enter
+        if half > 0 and not self.omega0 - half < self.omega0 + half:
+            problems.append("span_sigmas leaves the prior grid no width in float64: need "
+                            "omega0 - span_sigmas*delta_omega0 < omega0 + span_sigmas*delta_omega0, "
+                            f"got [{self.omega0 - half}, {self.omega0 + half}]")
         if self.max_steps < 1:
             problems.append(f"max_steps must be >= 1, got {self.max_steps}")
         if self.seed < 0:

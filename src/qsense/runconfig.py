@@ -1,7 +1,7 @@
 """Config-file parsing for the command-line runs.
 
 A config is a JSON object of key-value pairs, read with the standard
-library. Unknown keys and keys set twice are rejected rather than
+library, and every value is a JSON number. Unknown keys and keys set twice are rejected rather than
 resolved silently, because a silent typo in a physics parameter is the
 dominant user error; missing keys fall back to documented defaults.
 Each loader returns, beside its result, the fully resolved config: every
@@ -56,19 +56,16 @@ def _schema(target):
 
 
 def _coerce(key: str, value, problems: list[str], integer=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    """A JSON number as a finite float, or as an exact int for an integer key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{key}: expected a number, got {value!r}")
         return None
-    if integer and isinstance(value, (int, str)):
-        try:
-            return int(value)  # exact, where float() rounds above 2**53
-        except ValueError:
-            pass
+    if integer and isinstance(value, int):
+        return value  # exact, where float() rounds above 2**53
     try:
         num = float(value)
-    except (TypeError, ValueError):
-        problems.append(f"{key}: expected a number, got {value!r}")
-        return None
+    except OverflowError:
+        num = math.inf  # an integer beyond the float64 range
     if not math.isfinite(num):
         problems.append(f"{key}: expected a finite number, got {value!r}")
         return None

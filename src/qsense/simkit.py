@@ -24,6 +24,7 @@ from .protocol import STAGE_II, AdaptiveConfig, run_adaptive
 FIT_TAIL_FRACTION = 0.6
 
 __all__ = [
+    "STEP_COLUMNS",
     "AggregateResult",
     "reference_config",
     "run_repetitions",
@@ -34,32 +35,30 @@ __all__ = [
 ]
 
 
+# The columns of the step table, in order: the plan's stage, N, tau and
+# nu, then the cumulative time, delta_omega, zeta and scaled alpha.
+STEP_COLUMNS = ("stage", "n_units", "tau", "nu", "mean_time", "mean_delta_omega",
+                "mean_zeta", "mean_scaled_alpha")
+
+
 @dataclass(frozen=True)
 class AggregateResult:
     """Step-aligned ensemble means over repeated adaptive runs.
 
-    The means and stage_column cover the repetitions that did not
-    abort, each of which records max_steps steps; row k is step k.
-    stage_column is 2 at a step only when every one of them has
-    entered stage (ii) there; mean_n_units, mean_tau, mean_nu average
-    the per-step plans. n_aborted counts the aborted repetitions,
-    first_abort is the index and diagnostic of the first one, and
-    rep0_posterior the final posterior of repetition 0. fit_slope and
-    fit_window are None when there are fewer than 3 steps.
+    steps maps each name in STEP_COLUMNS to its column over the
+    repetitions that did not abort, each of which records max_steps
+    steps; row k is step k. "stage" is 2 at a step only when every one
+    of them has entered stage (ii) there; the other columns are means.
+    aborted lists (repetition, diagnostic) for each aborted repetition,
+    in repetition order, and rep0_posterior is the final posterior of
+    repetition 0. fit_slope and fit_window are None when there are
+    fewer than 3 steps.
     """
 
-    mean_delta_omega: np.ndarray
-    mean_cumulative_time: np.ndarray
-    mean_zeta: np.ndarray
-    mean_scaled_alpha: np.ndarray
+    steps: dict[str, np.ndarray]
     fit_slope: float | None
     fit_window: tuple[int, int] | None
-    stage_column: np.ndarray
-    mean_n_units: np.ndarray
-    mean_tau: np.ndarray
-    mean_nu: np.ndarray
-    n_aborted: int
-    first_abort: tuple[int, str] | None
+    aborted: tuple[tuple[int, str], ...]
     rep0_posterior: Posterior
 
 
@@ -72,9 +71,9 @@ def reference_config(nbar: float, max_steps: int = 250, seed: int = 12345) -> Ad
 def _run_one(args) -> tuple:
     cfg, r = args
     traj = run_adaptive(replace(cfg, seed=cfg.seed + r))
-    # one row per step; the integer columns are exact in float64
-    steps = np.array([(s.plan.stage, s.delta_omega_k, s.cumulative_time, s.zeta_k,
-                       s.scaled_alpha_k, s.plan.n_units, s.plan.tau, s.plan.repetitions)
+    # one row per step, in STEP_COLUMNS order; the integer columns are exact in float64
+    steps = np.array([(s.plan.stage, s.plan.n_units, s.plan.tau, s.plan.repetitions,
+                       s.cumulative_time, s.delta_omega_k, s.zeta_k, s.scaled_alpha_k)
                       for s in traj.records], dtype=float)
     # only repetition 0's posterior is sent back across the pool
     return steps, traj.aborted, traj.diagnostic, traj.final_posterior if r == 0 else None
@@ -115,41 +114,28 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int,
             results = list(ex.map(_run_one, jobs, chunksize=max(1, n_reps // (4 * workers))))
 
     steps, aborted_flags, diagnostics, posteriors = zip(*results)
-    aborted = [r for r, flag in enumerate(aborted_flags) if flag]
+    aborted = tuple((r, diagnostics[r]) for r, flag in enumerate(aborted_flags) if flag)
     kept = [rows for rows, flag in zip(steps, aborted_flags) if not flag]
     if not kept:
         raise ValueError(f"all {n_reps} repetitions aborted; rep 0: {diagnostics[0]}")
     # a run that does not abort records max_steps steps
     stacked = np.stack(kept)
     n_steps = stacked.shape[1]
-    means = stacked.mean(axis=0)
-    _, mean_dw, mean_tt, mean_zt, mean_sa, mean_n_units, mean_tau, mean_nu = means.T
-    stage_col = np.where((stacked[:, :, 0] == STAGE_II).all(axis=0), STAGE_II, 1)
+    table = stacked.mean(axis=0)
+    table[:, 0] = np.where((stacked[:, :, 0] == STAGE_II).all(axis=0), STAGE_II, 1)
+    columns = dict(zip(STEP_COLUMNS, table.T))
 
     # the slope needs 3 points; a shorter ensemble reports none
     window = slope = None
     if n_steps >= 3:
-        all2 = np.flatnonzero(stage_col == STAGE_II)
+        all2 = np.flatnonzero(columns["stage"] == STAGE_II)
         s = int(all2[0]) if len(all2) else n_steps - 1
         lo = s + int(math.ceil((1.0 - FIT_TAIL_FRACTION) * (n_steps - s)))
         window = (min(lo, n_steps - 3), n_steps - 1)
-        slope = fit_loglog_slope(mean_tt, mean_dw, window)
+        slope = fit_loglog_slope(columns["mean_time"], columns["mean_delta_omega"], window)
 
-    return AggregateResult(
-        mean_delta_omega=mean_dw,
-        mean_cumulative_time=mean_tt,
-        mean_zeta=mean_zt,
-        mean_scaled_alpha=mean_sa,
-        fit_slope=slope,
-        fit_window=window,
-        stage_column=stage_col,
-        mean_n_units=mean_n_units,
-        mean_tau=mean_tau,
-        mean_nu=mean_nu,
-        n_aborted=len(aborted),
-        first_abort=(aborted[0], diagnostics[aborted[0]]) if aborted else None,
-        rep0_posterior=posteriors[0],
-    )
+    return AggregateResult(steps=columns, fit_slope=slope, fit_window=window,
+                           aborted=aborted, rep0_posterior=posteriors[0])
 
 
 def matched_time_ratio(cold: AggregateResult, hot: AggregateResult) -> tuple[float, float]:
@@ -158,9 +144,9 @@ def matched_time_ratio(cold: AggregateResult, hot: AggregateResult) -> tuple[flo
     Each mean precision curve is interpolated linearly in log-log
     against its mean cumulative time. Returns (matched time, ratio).
     """
-    t_star = min(cold.mean_cumulative_time[-1], hot.mean_cumulative_time[-1])
-    dw = [np.exp(np.interp(np.log(t_star), np.log(agg.mean_cumulative_time),
-                           np.log(agg.mean_delta_omega)))
+    t_star = min(cold.steps["mean_time"][-1], hot.steps["mean_time"][-1])
+    dw = [np.exp(np.interp(np.log(t_star), np.log(agg.steps["mean_time"]),
+                           np.log(agg.steps["mean_delta_omega"])))
           for agg in (cold, hot)]
     return float(t_star), float(dw[0] / dw[1])
 

@@ -80,7 +80,7 @@ def test_03_mean_square_envelope_scaling():
 
 def test_04_precision_scaling(ensemble_nbar10):
     agg = ensemble_nbar10
-    assert agg.n_aborted == 0
+    assert agg.aborted == ()
     assert -2.2 <= agg.fit_slope <= -1.8
     print(f"\n[PASS] 04 precision scaling: log-log slope {agg.fit_slope:.3f} "
           f"in [-2.2, -1.8] over fit window {agg.fit_window}")
@@ -88,8 +88,8 @@ def test_04_precision_scaling(ensemble_nbar10):
 
 def test_05_controller_convergence(ensemble_nbar10):
     agg = ensemble_nbar10
-    tail_zeta = agg.mean_zeta[40:]
-    tail_alpha = agg.mean_scaled_alpha[40:]
+    tail_zeta = agg.steps["mean_zeta"][40:]
+    tail_alpha = agg.steps["mean_scaled_alpha"][40:]
     assert np.all((tail_zeta >= 0.9) & (tail_zeta <= 1.1))
     assert np.all(tail_alpha < 0.5)
     print(f"\n[PASS] 05 controller convergence: from step 40 on, mean zeta in "

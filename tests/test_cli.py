@@ -397,8 +397,6 @@ class TestAdapt:
                                       2**64, 2**70])
     def test_integer_seed_is_exact(self, tmp_path, seed):
         # any nonnegative integer seeds the ensemble; rep 1 runs seed + 1
-        quoted = write_adapt_config(tmp_path / "quoted.json", seed=str(seed))
-        assert load_adaptive_config(str(quoted))[0].seed == seed
         path = write_adapt_config(tmp_path / "cfg.json", seed=seed)
         assert load_adaptive_config(str(path))[0].seed == seed
         rc = cli.main(["adapt", "--config", str(path), "--seed", str(seed), "--threads", "1",
@@ -406,6 +404,16 @@ class TestAdapt:
         assert rc == 0
         assert json.loads((tmp_path / "e_summary.json").read_text())["config"]["seed"] == seed
         assert read_csv(tmp_path / "e_steps.csv")[0]["seed"] == str(seed)
+
+    @pytest.mark.parametrize("key,value", [("lambda", "0.1"), ("seed", "12345")])
+    def test_quoted_number_exits_2(self, tmp_path, capsys, key, value):
+        # a config value is a JSON number, never a string that spells one
+        cfg = write_adapt_config(tmp_path / "cfg.json", **{key: value})
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "q")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {key}: expected a number, got {value!r}"]
+        assert not list(tmp_path.glob("q*"))
 
     def test_non_integral_seed_exits_2(self, tmp_path, capsys):
         cfg = write_adapt_config(tmp_path / "cfg.json", seed=2026.5)
@@ -497,6 +505,8 @@ class TestAdapt:
 
     @pytest.mark.parametrize("key,value", [
         ("lambda", math.inf), ("nbar", math.nan), ("seed", math.inf),
+        # an integer literal that float64 cannot hold counts as non-finite
+        pytest.param("nbar", 10**400, id="nbar-int-beyond-float"),
     ])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
         cfg = with_value(write_adapt_config(tmp_path / "cfg.json"), key, value)
@@ -524,6 +534,18 @@ class TestAdapt:
             f"config error: nbar must keep 2*(2*nbar+1) finite, got {nbar}"]
         assert [str(w.message) for w in recwarn] == []
         assert not list(tmp_path.glob("b*"))
+
+    @pytest.mark.parametrize("span_sigmas", [1e-17, 1e-300])
+    def test_prior_grid_without_width_exits_2(self, tmp_path, capsys, span_sigmas):
+        # omega0 -+ span_sigmas*delta_omega0 round to the same float64
+        cfg = write_adapt_config(tmp_path / "cfg.json", span_sigmas=span_sigmas)
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "w")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: span_sigmas leaves the prior grid no width in float64: need "
+            "omega0 - span_sigmas*delta_omega0 < omega0 + span_sigmas*delta_omega0, "
+            "got [50.5, 50.5]"]
+        assert not list(tmp_path.glob("w*"))
 
     def test_prior_grid_below_zero_exits_2(self, tmp_path, capsys):
         cfg = write_adapt_config(tmp_path / "cfg.json", omega_true=1.0, omega0=1.0,
@@ -605,7 +627,10 @@ class TestCompare:
         ({"k_factor": 0}, ["k_factor must be positive, got 0.0"]),
         ({"lambda": -1.0, "t2": 0}, ["lambda must be positive, got -1.0",
                                      "t2 must be positive, got 0.0"]),
-    ], ids=["negative-omega", "negative-nbar", "zero-k-factor", "negative-lambda-zero-t2"])
+        # the outcome law's nbar bound, as for adapt
+        ({"nbar": 1e308}, ["nbar must keep 2*(2*nbar+1) finite, got 1e+308"]),
+    ], ids=["negative-omega", "negative-nbar", "zero-k-factor", "negative-lambda-zero-t2",
+            "nbar-overflow"])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, values, problems):
         cfg = self.write_config(tmp_path / "cmp.json")
         for key, value in values.items():
@@ -642,8 +667,7 @@ class TestCompare:
         {"omega": 100.0, "lambda": 1.0, "t2": 1e-300},
         {"omega": 1e300, "lambda": 1e-300, "t2": 1.0},
         {"omega": 100.0, "lambda": 1.0, "t2": 1e250},
-        {"omega": 100.0, "lambda": 1.0, "nbar": 1e308, "t2": 1.0},
-    ], ids=["t2-underflow", "ratio-overflow", "t2-overflow", "nbar-overflow"])
+    ], ids=["t2-underflow", "ratio-overflow", "t2-overflow"])
     def test_report_beyond_float_range_exits_4(self, tmp_path, capsys, recwarn, values):
         # each input is finite and in range, but the report would hold inf or nan
         cfg = tmp_path / "cmp.json"

@@ -203,6 +203,13 @@ class TestConfigValidation:
                              lam=0.1, nbar=0.0, span_sigmas=1.9)
         assert cfg.omega0 - cfg.span_sigmas * cfg.delta_omega0 > 0
 
+    @pytest.mark.parametrize("span_sigmas", [1e-17, 1e-300])
+    def test_prior_grid_must_have_width(self, span_sigmas):
+        # the grid's ends round to one float64, which the prior's Posterior would reject
+        with pytest.raises(ValueError, match="^span_sigmas leaves the prior grid no width"):
+            AdaptiveConfig(omega_true=50.0, omega0=50.5, delta_omega0=0.5, lam=0.1,
+                           nbar=10.0, span_sigmas=span_sigmas)
+
     @pytest.mark.parametrize("field,value", [
         ("lam", np.inf), ("nbar", np.nan), ("omega_true", np.nan), ("seed", np.inf),
     ])
@@ -332,7 +339,7 @@ class TestEnsembleInvariants:
     def test_mean_uncertainty_contracts_after_settling(self, ensemble_nbar10):
         # single steps may widen the posterior on surprising data, but
         # only slightly and rarely; the 5-step trend is strictly downward
-        dw = ensemble_nbar10.mean_delta_omega[5:]
+        dw = ensemble_nbar10.steps["mean_delta_omega"][5:]
         ratios = dw[1:] / dw[:-1]
         assert np.max(ratios) < 1.08
         assert np.sum(ratios > 1.0) <= 0.1 * len(ratios)

@@ -15,6 +15,7 @@ import pytest
 from qsense import simkit
 from qsense.protocol import run_adaptive
 from qsense.simkit import (
+    STEP_COLUMNS,
     fit_loglog_slope,
     fringe_scan,
     gsq_scan,
@@ -68,14 +69,24 @@ class TestWorkerCount:
 
 class TestRunRepetitions:
     def test_single_repetition_equals_trajectory(self):
+        # every column of the step table, in STEP_COLUMNS order, bit for bit
         cfg = reference_config(nbar=1000.0, max_steps=12, seed=777)
         agg = run_repetitions(cfg, 1, n_workers=1)
-        traj = run_adaptive(cfg)
-        assert np.array_equal(agg.mean_delta_omega,
-                              [r.delta_omega_k for r in traj.records])
-        assert np.array_equal(agg.mean_cumulative_time,
-                              [r.cumulative_time for r in traj.records])
-        assert agg.n_aborted == 0
+        recs = run_adaptive(cfg).records
+        expected = {
+            "stage": [r.plan.stage for r in recs],
+            "n_units": [r.plan.n_units for r in recs],
+            "tau": [r.plan.tau for r in recs],
+            "nu": [r.plan.repetitions for r in recs],
+            "mean_time": [r.cumulative_time for r in recs],
+            "mean_delta_omega": [r.delta_omega_k for r in recs],
+            "mean_zeta": [r.zeta_k for r in recs],
+            "mean_scaled_alpha": [r.scaled_alpha_k for r in recs],
+        }
+        assert tuple(agg.steps) == STEP_COLUMNS == tuple(expected)
+        for name, column in expected.items():
+            assert np.array_equal(agg.steps[name], column), name
+        assert agg.aborted == ()
 
     def test_aggregation_linearity(self):
         cfg = reference_config(nbar=1000.0, max_steps=10, seed=4242)
@@ -85,39 +96,39 @@ class TestRunRepetitions:
             traj = run_adaptive(dataclasses.replace(cfg, seed=4242 + r))
             singles.append([rec.delta_omega_k for rec in traj.records])
         hand = np.array(singles).mean(axis=0)
-        assert np.array_equal(agg.mean_delta_omega, hand)
+        assert np.array_equal(agg.steps["mean_delta_omega"], hand)
 
     def test_deterministic_given_config(self):
         cfg = reference_config(nbar=1000.0, max_steps=10, seed=99)
         a = run_repetitions(cfg, 4, n_workers=1)
         b = run_repetitions(cfg, 4, n_workers=1)
-        assert np.array_equal(a.mean_delta_omega, b.mean_delta_omega)
-        assert np.array_equal(a.mean_cumulative_time, b.mean_cumulative_time)
+        assert np.array_equal(a.steps["mean_delta_omega"], b.steps["mean_delta_omega"])
+        assert np.array_equal(a.steps["mean_time"], b.steps["mean_time"])
         assert a.fit_slope == b.fit_slope
 
     def test_pool_matches_serial(self):
         cfg = reference_config(nbar=1000.0, max_steps=8, seed=5)
         serial = run_repetitions(cfg, 3, n_workers=1)
         pooled = run_repetitions(cfg, 3, n_workers=2)
-        assert np.array_equal(serial.mean_delta_omega, pooled.mean_delta_omega)
+        assert np.array_equal(serial.steps["mean_delta_omega"], pooled.steps["mean_delta_omega"])
         assert serial.fit_slope == pooled.fit_slope
 
     def test_stage_column_requires_unanimity(self):
         cfg = reference_config(nbar=10.0, max_steps=15)
         agg = run_repetitions(cfg, 4, n_workers=1)
-        assert agg.stage_column[0] == 1
-        assert agg.stage_column[-1] == 2
-        assert np.all(np.diff(agg.stage_column) >= 0)
+        assert agg.steps["stage"][0] == 1
+        assert agg.steps["stage"][-1] == 2
+        assert np.all(np.diff(agg.steps["stage"]) >= 0)
 
     def test_fit_window_covers_stage_two_tail(self):
         cfg = reference_config(nbar=1000.0, max_steps=20, seed=7)
         agg = run_repetitions(cfg, 2, n_workers=1)
         lo, hi = agg.fit_window
-        assert len(agg.mean_delta_omega) == 20
+        assert len(agg.steps["mean_delta_omega"]) == 20
         assert hi == 19
         # hot-start runs enter stage (ii) immediately, so the window is
         # the plain trailing fraction of all recorded steps
-        assert np.all(agg.stage_column == 2)
+        assert np.all(agg.steps["stage"] == 2)
         assert lo == math.ceil(0.4 * 20)
 
     def test_first_abort_is_reported(self, monkeypatch):
@@ -133,8 +144,7 @@ class TestRunRepetitions:
         monkeypatch.setattr(simkit, "run_adaptive", aborting)
         cfg = reference_config(nbar=1000.0, max_steps=5, seed=30)
         agg = run_repetitions(cfg, 3, n_workers=1)
-        assert agg.n_aborted == 2
-        assert agg.first_abort == (1, "stub abort, seed 31")
+        assert agg.aborted == ((1, "stub abort, seed 31"), (2, "stub abort, seed 32"))
 
     def test_aborted_reps_are_left_out_of_the_means(self, monkeypatch):
         real = simkit.run_adaptive
@@ -150,13 +160,12 @@ class TestRunRepetitions:
         monkeypatch.setattr(simkit, "run_adaptive", aborting)
         cfg = reference_config(nbar=1000.0, max_steps=8, seed=40)
         agg = run_repetitions(cfg, 3, n_workers=1)
-        assert agg.n_aborted == 1
-        assert agg.first_abort == (1, diag)
+        assert agg.aborted == ((1, diag),)
         singles = [[rec.delta_omega_k for rec in
                     run_adaptive(dataclasses.replace(cfg, seed=seed)).records]
                    for seed in (40, 42)]
         hand = np.array(singles).mean(axis=0)
-        assert np.array_equal(agg.mean_delta_omega, hand)
+        assert np.array_equal(agg.steps["mean_delta_omega"], hand)
 
     def test_all_reps_aborted_raises_with_rep0_diagnostic(self, monkeypatch):
         real = simkit.run_adaptive
