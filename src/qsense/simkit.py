@@ -49,13 +49,18 @@ class AggregateResult:
     repetitions that did not abort, each of which records max_steps
     steps; row k is step k. "stage" is 2 at a step only when every one
     of them has entered stage (ii) there; the other columns are means.
-    aborted lists (repetition, diagnostic) for each aborted repetition,
+    final_error, final_width and final_evolution_time hold, for each of
+    those repetitions in order, the final omega_hat - omega_true, the
+    final delta_omega and the last step's N*tau. aborted lists (repetition, diagnostic) for each aborted repetition,
     in repetition order, and rep0_posterior is the final posterior of
     repetition 0. fit_slope and fit_window are None when there are
     fewer than 3 steps.
     """
 
     steps: dict[str, np.ndarray]
+    final_error: np.ndarray
+    final_width: np.ndarray
+    final_evolution_time: np.ndarray
     fit_slope: float | None
     fit_window: tuple[int, int] | None
     aborted: tuple[tuple[int, str], ...]
@@ -75,8 +80,12 @@ def _run_one(args) -> tuple:
     steps = np.array([(s.plan.stage, s.plan.n_units, s.plan.tau, s.plan.repetitions,
                        s.cumulative_time, s.delta_omega_k, s.zeta_k, s.scaled_alpha_k)
                       for s in traj.records], dtype=float)
+    final = None
+    if not traj.aborted:
+        last, est = traj.records[-1].plan, traj.final_estimate
+        final = (est.omega_hat - cfg.omega_true, est.delta_omega, last.n_units * last.tau)
     # only repetition 0's posterior is sent back across the pool
-    return steps, traj.aborted, traj.diagnostic, traj.final_posterior if r == 0 else None
+    return steps, final, traj.aborted, traj.diagnostic, traj.final_posterior if r == 0 else None
 
 
 def run_repetitions(cfg: AdaptiveConfig, n_reps: int,
@@ -113,7 +122,7 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int,
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_one, jobs, chunksize=max(1, n_reps // (4 * workers))))
 
-    steps, aborted_flags, diagnostics, posteriors = zip(*results)
+    steps, finals, aborted_flags, diagnostics, posteriors = zip(*results)
     aborted = tuple((r, diagnostics[r]) for r, flag in enumerate(aborted_flags) if flag)
     kept = [rows for rows, flag in zip(steps, aborted_flags) if not flag]
     if not kept:
@@ -134,8 +143,10 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int,
         window = (min(lo, n_steps - 3), n_steps - 1)
         slope = fit_loglog_slope(columns["mean_time"], columns["mean_delta_omega"], window)
 
-    return AggregateResult(steps=columns, fit_slope=slope, fit_window=window,
-                           aborted=aborted, rep0_posterior=posteriors[0])
+    error, width, evolution_time = np.array([f for f in finals if f is not None]).T
+    return AggregateResult(steps=columns, final_error=error, final_width=width,
+                           final_evolution_time=evolution_time, fit_slope=slope,
+                           fit_window=window, aborted=aborted, rep0_posterior=posteriors[0])
 
 
 def matched_time_ratio(cold: AggregateResult, hot: AggregateResult) -> tuple[float, float]:

@@ -1,9 +1,9 @@
-"""Acceptance gate: the ten headline checks, one test each.
+"""Acceptance gate: the eleven headline checks, one test each.
 
 Every test asserts its stated tolerance and prints a single [PASS] line
 with the measured numbers, so `pytest -s tests/test_acceptance.py`
 reads as a checklist. Timing budgets apply to the cheap checks; the
-ensemble-backed checks (04, 05, 06) share the session fixtures and are
+ensemble-backed checks (04, 05, 06, 11) share the session fixtures and are
 budgeted in minutes, not seconds.
 """
 
@@ -38,6 +38,12 @@ from test_cli import write_adapt_config
 from test_model import quad_oracle
 
 FROZEN_SUP_BOUND_N50 = 5e-3
+# Final-step calibration bands (check 11). Over six disjoint 500-rep
+# ensembles (seeds 100000, 200000, 300000 + r, nbar 10 and 1000) and the
+# two fixtures, RMS z spans 0.934-1.046 and the fraction within 2 widths
+# 0.938-0.970; one ensemble's sampling spread is about 0.035 and 0.010.
+RMS_Z_BAND = (0.85, 1.15)
+MIN_WITHIN_2_WIDTHS = 0.91
 
 
 def test_01_fringe_structure():
@@ -257,3 +263,21 @@ def test_10_sensitivity_estimate():
     assert 1e5 <= gain <= 4e5
     print(f"\n[PASS] 10 sensitivity estimate: controlled-vs-free gain "
           f"{gain:.3g} within a factor 2 of 2e5")
+
+
+def test_11_final_calibration(ensemble_nbar10, ensemble_nbar1000):
+    # judged against the true frequency: z = (omega_hat - omega)/delta_omega
+    # at the final step, and an alias is an error beyond half a fringe, pi/T
+    lines = []
+    for nbar, agg in ((10, ensemble_nbar10), (1000, ensemble_nbar1000)):
+        z = agg.final_error / agg.final_width
+        rms_z = float(np.sqrt(np.mean(z**2)))
+        within_2 = float(np.mean(np.abs(z) <= 2.0))
+        aliases = int(np.count_nonzero(np.abs(agg.final_error) > np.pi / agg.final_evolution_time))
+        assert len(z) == 500
+        assert RMS_Z_BAND[0] <= rms_z <= RMS_Z_BAND[1]
+        assert within_2 >= MIN_WITHIN_2_WIDTHS
+        assert aliases == 0
+        lines.append(f"nbar {nbar}: RMS z {rms_z:.3f} in {RMS_Z_BAND}, "
+                     f"{within_2:.3f} within 2 widths (>= {MIN_WITHIN_2_WIDTHS}), {aliases} aliases")
+    print("\n[PASS] 11 final calibration: " + "; ".join(lines))

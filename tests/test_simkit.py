@@ -87,6 +87,11 @@ class TestRunRepetitions:
         for name, column in expected.items():
             assert np.array_equal(agg.steps[name], column), name
         assert agg.aborted == ()
+        traj = run_adaptive(cfg)
+        last = traj.records[-1].plan
+        assert agg.final_error.tolist() == [traj.final_estimate.omega_hat - cfg.omega_true]
+        assert agg.final_width.tolist() == [traj.final_estimate.delta_omega]
+        assert agg.final_evolution_time.tolist() == [last.n_units * last.tau]
 
     def test_aggregation_linearity(self):
         cfg = reference_config(nbar=1000.0, max_steps=10, seed=4242)
@@ -166,6 +171,10 @@ class TestRunRepetitions:
                    for seed in (40, 42)]
         hand = np.array(singles).mean(axis=0)
         assert np.array_equal(agg.steps["mean_delta_omega"], hand)
+        # the per-rep final values hold the kept reps, in order
+        finals = [run_adaptive(dataclasses.replace(cfg, seed=seed)).final_estimate
+                  for seed in (40, 42)]
+        assert agg.final_width.tolist() == [e.delta_omega for e in finals]
 
     def test_all_reps_aborted_raises_with_rep0_diagnostic(self, monkeypatch):
         real = simkit.run_adaptive
