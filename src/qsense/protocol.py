@@ -225,7 +225,9 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
 
     Each step is plan -> simulate -> Bayes update -> estimate and
     windowed width -> probe -> regrid; the posterior arithmetic is all
-    in `estimation`.
+    in `estimation`. The run aborts, with a diagnostic, on a non-finite
+    estimate or once a regrid window cannot hold n_points distinct
+    float64 nodes.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -316,7 +318,14 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
             kept = post.grid[lw > lw.max() - KEEP_LOG_NATS]
             hw = max(REGRID_HALFWIDTH_SIGMAS * dw_hat, 1.05 * float(np.abs(kept - w_hat).max()))
             if hw < (post.omega_max - post.omega_min) / 2:
-                post = regrid(post, w_hat, hw, cfg.n_points)
+                new = regrid(post, w_hat, hw, cfg.n_points)
+                # the likelihood kernel needs distinct nodes
+                if not (np.diff(new.grid) > 0).all():
+                    aborted = True
+                    diagnostic = (f"grid beyond float64 resolution at step {k}: the window "
+                                  f"{w_hat} +- {hw} holds fewer than {cfg.n_points} distinct nodes")
+                    break
+                post = new
                 nodes, scale = likelihood_nodes(post.grid)
 
     return Trajectory(

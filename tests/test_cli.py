@@ -305,6 +305,17 @@ class TestAdapt:
         assert ("adapt: 1 repetitions aborted; first, rep 1: "
                 "non-finite estimate at step 0: stub") in err
 
+    def test_grid_beyond_float64_is_reported(self, tmp_path, capsys):
+        # both reps outrun float64's resolution of omega before step 800
+        cfg = write_adapt_config(tmp_path / "cfg.json", nbar=10.0, max_steps=800, seed=100000)
+        rc = cli.main(["adapt", "--config", str(cfg), "--threads", "1",
+                       "--out-prefix", str(tmp_path / "a")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert ("numerical failure: all 2 repetitions aborted; "
+                "rep 0: grid beyond float64 resolution at step ") in err
+        assert not list(tmp_path.glob("a_*"))
+
     @pytest.mark.parametrize("extra", [
         {"max_steps": 1}, {"max_steps": 2},
     ], ids=["one-step", "two-steps"])

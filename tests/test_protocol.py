@@ -334,6 +334,20 @@ class TestRunLoop:
         traj = run_adaptive(reference_config(nbar=10.0, max_steps=17))
         assert len(traj.records) == 17
 
+    def test_grid_beyond_float64_aborts(self):
+        # stage (ii) narrows the width about 4% a step: near step 510 a
+        # regrid window of 4096 nodes is narrower than 4096 ulp(50)
+        cfg = reference_config(nbar=10.0, max_steps=800, seed=100000)
+        traj = run_adaptive(cfg)
+        assert traj.aborted
+        assert traj.diagnostic.startswith(f"grid beyond float64 resolution at step "
+                                          f"{len(traj.records) - 1}: ")
+        assert "fewer than 4096 distinct nodes" in traj.diagnostic
+        assert 250 < len(traj.records) < 800
+        # the run keeps the last grid that held distinct nodes
+        assert (np.diff(traj.final_posterior.grid) > 0).all()
+        assert traj.final_estimate.omega_hat == traj.records[-1].omega_k
+
 
 class TestEnsembleInvariants:
     def test_mean_uncertainty_contracts_after_settling(self, ensemble_nbar10):
