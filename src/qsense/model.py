@@ -14,6 +14,7 @@ exp(-2*(2*nbar+1)*|alpha|^2), and the +1 outcome has probability
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,11 +181,12 @@ def cpmg_displacement_abs(coupling: Coupling, n_units: int, omega, tau: float):
 
     With x = omega*tau/8, |alpha_1| = (8*lam/omega)*|cos x sin^3 x| and
     |K| = |sin(4Nx)/sin(4x)|; the identity sin 4x = 4 sin x cos x cos 2x
-    cancels the cos x sin x factor, leaving
-    (2*lam/omega) * sin^2 x * |sin(4Nx)/cos 2x|. Where |cos 2x| < 1e-12
-    (the major peaks omega*tau = 2*pi*(2m+1)) the ratio takes its limit
-    2N. This is the fringe amplitude the likelihood needs; it agrees
-    with |alpha_cpmg * interference_factor| to round-off.
+    cancels the cos x sin x factor, and sin^2 x = (1 - cos 2x)/2 leaves,
+    with theta = omega*tau/4 and phi = 2*N*theta,
+    (lam/omega) * (1 - cos theta) * |sin phi / cos theta|. Where
+    |cos theta| < 1e-12 (the major peaks omega*tau = 2*pi*(2m+1)) the
+    ratio takes its limit 2N. This is the fringe amplitude the likelihood
+    needs; it agrees with |alpha_cpmg * interference_factor| to round-off.
     """
     if n_units < 1:
         raise ValueError(f"n_units must be >= 1, got {n_units}")
@@ -196,35 +198,82 @@ def cpmg_displacement_abs(coupling: Coupling, n_units: int, omega, tau: float):
     # a 0-d omega runs as a one-element array, since a numpy scalar
     # cannot be an out= target
     w = omega.reshape(omega.shape or 1)
-    out = _displacement_abs(2.0 * coupling.lam / w, n_units, w, tau)
+    cos_theta, sin_phi = np.empty(w.shape), np.empty(w.shape)
+    _phases(w, n_units, tau, cos_theta, sin_phi)
+    out = _amplitude(coupling.lam / w, n_units, cos_theta, sin_phi)
     return out if omega.shape else float(out[0])
 
 
-def _displacement_abs(scale, n_units: int, w: np.ndarray, tau: float) -> np.ndarray:
-    """cpmg_displacement_abs without its checks: a 1-d w > 0, tau > 0,
-    n_units >= 1, and scale = 2*lam/w, which a caller with a fixed w
-    computes once.
+def _phases(w, n_units: int, tau: float, cos_theta, sin_phi) -> None:
+    """cos theta and sin phi at each omega in w, into the two out arrays."""
+    np.multiply(w, tau / 4.0, out=cos_theta)
+    np.multiply(cos_theta, 2 * n_units, out=sin_phi)
+    np.cos(cos_theta, out=cos_theta)
+    np.sin(sin_phi, out=sin_phi)
 
-    The steps work in place in three temporaries, and the result is one
-    of them.
+
+def _amplitude(scale, n_units: int, cos_theta, sin_phi):
+    """The amplitude formula of cpmg_displacement_abs, scale = lam/omega.
+
+    Works in place in its two arguments and returns sin_phi, which
+    holds the amplitude.
     """
-    x = np.multiply(w, tau / 8.0)
-    c = np.multiply(x, 2.0)
-    np.cos(c, out=c)
-    s = np.sin(x)
-    ratio = np.multiply(x, 4 * n_units, out=x)
-    np.sin(ratio, out=ratio)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(ratio, c, out=ratio)
-    np.abs(ratio, out=ratio)
-    np.abs(c, out=c)
-    near = c < 1e-12
+        np.divide(sin_phi, cos_theta, out=sin_phi)
+    np.abs(sin_phi, out=sin_phi)
+    near = np.abs(cos_theta) < 1e-12
     if near.any():
-        ratio[near] = 2.0 * n_units
-    np.multiply(s, s, out=s)
-    s *= scale
-    s *= ratio
-    return s
+        sin_phi[near] = 2.0 * n_units
+    np.subtract(1.0, cos_theta, out=cos_theta)
+    cos_theta *= scale
+    sin_phi *= cos_theta
+    return sin_phi
+
+
+def _grid_displacement_abs(scale, n_units: int, tau: float, omega_min: float, step: float,
+                           omega_last: float) -> np.ndarray:
+    """cpmg_displacement_abs, unchecked, on the n nodes omega_min + j*step
+    (j = 0..n-1) and one more node omega_last, which comes last.
+
+    scale holds lam/omega over those n + 1 nodes. theta and phi are
+    affine in j, so their cos and sin come by angle addition from
+    tables of B = ceil(sqrt(n)) values (_affine_trig): 8 trig calls on
+    B-element arrays in place of 2 on n nodes. The last node is
+    evaluated as cpmg_displacement_abs evaluates it. Needs n >= 1,
+    N >= 1, tau > 0, every node > 0 and step > 0.
+    """
+    n = len(scale) - 1
+    b = math.isqrt(n - 1) + 1
+    theta0, dtheta = omega_min * (tau / 4.0), step * (tau / 4.0)
+    # B*B >= n grid nodes, then one slot that the last node can take
+    cos_theta, sin_phi = np.empty(b * b + 1), np.empty(b * b + 1)
+    _affine_trig(theta0, dtheta, b, cos_theta[:b * b], sine=False)
+    _affine_trig(theta0 * (2 * n_units), dtheta * (2 * n_units), b, sin_phi[:b * b], sine=True)
+    _phases(np.array([omega_last]), n_units, tau, cos_theta[n:n + 1], sin_phi[n:n + 1])
+    return _amplitude(scale, n_units, cos_theta[:n + 1], sin_phi[:n + 1])
+
+
+def _affine_trig(start: float, delta: float, b: int, out: np.ndarray, sine: bool) -> None:
+    """cos (or sin) of start + j*delta for j = 0..B*B-1, into out.
+
+    With j = a*B + c, the angle is start + u_a + v_c, u_a = a*B*delta and
+    v_c = c*delta. Angle addition makes the B x B table one matrix
+    product, [cos u_a, sin u_a] @ M @ [cos v_c; sin v_c], where the 2 x 2
+    matrix M holds start's cos and sin. Only start is large, and it is
+    rounded once, where it was computed.
+    """
+    k = np.arange(b, dtype=float)
+    rows, cols = np.empty((b, 2)), np.empty((2, b))
+    u, v = k * (b * delta), k * delta
+    np.cos(u, out=rows[:, 0])
+    np.sin(u, out=rows[:, 1])
+    np.cos(v, out=cols[0])
+    np.sin(v, out=cols[1])
+    cs, ss = math.cos(start), math.sin(start)
+    # sin(s + u + v) = sin(s + u) cos v + cos(s + u) sin v, and
+    # cos(s + u + v) = cos(s + u) cos v - sin(s + u) sin v
+    m = np.array([[ss, cs], [cs, -ss]] if sine else [[cs, -ss], [-ss, -cs]])
+    np.matmul(rows @ m, cols, out=out.reshape(b, b))
 
 
 def total_displacement(sched: ControlSchedule, coupling: Coupling, omega) -> complex:

@@ -29,7 +29,7 @@ import numpy as np
 from .estimation import (Estimate, Posterior, bayes_update, gaussian_prior, mass_beyond, mle,
                          regrid, uncertainty)
 from .information import G_RMS1, lambda_tilde_cpmg
-from .model import (Coupling, ThermalState, _displacement_abs, cpmg_displacement_abs,
+from .model import (Coupling, ThermalState, _grid_displacement_abs, cpmg_displacement_abs,
                     outcome_probability, zeta)
 
 STAGE_I = 1
@@ -246,25 +246,27 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     diagnostic = ""
 
     def likelihood_nodes(grid):
-        """The likelihood nodes and their 2*lam/omega. The nodes are the
-        posterior grid with the true frequency appended, so one kernel
-        pass gives the shot law and the update.
+        """The grid as the kernel takes it: lam/omega over the grid with
+        the true frequency appended, so one kernel pass gives the shot
+        law and the update, and the first node and linspace's step, from
+        which the kernel rebuilds the nodes.
 
-        The kernel's omega > 0 check runs here, once per grid; every
-        plan and probe has N >= 2 and tau > 0.
+        The kernel's omega > 0 check runs here, once per grid, on the
+        lowest node (omega_true > 0 is a config check); every plan and
+        probe has N >= 2 and tau > 0.
         """
-        nodes = np.append(grid, cfg.omega_true)
-        if (nodes <= 0).any():
+        if not grid[0] > 0:
             raise ValueError("omega must be positive")
-        return nodes, 2.0 * cfg.lam / nodes
+        scale = cfg.lam / np.append(grid, cfg.omega_true)
+        return scale, grid.item(0), (grid.item(-1) - grid.item(0)) / (len(grid) - 1)
 
-    nodes, scale = likelihood_nodes(post.grid)
+    scale, w_min, step = likelihood_nodes(post.grid)
 
     def measure(N, tau, nu):
         """Apply nu shots of the (N, tau) schedule: sample at the true
         frequency, fold the likelihood into the posterior, advance time."""
         nonlocal post, t_total
-        a = _displacement_abs(scale, N, nodes, tau)
+        a = _grid_displacement_abs(scale, N, tau, w_min, step, cfg.omega_true)
         p = outcome_probability(a, state)
         npl = rng.binomial(nu, p[-1])
         post = bayes_update(post, p[:-1], npl, nu - npl)
@@ -319,14 +321,14 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
             hw = max(REGRID_HALFWIDTH_SIGMAS * dw_hat, 1.05 * float(np.abs(kept - w_hat).max()))
             if hw < (post.omega_max - post.omega_min) / 2:
                 new = regrid(post, w_hat, hw, cfg.n_points)
-                # the likelihood kernel needs distinct nodes
+                # the kernel needs distinct nodes omega_min + j*step
                 if not (np.diff(new.grid) > 0).all():
                     aborted = True
                     diagnostic = (f"grid beyond float64 resolution at step {k}: the window "
                                   f"{w_hat} +- {hw} holds fewer than {cfg.n_points} distinct nodes")
                     break
                 post = new
-                nodes, scale = likelihood_nodes(post.grid)
+                scale, w_min, step = likelihood_nodes(post.grid)
 
     return Trajectory(
         records=tuple(records),

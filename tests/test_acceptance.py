@@ -41,7 +41,8 @@ FROZEN_SUP_BOUND_N50 = 5e-3
 # Final-step calibration bands (check 11). Over six disjoint 500-rep
 # ensembles (seeds 100000, 200000, 300000 + r, nbar 10 and 1000) and the
 # two fixtures, RMS z spans 0.934-1.046 and the fraction within 2 widths
-# 0.938-0.970; one ensemble's sampling spread is about 0.035 and 0.010.
+# 0.938-0.970, both before and after the loop's likelihood kernel moved
+# to angle addition; one ensemble's sampling spread is about 0.035 and 0.010.
 RMS_Z_BAND = (0.85, 1.15)
 MIN_WITHIN_2_WIDTHS = 0.91
 

@@ -28,6 +28,7 @@ from qsense.model import (
     total_displacement_direct,
     zeta,
 )
+from qsense.model import _grid_displacement_abs
 
 lam_st = st.floats(min_value=1e-3, max_value=10.0)
 tau_st = st.floats(min_value=0.1, max_value=20.0)
@@ -308,6 +309,102 @@ class TestDisplacementMagnitude:
             cpmg_displacement_abs(coupling, 3, 1.0, -1.0)
         with pytest.raises(ValueError):
             cpmg_displacement_abs(coupling, 0, 1.0, 1.0)
+
+
+def grid_kernel(coupling, n_units, grid, omega_last, tau):
+    """The loop's kernel on a linspace grid and one more node, last."""
+    scale = coupling.lam / np.append(grid, omega_last)
+    step = (grid[-1] - grid[0]) / (len(grid) - 1)
+    return _grid_displacement_abs(scale, n_units, tau, grid[0], step, omega_last)
+
+
+def amplitude_oracle(lam, n_units, nodes, tau):
+    """(lam/omega)(1 - cos theta)|sin phi/cos theta| at each node, to 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    out = []
+    with mpmath.workdps(40):
+        q = mpmath.mpf(tau) / 4
+        for w in nodes.tolist():
+            theta = mpmath.mpf(w) * q
+            c = mpmath.cos(theta)
+            out.append(float(mpmath.mpf(lam) / w * (1 - c)
+                             * abs(mpmath.sin(2 * n_units * theta) / c)))
+    return np.array(out)
+
+
+class TestGridKernel:
+    """The loop's kernel, built by angle addition on a uniform grid, against
+    cpmg_displacement_abs on the same nodes."""
+
+    @given(n=st.integers(min_value=64, max_value=5000) | st.sampled_from([4096, 4097]),
+           log_n_units=st.floats(min_value=np.log10(2.0), max_value=6.0),
+           center=st.floats(min_value=10.0, max_value=100.0),
+           log_half=st.floats(min_value=-13.0, max_value=-2.0),
+           detune=st.floats(min_value=-1.0, max_value=1.0),
+           last=st.floats(min_value=-1.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pointwise_kernel(self, n, log_n_units, center, log_half, detune, last):
+        # half-widths down to 1e-13*center, about 500 ulp(center)
+        n_units = int(round(10**log_n_units))
+        half = center * 10**log_half
+        tau = 2 * np.pi / center * (1 + 1 / n_units) * (1 + detune / n_units)
+        grid = np.linspace(center - half, center + half, n)
+        nodes = np.append(grid, center + last * half)
+        coupling = Coupling(0.1)
+        got = grid_kernel(coupling, n_units, grid, nodes[-1], tau)
+        want = cpmg_displacement_abs(coupling, n_units, nodes, tau)
+        assert got.shape == want.shape
+        # conditioning: each kernel rounds theta and phi by a few ulp, and
+        # the grid kernel's node omega_min + j*step is within an ulp of the
+        # grid's; dc and ds bound the errors in cos theta and sin phi
+        eps = np.finfo(float).eps
+        theta = nodes * (tau / 4)
+        phi = theta * (2 * n_units)
+        c, s = np.cos(theta), np.sin(phi)
+        dc, ds = 4 * eps * (np.abs(theta) + 1), 4 * eps * (np.abs(phi) + 1)
+        # the nearest the perturbed cos theta comes to 0; near the major
+        # peak both kernels take the limit 2N, so nodes there are skipped
+        low = np.abs(c) - dc
+        ok = low > 1e-12
+        low = np.where(ok, low, 1.0)
+        ratio_err = ds / low + np.abs(s) * dc / (np.abs(c) * low)
+        bound = (0.1 / nodes) * ((1 - c) * ratio_err + dc * np.abs(s / c)) + 4 * eps * want
+        assert np.all(np.abs(got - want)[ok] <= bound[ok])
+        assert ok.mean() > 0.99
+
+    @pytest.mark.parametrize("n_units,half", [(80000, 3e-7), (1000, 1e-3)])
+    def test_worst_error_within_twice_pointwise(self, n_units, half):
+        # against 40-digit values at the grid's own float64 nodes
+        tau = 2 * np.pi / 50.0 * (1 + 1 / n_units)
+        grid = np.linspace(50.0 - half, 50.0 + half, 4096)
+        nodes = np.append(grid, 50.0 + half / 3)
+        exact = amplitude_oracle(0.1, n_units, nodes, tau)
+        coupling = Coupling(0.1)
+        err_grid = np.abs(grid_kernel(coupling, n_units, grid, nodes[-1], tau) - exact).max()
+        err_point = np.abs(cpmg_displacement_abs(coupling, n_units, nodes, tau) - exact).max()
+        assert err_grid <= 2 * err_point
+
+    @pytest.mark.parametrize("n_units", [1, 7, 5000])
+    def test_major_peak_takes_the_limit(self, n_units):
+        # step 1/2048 is exact, so node 2048 is omega = 50, where omega*tau = 2*pi
+        coupling, tau = Coupling(0.1), 2 * np.pi / 50.0
+        grid = np.linspace(49.0, 51.0, 4097)
+        assert grid[2048] == 50.0
+        got = grid_kernel(coupling, n_units, grid, 50.5, tau)
+        assert got[2048] == pytest.approx(2 * 0.1 / 50.0 * n_units, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [64, 100, 4096, 4097])
+    def test_last_node_is_the_pointwise_value(self, n):
+        rng = np.random.default_rng(n)
+        coupling = Coupling(0.1)
+        for _ in range(20):
+            n_units = int(rng.integers(2, 100000))
+            w = float(rng.uniform(45.0, 55.0))
+            tau = 2 * np.pi / w * (1 + 1 / n_units)
+            grid = np.linspace(w - 0.1, w + 0.1, n)
+            got = grid_kernel(coupling, n_units, grid, w, tau)
+            assert got.shape == (n + 1,)
+            assert got[-1] == cpmg_displacement_abs(coupling, n_units, w, tau)
 
 
 class TestCoherence:

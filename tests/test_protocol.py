@@ -14,7 +14,7 @@ import pytest
 
 from qsense import protocol
 from qsense.estimation import Posterior
-from qsense.model import Coupling, alpha_cpmg
+from qsense.model import Coupling, alpha_cpmg, cpmg_displacement_abs
 from qsense.protocol import (
     STAGE_I,
     STAGE_II,
@@ -347,6 +347,27 @@ class TestRunLoop:
         # the run keeps the last grid that held distinct nodes
         assert (np.diff(traj.final_posterior.grid) > 0).all()
         assert traj.final_estimate.omega_hat == traj.records[-1].omega_k
+
+
+class TestGridKernelInLoop:
+    def test_same_decisions_as_pointwise_kernel(self, monkeypatch):
+        # the loop's grid kernel against cpmg_displacement_abs on the same
+        # nodes, over 4 reps of the nbar-1000 reference scenario
+        def pointwise(scale, n_units, tau, omega_min, step, omega_last):
+            nodes = np.append(omega_min + np.arange(len(scale) - 1) * step, omega_last)
+            return cpmg_displacement_abs(Coupling(0.1), n_units, nodes, tau)
+
+        cfgs = [reference_config(nbar=1000.0, seed=100000 + r) for r in range(4)]
+        grid_runs = [run_adaptive(cfg) for cfg in cfgs]
+        monkeypatch.setattr(protocol, "_grid_displacement_abs", pointwise)
+        for cfg, a in zip(cfgs, grid_runs):
+            b = run_adaptive(cfg)
+            assert not a.aborted and not b.aborted
+            assert [(r.plan.n_units, r.n_plus, r.probe_time > 0) for r in a.records] == \
+                [(r.plan.n_units, r.n_plus, r.probe_time > 0) for r in b.records]
+            for ra, rb in zip(a.records, b.records):
+                assert abs(ra.omega_k - rb.omega_k) <= 1e-5 * rb.delta_omega_k
+                assert abs(ra.delta_omega_k - rb.delta_omega_k) <= 1e-5 * rb.delta_omega_k
 
 
 class TestEnsembleInvariants:
