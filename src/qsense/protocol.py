@@ -246,10 +246,9 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     diagnostic = ""
 
     def likelihood_nodes(grid):
-        """The grid as the kernel takes it: lam/omega over the grid with
-        the true frequency appended, so one kernel pass gives the shot
-        law and the update, and the first node and linspace's step, from
-        which the kernel rebuilds the nodes.
+        """The grid as the kernel takes it: its first node, linspace's
+        step, and lam/omega over the grid with the true frequency
+        appended, so one kernel pass gives the shot law and the update.
 
         The kernel's omega > 0 check runs here, once per grid, on the
         lowest node (omega_true > 0 is a config check); every plan and

@@ -51,9 +51,9 @@ class AggregateResult:
     of them has entered stage (ii) there; the other columns are means.
     final_error, final_width and final_evolution_time hold, for each of
     those repetitions in order, the final omega_hat - omega_true, the
-    final delta_omega and the last step's N*tau. aborted lists (repetition, diagnostic) for each aborted repetition,
-    in repetition order, and rep0_posterior is the final posterior of
-    repetition 0. fit_slope and fit_window are None when there are
+    final delta_omega and the last step's N*tau. aborted lists
+    (repetition, diagnostic) for each aborted repetition, in repetition
+    order, and rep0_posterior is the final posterior of repetition 0. fit_slope and fit_window are None when there are
     fewer than 3 steps.
     """
 
@@ -80,12 +80,13 @@ def _run_one(args) -> tuple:
     steps = np.array([(s.plan.stage, s.plan.n_units, s.plan.tau, s.plan.repetitions,
                        s.cumulative_time, s.delta_omega_k, s.zeta_k, s.scaled_alpha_k)
                       for s in traj.records], dtype=float)
+    # an aborted repetition sends back no final values
     final = None
     if not traj.aborted:
         last, est = traj.records[-1].plan, traj.final_estimate
         final = (est.omega_hat - cfg.omega_true, est.delta_omega, last.n_units * last.tau)
     # only repetition 0's posterior is sent back across the pool
-    return steps, final, traj.aborted, traj.diagnostic, traj.final_posterior if r == 0 else None
+    return steps, final, traj.diagnostic, traj.final_posterior if r == 0 else None
 
 
 def run_repetitions(cfg: AdaptiveConfig, n_reps: int,
@@ -122,9 +123,9 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int,
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_one, jobs, chunksize=max(1, n_reps // (4 * workers))))
 
-    steps, finals, aborted_flags, diagnostics, posteriors = zip(*results)
-    aborted = tuple((r, diagnostics[r]) for r, flag in enumerate(aborted_flags) if flag)
-    kept = [rows for rows, flag in zip(steps, aborted_flags) if not flag]
+    steps, finals, diagnostics, posteriors = zip(*results)
+    aborted = tuple((r, diagnostics[r]) for r, final in enumerate(finals) if final is None)
+    kept = [rows for rows, final in zip(steps, finals) if final is not None]
     if not kept:
         raise ValueError(f"all {n_reps} repetitions aborted; rep 0: {diagnostics[0]}")
     # a run that does not abort records max_steps steps

@@ -362,15 +362,17 @@ class TestGridKernel:
         phi = theta * (2 * n_units)
         c, s = np.cos(theta), np.sin(phi)
         dc, ds = 4 * eps * (np.abs(theta) + 1), 4 * eps * (np.abs(phi) + 1)
-        # the nearest the perturbed cos theta comes to 0; near the major
-        # peak both kernels take the limit 2N, so nodes there are skipped
+        # low is the nearest the perturbed cos theta comes to 0
         low = np.abs(c) - dc
         ok = low > 1e-12
         low = np.where(ok, low, 1.0)
         ratio_err = ds / low + np.abs(s) * dc / (np.abs(c) * low)
         bound = (0.1 / nodes) * ((1 - c) * ratio_err + dc * np.abs(s / c)) + 4 * eps * want
         assert np.all(np.abs(got - want)[ok] <= bound[ok])
-        assert ok.mean() > 0.99
+        # next to the major peak the ratio is 0/0 in float64, and
+        # |sin phi / cos theta| <= 2N bounds it; the kernels take that limit
+        limit = (0.1 / nodes) * (1 - c) * 2 * n_units
+        assert np.all(got[~ok] <= limit[~ok] * (1 + 1e-3))
 
     @pytest.mark.parametrize("n_units,half", [(80000, 3e-7), (1000, 1e-3)])
     def test_worst_error_within_twice_pointwise(self, n_units, half):
