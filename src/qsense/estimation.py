@@ -1,7 +1,10 @@
 """Grid-based Bayesian inference of the oscillator frequency.
 
 The posterior over omega lives on a uniform grid and is carried in log
-domain so that many-shot likelihood products cannot underflow. Updates,
+domain so that many-shot likelihood products cannot underflow. An
+update takes each node's binary-outcome likelihood as the signed
+contrast L = P+ - P- in [-1, 1], from which log P+ and log P- follow
+by log1p up to a common ln 2. Updates,
 point estimation (argmax refined by a local parabola), RMS uncertainty
 (over the whole grid or a window about the estimate), the mass beyond a
 radius, and window changes (regrid) are pure functions returning new
@@ -19,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 LOG_FLOOR = -745.0
+# floor on each outcome's probability in an update, P+ and P- >= P_CLAMP:
+# the signed contrast L = P+ - P- is clamped to |L| <= 1 - 2*P_CLAMP
 P_CLAMP = 1e-12
 
 __all__ = [
@@ -123,44 +128,50 @@ def gaussian_prior(omega0: float, delta_omega0: float, span_sigmas: float,
     return Posterior(grid, -((grid - omega0) ** 2) / (2.0 * delta_omega0**2))
 
 
-def bayes_update(post: Posterior, p_plus: np.ndarray, n_plus: int,
+def bayes_update(post: Posterior, contrast: np.ndarray, n_plus: int,
                  n_minus: int) -> Posterior:
-    """Multiply in a batch of binary outcomes with per-node probability p_plus.
+    """Multiply in a batch of binary outcomes with per-node signed contrast L.
 
-    log-weights gain n_plus*log(P+) + n_minus*log(1-P+), then
-    renormalize; a term whose count is zero is skipped. P+ is clamped to
-    [1e-12, 1-1e-12] before the logs so a single contrary outcome at a
-    likelihood node cannot zero the posterior. Batches compose
-    associatively.
+    L = 2*P_plus - 1 lies in [-1, 1]. log-weights gain
+    n_plus*log1p(L) + n_minus*log1p(-L), which is the log-likelihood
+    n_plus*log(P+) + n_minus*log(P-) up to the common -(n_plus +
+    n_minus)*ln 2 that the renormalization removes; a term whose count
+    is zero is skipped. L is clamped to [2*P_CLAMP - 1, 1 - 2*P_CLAMP],
+    that is P+ and P- to at least P_CLAMP, before the logs so a single
+    contrary outcome at a likelihood node cannot zero the posterior.
+    Batches compose associatively.
     """
-    p = np.asarray(p_plus, dtype=float)
-    if p.shape != (post.n_points,):
-        raise ValueError(f"p_plus has shape {p.shape}, grid has {post.n_points} nodes")
+    c = np.asarray(contrast, dtype=float)
+    if c.shape != (post.n_points,):
+        raise ValueError(f"contrast has shape {c.shape}, grid has {post.n_points} nodes")
     if n_plus < 0 or n_minus < 0:
         raise ValueError("outcome counts must be nonnegative")
-    # fmin/fmax skip NaN, as the elementwise comparisons p < 0, p > 1 do
-    lowest = np.fmin.reduce(p)
-    if lowest < 0.0 or np.fmax.reduce(p) > 1.0:
-        raise ValueError("per-node probabilities must lie in [0, 1]")
-    # with every P+ at or above the lower clamp only the upper one can act
-    # (minimum passes NaN, as clip does); P+ of a likelihood lies in [1/2, 1]
-    if lowest >= P_CLAMP:
-        pc = np.minimum(p, 1.0 - P_CLAMP)
+    # fmin/fmax skip NaN, as the elementwise comparisons c < -1, c > 1 do
+    lowest = np.fmin.reduce(c)
+    if lowest < -1.0 or np.fmax.reduce(c) > 1.0:
+        raise ValueError("per-node contrasts must lie in [-1, 1]")
+    bound = 1.0 - 2.0 * P_CLAMP
+    # with every L at or above the lower clamp only the upper one can act
+    # (minimum passes NaN, as clip does); L of the thermal law lies in [0, 1]
+    if lowest >= -bound:
+        cc = np.minimum(c, bound)
     else:
-        pc = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
-    term = np.empty_like(pc)  # one scratch array serves both log terms
+        cc = np.clip(c, -bound, bound)
     lw = post.log_weights
+    # each term is built in a fresh array, then the old log-weights added to it
     if n_plus:
-        np.log(pc, out=term)
+        term = np.log1p(cc)
         if n_plus != 1:
             term *= n_plus
-        lw = lw + term
+        term += lw
+        lw = term
     if n_minus:
-        np.negative(pc, out=term)
-        np.log1p(term, out=term)
+        np.negative(cc, out=cc)  # cc is this call's own array
+        np.log1p(cc, out=cc)
         if n_minus != 1:
-            term *= n_minus
-        lw = lw + term
+            cc *= n_minus
+        cc += lw
+        lw = cc
     return Posterior(post.grid, lw)
 
 
@@ -172,7 +183,7 @@ def mle(post: Posterior) -> float:
     center is returned with a warning.
     """
     w = post.weights
-    i = int(np.argmax(w))
+    i = int(w.argmax())
     ties = np.count_nonzero(w == w[i])
     center = 0.5 * (post.omega_min + post.omega_max)
     if ties == post.n_points:
@@ -228,7 +239,7 @@ def mass_beyond(post: Posterior, center: float, radius: float) -> tuple[float, f
     outer = np.concatenate((post.weights[:lo], post.weights[hi:]))
     if not len(outer):
         return 0.0, math.nan
-    j = int(np.argmax(outer))
+    j = int(outer.argmax())
     if j >= lo:
         j += hi - lo
     return float(outer.sum()), float(post.grid[j])

@@ -152,7 +152,7 @@ def lambda_tilde_cpmg(lam: float, nbar: float) -> float:
         raise ValueError(f"lam must be positive, got {lam}")
     if nbar < 0:
         raise ValueError(f"nbar must be nonnegative, got {nbar}")
-    return lam * np.sqrt(2 * nbar + 1) / np.pi
+    return lam * math.sqrt(2 * nbar + 1) / math.pi
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,7 @@ def cpmg_displacement_abs(coupling: Coupling, n_units: int, omega, tau: float):
     w = omega.reshape(omega.shape or 1)
     cos_theta, sin_phi = np.empty(w.shape), np.empty(w.shape)
     _phases(w, n_units, tau, cos_theta, sin_phi)
-    out = _amplitude(coupling.lam / w, n_units, cos_theta, sin_phi)
+    out = np.abs(_amplitude(coupling.lam / w, n_units, cos_theta, sin_phi), out=sin_phi)
     return out if omega.shape else float(out[0])
 
 
@@ -213,34 +213,39 @@ def _phases(w, n_units: int, tau: float, cos_theta, sin_phi) -> None:
 
 
 def _amplitude(scale, n_units: int, cos_theta, sin_phi):
-    """The amplitude formula of cpmg_displacement_abs, scale = lam/omega.
+    """The amplitude formula of cpmg_displacement_abs, scale = lam/omega,
+    with the sign of sin phi / cos theta kept: its absolute value is the
+    amplitude, and its square is what the outcome law takes.
 
     Works in place in its two arguments and returns sin_phi, which
-    holds the amplitude.
+    holds the signed amplitude.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(sin_phi, cos_theta, out=sin_phi)
-    np.abs(sin_phi, out=sin_phi)
     near = np.abs(cos_theta) < 1e-12
     if near.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(sin_phi, cos_theta, out=sin_phi)
         sin_phi[near] = 2.0 * n_units
+    else:
+        np.divide(sin_phi, cos_theta, out=sin_phi)
     np.subtract(1.0, cos_theta, out=cos_theta)
     cos_theta *= scale
     sin_phi *= cos_theta
     return sin_phi
 
 
-def _grid_displacement_abs(scale, n_units: int, tau: float, omega_min: float, step: float,
-                           omega_last: float) -> np.ndarray:
-    """cpmg_displacement_abs, unchecked, on the n nodes omega_min + j*step
-    (j = 0..n-1) and one more node omega_last, which comes last.
+def _grid_displacement(scale, n_units: int, tau: float, omega_min: float, step: float,
+                       omega_last: float) -> np.ndarray:
+    """cpmg_displacement_abs up to sign, unchecked, on the n nodes
+    omega_min + j*step (j = 0..n-1) and one more node omega_last, which
+    comes last.
 
     scale holds lam/omega over those n + 1 nodes. theta and phi are
     affine in j, so their cos and sin come by angle addition from
     tables of B = ceil(sqrt(n)) values (_affine_trig): 8 trig calls on
     B-element arrays in place of 2 on n nodes. The last node is
-    evaluated as cpmg_displacement_abs evaluates it. Needs n >= 1,
-    N >= 1, tau > 0, every node > 0 and step > 0.
+    evaluated as cpmg_displacement_abs evaluates it. The result is a
+    fresh buffer the caller may overwrite. Needs n >= 1, N >= 1,
+    tau > 0, every node > 0 and step > 0.
     """
     n = len(scale) - 1
     b = math.isqrt(n - 1) + 1
@@ -307,9 +312,24 @@ def zeta(n_units: int, omega, tau: float):
     Nonzero integers sit at the nodes of K around the major peak at
     omega*tau = 2*pi.
     """
-    # a scalar omega stays a Python float, so the formula runs on floats
-    omega = float(omega) if np.ndim(omega) == 0 else np.asarray(omega, dtype=float)
+    # a scalar omega runs as a Python float, so the formula runs on floats
+    if type(omega) is not float:
+        omega = float(omega) if np.ndim(omega) == 0 else np.asarray(omega, dtype=float)
     return n_units * (omega * tau / (2.0 * np.pi) - 1.0)
+
+
+def _contrast(alpha, state: ThermalState, out=None):
+    """The thermal contrast L = exp(-2*(2*nbar+1)*alpha^2) of a real
+    amplitude alpha, whose sign drops out; L lies in [0, 1] and is the
+    signed contrast P_plus - P_minus of the outcome law.
+
+    With out (which may be alpha) every step runs in place there;
+    without, a scalar alpha gives a numpy scalar.
+    """
+    # squared in float64, so an integer cannot wrap and a complex fails the cast
+    contrast = np.square(alpha, out=out, dtype=float)
+    contrast *= -2.0 * (2.0 * state.nbar + 1.0)
+    return np.exp(contrast, out=out)
 
 
 def outcome_probability(alpha, state: ThermalState):
@@ -320,13 +340,5 @@ def outcome_probability(alpha, state: ThermalState):
     a complex alpha raises TypeError. P(-1) is its complement. L lies in
     [0, 1], so P_plus lies in [1/2, 1].
     """
-    alpha = np.asarray(alpha)
-    # one float temporary, reused by each step; 0-d input runs as one element
-    out = np.empty(alpha.shape or 1)
-    # squared in float64, so an integer cannot wrap and a complex fails the cast
-    np.square(alpha.reshape(out.shape), out=out, dtype=float)
-    out *= -2.0 * (2.0 * state.nbar + 1.0)
-    np.exp(out, out=out)
-    out += 1.0
-    out /= 2.0
-    return out if alpha.shape else float(out[0])
+    p_plus = (1.0 + _contrast(alpha, state)) / 2.0
+    return p_plus if isinstance(p_plus, np.ndarray) else float(p_plus)

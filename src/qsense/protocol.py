@@ -29,7 +29,7 @@ import numpy as np
 from .estimation import (Estimate, Posterior, bayes_update, gaussian_prior, mass_beyond, mle,
                          regrid, uncertainty)
 from .information import G_RMS1, lambda_tilde_cpmg
-from .model import (Coupling, ThermalState, _grid_displacement_abs, cpmg_displacement_abs,
+from .model import (Coupling, ThermalState, _contrast, _grid_displacement, cpmg_displacement_abs,
                     outcome_probability, zeta)
 
 STAGE_I = 1
@@ -120,8 +120,19 @@ class AdaptiveConfig:
             problems.append(f"seed must be nonnegative, got {self.seed}")
         if self.n_points < 64:
             problems.append(f"n_points must be >= 64, got {self.n_points}")
+        # the regrid abort's predicate, on the prior's own grid
+        if not problems and not _distinct_nodes(np.linspace(self.omega0 - half, self.omega0 + half,
+                                                            self.n_points)):
+            problems.append(f"prior grid beyond float64 resolution: the window {self.omega0} +- "
+                            f"{half} holds fewer than {self.n_points} distinct nodes")
         if problems:
             raise ValueError("; ".join(problems))
+
+
+def _distinct_nodes(grid: np.ndarray) -> bool:
+    """True when the grid's nodes are strictly increasing, so the grid
+    kernel's omega_min + j*step names each of them."""
+    return bool((np.diff(grid) > 0).all())
 
 
 @dataclass(frozen=True)
@@ -226,8 +237,9 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     Each step is plan -> simulate -> Bayes update -> estimate and
     windowed width -> probe -> regrid; the posterior arithmetic is all
     in `estimation`. The run aborts, with a diagnostic, on a non-finite
-    estimate or once a regrid window cannot hold n_points distinct
-    float64 nodes.
+    estimate (a width window pi/T that holds no posterior weight leaves
+    the width undefined) or once a regrid window cannot hold n_points
+    distinct float64 nodes.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -263,14 +275,17 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
 
     def measure(N, tau, nu):
         """Apply nu shots of the (N, tau) schedule: sample at the true
-        frequency, fold the likelihood into the posterior, advance time."""
+        frequency, fold the likelihood into the posterior, advance time.
+
+        The kernel's buffer becomes the grid's contrast L in place, so
+        the true node's amplitude is read from it first."""
         nonlocal post, t_total
-        a = _grid_displacement_abs(scale, N, tau, w_min, step, cfg.omega_true)
-        p = outcome_probability(a, state)
-        npl = rng.binomial(nu, p[-1])
-        post = bayes_update(post, p[:-1], npl, nu - npl)
+        a = _grid_displacement(scale, N, tau, w_min, step, cfg.omega_true)
+        a_true = abs(a.item(-1))
+        npl = rng.binomial(nu, outcome_probability(a_true, state))
+        post = bayes_update(post, _contrast(a, state, out=a)[:-1], npl, nu - npl)
         t_total += nu * N * tau
-        return float(a[-1]), int(npl), int(nu - npl)
+        return a_true, int(npl), int(nu - npl)
 
     for k in range(cfg.max_steps):
         plan = (stage1_plan if stage == STAGE_I else stage2_plan)(w_est, dw_est, cfg)
@@ -281,7 +296,11 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         for block in range(MAX_PROBE_BLOCKS + 1):
             # the width is the posterior RMS within half a fringe period
             w_hat = mle(post)
-            dw_hat = uncertainty(post, w_hat, np.pi / T)
+            try:
+                dw_hat = uncertainty(post, w_hat, np.pi / T)
+            except ValueError:  # no posterior weight within pi/T of the estimate
+                dw_hat = math.nan
+                break
             far_mass, w_r = mass_beyond(post, w_hat, max(np.pi / T, 6 * dw_hat))
             if far_mass > PROBE_ON:
                 probing = True
@@ -299,7 +318,8 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
 
         if not (math.isfinite(w_hat) and math.isfinite(dw_hat)):
             aborted = True
-            diagnostic = f"non-finite estimate at step {k}: omega={w_hat}, dw={dw_hat}"
+            diagnostic = (f"non-finite estimate at step {k}: omega={w_hat}, dw={dw_hat}, "
+                          f"width window pi/T={np.pi / T}, grid spacing {post.spacing}")
             break
 
         records.append(StepRecord(
@@ -320,8 +340,7 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
             hw = max(REGRID_HALFWIDTH_SIGMAS * dw_hat, 1.05 * float(np.abs(kept - w_hat).max()))
             if hw < (post.omega_max - post.omega_min) / 2:
                 new = regrid(post, w_hat, hw, cfg.n_points)
-                # the kernel needs distinct nodes omega_min + j*step
-                if not (np.diff(new.grid) > 0).all():
+                if not _distinct_nodes(new.grid):
                     aborted = True
                     diagnostic = (f"grid beyond float64 resolution at step {k}: the window "
                                   f"{w_hat} +- {hw} holds fewer than {cfg.n_points} distinct nodes")

@@ -53,8 +53,8 @@ class AggregateResult:
     those repetitions in order, the final omega_hat - omega_true, the
     final delta_omega and the last step's N*tau. aborted lists
     (repetition, diagnostic) for each aborted repetition, in repetition
-    order, and rep0_posterior is the final posterior of repetition 0. fit_slope and fit_window are None when there are
-    fewer than 3 steps.
+    order, and rep0_posterior is the final posterior of repetition 0.
+    fit_slope and fit_window are None when there are fewer than 3 steps.
     """
 
     steps: dict[str, np.ndarray]

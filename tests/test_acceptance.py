@@ -188,15 +188,15 @@ def test_08_estimation_suite():
 
     # batch associativity: two updates equal one merged update
     base = Posterior(np.linspace(-1.0, 1.0, 512), np.full(512, -np.log(512)))
-    p_profile = 0.5 * (1.0 + 0.8 * np.sin(base.grid))
-    split = bayes_update(bayes_update(base, p_profile, 3, 2), p_profile, 1, 4)
-    merged = bayes_update(base, p_profile, 4, 6)
+    l_profile = 0.8 * np.sin(base.grid)
+    split = bayes_update(bayes_update(base, l_profile, 3, 2), l_profile, 1, 4)
+    merged = bayes_update(base, l_profile, 4, 6)
     assoc = float(np.max(np.abs(split.weights - merged.weights)))
     assert assoc <= 1e-12
 
     # width contraction follows 1/sqrt(nu) under expected counts
     grid_post = Posterior(np.linspace(-1.0, 1.0, 4096), np.full(4096, -np.log(4096)))
-    profile = 0.5 * (1.0 + 0.8 * np.sin(grid_post.grid))
+    profile = 0.8 * np.sin(grid_post.grid)
     nus = np.array([100, 1000, 10_000, 100_000])
     widths = []
     for nu in nus:
@@ -209,7 +209,7 @@ def test_08_estimation_suite():
     # estimator consistency over seeded binomial trials
     omega_true = 0.35
     flat = Posterior(np.linspace(-1.0, 1.0, 1024), np.full(1024, -np.log(1024)))
-    trial_profile = 0.5 * (1.0 + 0.8 * np.sin(flat.grid - omega_true))
+    trial_profile = 0.8 * np.sin(flat.grid - omega_true)
     nu = 400
     rng = np.random.default_rng(20260822)
     hits = 0

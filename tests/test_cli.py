@@ -558,6 +558,18 @@ class TestAdapt:
             "got [50.5, 50.5]"]
         assert not list(tmp_path.glob("w*"))
 
+    def test_prior_grid_beyond_float64_exits_2(self, tmp_path, capsys):
+        # the prior window 50 +- 8e-14 holds about 23 distinct float64 nodes
+        omega0 = 50 + 1e-14
+        cfg = write_adapt_config(tmp_path / "cfg.json", omega0=omega0, delta_omega0=1e-14,
+                                 nbar=10.0, max_steps=20)
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "f")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: prior grid beyond float64 resolution: the window {omega0} +- "
+            "8e-14 holds fewer than 4096 distinct nodes"]
+        assert not list(tmp_path.glob("f*"))
+
     def test_prior_grid_below_zero_exits_2(self, tmp_path, capsys):
         cfg = write_adapt_config(tmp_path / "cfg.json", omega_true=1.0, omega0=1.0,
                                  delta_omega0=0.5, nbar=0.0)

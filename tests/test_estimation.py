@@ -81,29 +81,31 @@ class TestGaussianPrior:
             gaussian_prior(50.0, 0.5, -1.0, 4096)
 
 
-def clip_update(post, p_plus, n_plus, n_minus):
-    """The Bayes update written plainly, with P+ clipped on both sides."""
-    pc = np.clip(np.asarray(p_plus, dtype=float), P_CLAMP, 1.0 - P_CLAMP)
+def clip_update(post, contrast, n_plus, n_minus):
+    """The Bayes update written plainly, with L clipped on both sides."""
+    bound = 1.0 - 2.0 * P_CLAMP
+    lc = np.clip(np.asarray(contrast, dtype=float), -bound, bound)
     lw = post.log_weights
     if n_plus:
-        lw = lw + n_plus * np.log(pc)
+        lw = lw + n_plus * np.log1p(lc)
     if n_minus:
-        lw = lw + n_minus * np.log1p(-pc)
+        lw = lw + n_minus * np.log1p(-lc)
     return Posterior(post.grid, lw)
 
 
 class TestBayesUpdate:
     def test_no_data_identity(self):
         post = gaussian_prior(50.0, 1.0, 4.0, 128)
-        same = bayes_update(post, np.full(128, 0.3), 0, 0)
+        same = bayes_update(post, np.full(128, -0.4), 0, 0)
         assert np.allclose(same.log_weights, post.log_weights, atol=1e-12)
 
     def test_three_level_brute_force(self):
-        # flat prior, block-valued P+ = 0.2 / 0.5 / 0.8, two + and one -
-        # outcome: weights proportional to p^2 (1-p), highest at 0.8
+        # flat prior, block-valued P+ = 0.2 / 0.5 / 0.8 (L = -0.6 / 0 / 0.6),
+        # two + and one - outcome: weights proportional to p^2 (1-p),
+        # highest at 0.8
         post = flat_posterior(n_points=64)
-        p = np.concatenate([np.full(32, 0.2), np.full(31, 0.5), [0.8]])
-        out = bayes_update(post, p, 2, 1)
+        lc = np.concatenate([np.full(32, -0.6), np.full(31, 0.0), [0.6]])
+        out = bayes_update(post, lc, 2, 1)
         w = out.weights
         assert w[0] / w[63] == pytest.approx(0.032 / 0.128, rel=1e-12)
         assert w[40] / w[63] == pytest.approx(0.125 / 0.128, rel=1e-12)
@@ -111,8 +113,8 @@ class TestBayesUpdate:
 
     def test_monotone_likelihood_pushes_to_boundary(self):
         post = flat_posterior(n_points=128)
-        p = np.linspace(0.1, 0.9, 128)
-        out = bayes_update(post, p, 40, 0)
+        lc = np.linspace(-0.8, 0.8, 128)
+        out = bayes_update(post, lc, 40, 0)
         assert mle(out) == pytest.approx(out.grid[-1], abs=out.spacing)
 
     @given(st.integers(min_value=0, max_value=30),
@@ -124,43 +126,44 @@ class TestBayesUpdate:
     def test_batch_associativity(self, a_plus, a_minus, b_plus, b_minus, seed):
         rng = np.random.default_rng(seed)
         post = flat_posterior(n_points=96)
-        p = rng.uniform(0.05, 0.95, size=96)
-        split = bayes_update(bayes_update(post, p, a_plus, a_minus), p, b_plus, b_minus)
-        joint = bayes_update(post, p, a_plus + b_plus, a_minus + b_minus)
+        lc = rng.uniform(-0.9, 0.9, size=96)
+        split = bayes_update(bayes_update(post, lc, a_plus, a_minus), lc, b_plus, b_minus)
+        joint = bayes_update(post, lc, a_plus + b_plus, a_minus + b_minus)
         assert np.allclose(split.log_weights, joint.log_weights, atol=1e-12)
 
-    @given(st.lists(st.one_of(st.sampled_from([0.0, P_CLAMP, 1.0 - P_CLAMP, 1.0]),
-                              st.floats(min_value=0.0, max_value=1.0)),
+    @given(st.lists(st.one_of(st.sampled_from([-1.0, 2.0 * P_CLAMP - 1.0, 0.0,
+                                               1.0 - 2.0 * P_CLAMP, 1.0]),
+                              st.floats(min_value=-1.0, max_value=1.0)),
                     min_size=64, max_size=64),
            st.booleans(),
            st.sampled_from([0, 1, 3]),
            st.sampled_from([0, 1, 3]))
     @settings(max_examples=200, deadline=None)
-    def test_matches_two_sided_clip_bitwise(self, p_list, floored, n_plus, n_minus):
-        # with every P+ at or above P_CLAMP the update clamps one side only
-        p = np.array(p_list)
+    def test_matches_two_sided_clip_bitwise(self, l_list, floored, n_plus, n_minus):
+        # with every L at or above the lower clamp the update clamps one side only
+        lc = np.array(l_list)
         if floored:
-            p = np.maximum(p, P_CLAMP)
+            lc = np.maximum(lc, 2.0 * P_CLAMP - 1.0)
         post = gaussian_prior(50.0, 1.0, 4.0, 64)
-        got = bayes_update(post, p, n_plus, n_minus)
-        want = clip_update(post, p, n_plus, n_minus)
+        got = bayes_update(post, lc, n_plus, n_minus)
+        want = clip_update(post, lc, n_plus, n_minus)
         assert np.array_equal(got.log_weights, want.log_weights)
         assert np.array_equal(got.weights, want.weights)
 
     def test_renormalized(self):
         post = flat_posterior(n_points=64)
-        out = bayes_update(post, np.linspace(0.2, 0.8, 64), 17, 5)
+        out = bayes_update(post, np.linspace(-0.6, 0.6, 64), 17, 5)
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_input_unchanged(self):
         post = gaussian_prior(50.0, 1.0, 4.0, 128)
         before = post.log_weights.copy()
-        p_plus = np.linspace(0.05, 0.95, 128)
-        p_before = p_plus.copy()
+        contrast = np.linspace(-0.9, 0.9, 128)
+        c_before = contrast.copy()
         for n_plus, n_minus in ((5, 3), (5, 0), (0, 3)):
-            out = bayes_update(post, p_plus, n_plus, n_minus)
+            out = bayes_update(post, contrast, n_plus, n_minus)
             assert np.array_equal(post.log_weights, before)
-            assert np.array_equal(p_plus, p_before)
+            assert np.array_equal(contrast, c_before)
         # the constructor normalizes a copy, not the caller's array
         lw = out.log_weights + 7.0
         lw_before = lw.copy()
@@ -170,38 +173,40 @@ class TestBayesUpdate:
     def test_boundary_probabilities_clamped(self):
         # a contrary outcome at a certain node must not produce -inf
         post = flat_posterior(n_points=64)
-        p = np.concatenate([np.zeros(32), np.ones(32)])
-        out = bayes_update(post, p, 3, 2)
+        lc = np.concatenate([np.full(32, -1.0), np.ones(32)])
+        out = bayes_update(post, lc, 3, 2)
         assert np.all(np.isfinite(out.log_weights))
         assert np.all(out.log_weights >= LOG_FLOOR)
 
     def test_shape_mismatch(self):
         post = flat_posterior(n_points=64)
         with pytest.raises(ValueError):
-            bayes_update(post, np.full(65, 0.5), 1, 0)
+            bayes_update(post, np.full(65, 0.0), 1, 0)
 
     def test_negative_counts(self):
         post = flat_posterior(n_points=64)
         with pytest.raises(ValueError):
-            bayes_update(post, np.full(64, 0.5), -1, 0)
+            bayes_update(post, np.full(64, 0.0), -1, 0)
 
     def test_probability_range_checked(self):
+        # L = 2*P+ - 1 outside [-1, 1] is P+ outside [0, 1]
         post = flat_posterior(n_points=64)
-        with pytest.raises(ValueError):
-            bayes_update(post, np.full(64, 1.2), 1, 0)
+        for value in (1.4, -1.4):
+            with pytest.raises(ValueError, match=r"contrasts must lie in \[-1, 1\]"):
+                bayes_update(post, np.full(64, value), 1, 0)
 
     def test_contraction_follows_root_nu(self):
         # analytic likelihood at omega_true, expected counts: the
         # posterior width must fall as 1/sqrt(nu)
         omega_true = 0.0
         grid_post = Posterior(np.linspace(-1.0, 1.0, 4096), np.full(4096, -np.log(4096)))
-        p_profile = 0.5 * (1.0 + 0.8 * np.sin(grid_post.grid))
+        l_profile = 0.8 * np.sin(grid_post.grid)
         p_true = 0.5
         nus = np.array([100, 1000, 10_000, 100_000])
         widths = []
         for nu in nus:
             n_plus = int(round(nu * p_true))
-            out = bayes_update(grid_post, p_profile, n_plus, int(nu) - n_plus)
+            out = bayes_update(grid_post, l_profile, n_plus, int(nu) - n_plus)
             widths.append(uncertainty(out, mle(out)))
         coef = np.linalg.lstsq(
             np.vstack([np.log(nus), np.ones(len(nus))]).T,
@@ -282,8 +287,8 @@ class TestWindowedSums:
 
     @staticmethod
     def rough_posterior(omega_min=2.0, omega_max=4.0, n_points=257):
-        p = np.random.default_rng(5).uniform(0.05, 0.95, n_points)
-        return bayes_update(flat_posterior(omega_min, omega_max, n_points), p, 3, 2)
+        lc = np.random.default_rng(5).uniform(-0.9, 0.9, n_points)
+        return bayes_update(flat_posterior(omega_min, omega_max, n_points), lc, 3, 2)
 
     # the default grid has spacing 1/128, so its nodes are exact binary
     # fractions; (grid, center, radius)
@@ -375,14 +380,14 @@ class TestEstimatorConsistency:
         # +- 3 delta_omega must cover omega_true in at least 99% of trials
         omega_true = 0.35
         base = Posterior(np.linspace(-1.0, 1.0, 1024), np.full(1024, -np.log(1024)))
-        p_profile = 0.5 * (1.0 + 0.8 * np.sin(base.grid - omega_true))
+        l_profile = 0.8 * np.sin(base.grid - omega_true)
         p_true = 0.5
         nu = 400
         rng = np.random.default_rng(20260822)
         hits = 0
         for _ in range(1000):
             n_plus = int(rng.binomial(nu, p_true))
-            out = bayes_update(base, p_profile, n_plus, nu - n_plus)
+            out = bayes_update(base, l_profile, n_plus, nu - n_plus)
             est = mle(out)
             if abs(est - omega_true) <= 3.0 * uncertainty(out, est):
                 hits += 1

@@ -28,7 +28,7 @@ from qsense.model import (
     total_displacement_direct,
     zeta,
 )
-from qsense.model import _grid_displacement_abs
+from qsense.model import _contrast, _grid_displacement
 
 lam_st = st.floats(min_value=1e-3, max_value=10.0)
 tau_st = st.floats(min_value=0.1, max_value=20.0)
@@ -312,10 +312,11 @@ class TestDisplacementMagnitude:
 
 
 def grid_kernel(coupling, n_units, grid, omega_last, tau):
-    """The loop's kernel on a linspace grid and one more node, last."""
+    """|the loop's kernel| on a linspace grid and one more node, last; the
+    kernel keeps the sign of sin phi / cos theta, which the outcome law squares."""
     scale = coupling.lam / np.append(grid, omega_last)
     step = (grid[-1] - grid[0]) / (len(grid) - 1)
-    return _grid_displacement_abs(scale, n_units, tau, grid[0], step, omega_last)
+    return np.abs(_grid_displacement(scale, n_units, tau, grid[0], step, omega_last))
 
 
 def amplitude_oracle(lam, n_units, nodes, tau):
@@ -491,6 +492,15 @@ class TestOutcomeProbability:
         for alpha in (0.1j, np.array([0.1, 0.2 + 0.0j]), np.complex64(0.3)):
             with pytest.raises(TypeError):
                 outcome_probability(alpha, state)
+
+    def test_contrast_in_place_is_the_law(self):
+        # the loop turns the kernel's signed amplitudes into L in place;
+        # (1 + L)/2 is the outcome law bit for bit, whatever the sign
+        state = ThermalState(2.0)
+        alpha = np.array([0.0, 0.01, -0.2, 0.3, -5.0, 1e100])
+        buf = alpha.copy()
+        assert _contrast(buf, state, out=buf) is buf
+        assert np.array_equal((1.0 + buf) / 2.0, outcome_probability(np.abs(alpha), state))
 
     def test_array_matches_scalar_calls(self):
         state = ThermalState(2.0)

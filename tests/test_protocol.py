@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qsense import protocol
-from qsense.estimation import Posterior
+from qsense.estimation import P_CLAMP, Estimate, Posterior
 from qsense.model import Coupling, alpha_cpmg, cpmg_displacement_abs
 from qsense.protocol import (
     STAGE_I,
@@ -26,7 +26,7 @@ from qsense.protocol import (
     stage2_plan,
     stage_transition,
 )
-from qsense.simkit import reference_config
+from qsense.simkit import reference_config, run_repetitions
 
 
 class ForcedPlus:
@@ -210,6 +210,18 @@ class TestConfigValidation:
             AdaptiveConfig(omega_true=50.0, omega0=50.5, delta_omega0=0.5, lam=0.1,
                            nbar=10.0, span_sigmas=span_sigmas)
 
+    def test_prior_grid_must_hold_distinct_nodes(self):
+        # 16e-14 wide about 50: about 23 distinct float64 nodes for 4096
+        omega0 = 50 + 1e-14
+        with pytest.raises(ValueError, match=(
+                "^prior grid beyond float64 resolution: the window "
+                rf"{omega0} \+- 8e-14 holds fewer than 4096 distinct nodes$")):
+            AdaptiveConfig(omega_true=50.0, omega0=omega0, delta_omega0=1e-14, lam=0.1,
+                           nbar=10.0, max_steps=20)
+        # 64 nodes fit in the same window
+        AdaptiveConfig(omega_true=50.0, omega0=omega0, delta_omega0=1e-14, lam=0.1,
+                       nbar=10.0, max_steps=20, n_points=64, span_sigmas=1e3)
+
     @pytest.mark.parametrize("field,value", [
         ("lam", np.inf), ("nbar", np.nan), ("omega_true", np.nan), ("seed", np.inf),
     ])
@@ -348,26 +360,73 @@ class TestRunLoop:
         assert (np.diff(traj.final_posterior.grid) > 0).all()
         assert traj.final_estimate.omega_hat == traj.records[-1].omega_k
 
+    def test_empty_width_window_aborts(self, monkeypatch):
+        # held in stage (i), the evolution time outgrows the grid until no
+        # node within pi/T of the estimate keeps any weight; rep 1 of six
+        # at nbar 10 gets there, and with it four of the six
+        monkeypatch.setattr(protocol, "stage_transition", lambda dw, lt: False)
+        cfg = reference_config(nbar=10.0, seed=100000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # resolution-limited widths
+            traj = run_adaptive(dataclasses.replace(cfg, seed=100001))
+            agg = run_repetitions(cfg, 6, n_workers=1)
+        assert traj.aborted
+        k = len(traj.records)
+        assert 0 < k < cfg.max_steps
+        assert traj.diagnostic.startswith(f"non-finite estimate at step {k}: omega=")
+        assert ", dw=nan, width window pi/T=" in traj.diagnostic
+        assert traj.diagnostic.endswith(f", grid spacing {traj.final_posterior.spacing}")
+        post = traj.final_posterior
+        assert np.all(np.isfinite(post.log_weights))
+        assert post.weights.sum() == pytest.approx(1.0, abs=1e-9)
+        last = traj.records[-1]
+        assert traj.final_estimate == Estimate(last.omega_k, last.delta_omega_k)
+        # the ensemble counts the aborted reps and averages the others
+        assert [r for r, _ in agg.aborted] == [1, 2, 4, 5]
+        assert agg.aborted[0][1] == traj.diagnostic
+        assert len(agg.final_error) == 2
+
+
+def assert_same_decisions(monkeypatch, name, stand_in):
+    """4 reps of the nbar-1000 reference scenario, run as they are and with
+    protocol.<name> replaced by stand_in, make the same N, shot counts and
+    probe steps, with estimates and widths within 1e-5 widths."""
+    cfgs = [reference_config(nbar=1000.0, seed=100000 + r) for r in range(4)]
+    runs = [run_adaptive(cfg) for cfg in cfgs]
+    monkeypatch.setattr(protocol, name, stand_in)
+    for cfg, a in zip(cfgs, runs):
+        b = run_adaptive(cfg)
+        assert not a.aborted and not b.aborted
+        assert [(r.plan.n_units, r.n_plus, r.probe_time > 0) for r in a.records] == \
+            [(r.plan.n_units, r.n_plus, r.probe_time > 0) for r in b.records]
+        for ra, rb in zip(a.records, b.records):
+            assert abs(ra.omega_k - rb.omega_k) <= 1e-5 * rb.delta_omega_k
+            assert abs(ra.delta_omega_k - rb.delta_omega_k) <= 1e-5 * rb.delta_omega_k
+
 
 class TestGridKernelInLoop:
     def test_same_decisions_as_pointwise_kernel(self, monkeypatch):
-        # the loop's grid kernel against cpmg_displacement_abs on the same
-        # nodes, over 4 reps of the nbar-1000 reference scenario
+        # the loop's grid kernel against cpmg_displacement_abs on the same nodes
         def pointwise(scale, n_units, tau, omega_min, step, omega_last):
             nodes = np.append(omega_min + np.arange(len(scale) - 1) * step, omega_last)
             return cpmg_displacement_abs(Coupling(0.1), n_units, nodes, tau)
 
-        cfgs = [reference_config(nbar=1000.0, seed=100000 + r) for r in range(4)]
-        grid_runs = [run_adaptive(cfg) for cfg in cfgs]
-        monkeypatch.setattr(protocol, "_grid_displacement_abs", pointwise)
-        for cfg, a in zip(cfgs, grid_runs):
-            b = run_adaptive(cfg)
-            assert not a.aborted and not b.aborted
-            assert [(r.plan.n_units, r.n_plus, r.probe_time > 0) for r in a.records] == \
-                [(r.plan.n_units, r.n_plus, r.probe_time > 0) for r in b.records]
-            for ra, rb in zip(a.records, b.records):
-                assert abs(ra.omega_k - rb.omega_k) <= 1e-5 * rb.delta_omega_k
-                assert abs(ra.delta_omega_k - rb.delta_omega_k) <= 1e-5 * rb.delta_omega_k
+        assert_same_decisions(monkeypatch, "_grid_displacement", pointwise)
+
+    def test_same_decisions_as_probability_update(self, monkeypatch):
+        # the update on the signed contrast L against the update on
+        # P+ = (1 + L)/2, clipped to [P_CLAMP, 1 - P_CLAMP] on both sides
+        # before log and log1p
+        def probability_update(post, contrast, n_plus, n_minus):
+            p = np.clip((1.0 + contrast) / 2.0, P_CLAMP, 1.0 - P_CLAMP)
+            lw = post.log_weights
+            if n_plus:
+                lw = lw + n_plus * np.log(p)
+            if n_minus:
+                lw = lw + n_minus * np.log1p(-p)
+            return Posterior(post.grid, lw)
+
+        assert_same_decisions(monkeypatch, "bayes_update", probability_update)
 
 
 class TestEnsembleInvariants:
