@@ -46,11 +46,15 @@ class Posterior:
 
     The constructor shifts log_weights to unit mass and keeps the
     weights exp(log_weights) from the one exp of that normalization.
+    It also remembers the last window (center, radius, lo, hi) found on
+    its grid, so the width and the far mass about one estimate search
+    the grid once; a new posterior starts with none.
     """
 
     grid: np.ndarray = field(repr=False)
     log_weights: np.ndarray
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _last_window: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = self.grid
@@ -67,6 +71,7 @@ class Posterior:
         w /= total
         object.__setattr__(self, "log_weights", lw)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_last_window", None)
 
     @property
     def omega_min(self) -> float:
@@ -101,8 +106,12 @@ def _window(post: Posterior, center: float, radius: float) -> tuple[int, int]:
     the search can miss a node at round-off. The upper end never needs
     lowering: a node below fl(center + radius) is at or below
     center + radius, so its rounded distance from center cannot exceed
-    radius.
+    radius. A repeat of the posterior's last (center, radius) returns
+    its last result.
     """
+    last = post._last_window
+    if last is not None and last[0] == center and last[1] == radius:
+        return last[2], last[3]
     if not (math.isfinite(center) and radius >= 0):
         raise ValueError(f"need a finite center and radius >= 0, got {center}, {radius}")
     grid, n = post.grid, post.n_points
@@ -113,6 +122,7 @@ def _window(post: Posterior, center: float, radius: float) -> tuple[int, int]:
         lo += 1
     while hi < n and abs(grid.item(hi) - center) <= radius:
         hi += 1
+    object.__setattr__(post, "_last_window", (center, radius, lo, hi))
     return lo, hi
 
 
@@ -184,7 +194,8 @@ def mle(post: Posterior) -> float:
     """
     w = post.weights
     i = int(w.argmax())
-    ties = np.count_nonzero(w == w[i])
+    # argmax takes the first maximum, so a tie can only lie after it
+    ties = 1 if i == post.n_points - 1 or w[i + 1:].max() < w[i] else np.count_nonzero(w == w[i])
     center = 0.5 * (post.omega_min + post.omega_max)
     if ties == post.n_points:
         warnings.warn("degenerate posterior: all weights equal, returning grid center")
@@ -236,7 +247,14 @@ def mass_beyond(post: Posterior, center: float, radius: float) -> tuple[float, f
     on a tie); the node is nan when no node lies beyond.
     """
     lo, hi = _window(post, center, radius)
-    outer = np.concatenate((post.weights[:lo], post.weights[hi:]))
+    w = post.weights
+    # a window that reaches an end of the grid leaves one slice outside it
+    if lo == 0:
+        outer = w[hi:]
+    elif hi == post.n_points:
+        outer = w[:lo]
+    else:
+        outer = np.concatenate((w[:lo], w[hi:]))
     if not len(outer):
         return 0.0, math.nan
     j = int(outer.argmax())

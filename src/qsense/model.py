@@ -198,30 +198,30 @@ def cpmg_displacement_abs(coupling: Coupling, n_units: int, omega, tau: float):
     # a 0-d omega runs as a one-element array, since a numpy scalar
     # cannot be an out= target
     w = omega.reshape(omega.shape or 1)
-    cos_theta, sin_phi = np.empty(w.shape), np.empty(w.shape)
-    _phases(w, n_units, tau, cos_theta, sin_phi)
+    cos_theta = np.multiply(w, tau / 4.0)
+    sin_phi = np.multiply(cos_theta, 2 * n_units)
+    np.cos(cos_theta, out=cos_theta)
+    np.sin(sin_phi, out=sin_phi)
     out = np.abs(_amplitude(coupling.lam / w, n_units, cos_theta, sin_phi), out=sin_phi)
     return out if omega.shape else float(out[0])
 
 
-def _phases(w, n_units: int, tau: float, cos_theta, sin_phi) -> None:
-    """cos theta and sin phi at each omega in w, into the two out arrays."""
-    np.multiply(w, tau / 4.0, out=cos_theta)
-    np.multiply(cos_theta, 2 * n_units, out=sin_phi)
-    np.cos(cos_theta, out=cos_theta)
-    np.sin(sin_phi, out=sin_phi)
+# _amplitude's limit test |cos theta| < 1e-12 holds only within about
+# 1e-12 rad of a zero pi/2 + k*pi of cos theta; the grid kernel runs it only
+# when its angles come within NEAR_PEAK_RAD of one.
+NEAR_PEAK_RAD = 1e-9
 
 
-def _amplitude(scale, n_units: int, cos_theta, sin_phi):
+def _amplitude(scale, n_units: int, cos_theta, sin_phi, near_peak: bool = True):
     """The amplitude formula of cpmg_displacement_abs, scale = lam/omega,
     with the sign of sin phi / cos theta kept: its absolute value is the
     amplitude, and its square is what the outcome law takes.
 
     Works in place in its two arguments and returns sin_phi, which
-    holds the signed amplitude.
+    holds the signed amplitude. near_peak False skips the limit test,
+    for a caller that knows no theta lies near a zero of cos theta.
     """
-    near = np.abs(cos_theta) < 1e-12
-    if near.any():
+    if near_peak and (near := np.abs(cos_theta) < 1e-12).any():
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(sin_phi, cos_theta, out=sin_phi)
         sin_phi[near] = 2.0 * n_units
@@ -233,6 +233,18 @@ def _amplitude(scale, n_units: int, cos_theta, sin_phi):
     return sin_phi
 
 
+def _near_cos_zero(lo: float, hi: float) -> bool:
+    """False when every angle in [lo, hi] lies more than NEAR_PEAK_RAD
+    from each zero pi/2 + k*pi of cos; True otherwise, and for any range
+    reaching 2**16 rad, where the rounding of the zeros' float64
+    positions (about 1.5e-16 of the angle) nears that margin.
+    """
+    if not hi < 2.0**16:
+        return True
+    k = math.ceil((lo - NEAR_PEAK_RAD) / math.pi - 0.5)
+    return math.pi * (k + 0.5) <= hi + NEAR_PEAK_RAD
+
+
 def _grid_displacement(scale, n_units: int, tau: float, omega_min: float, step: float,
                        omega_last: float) -> np.ndarray:
     """cpmg_displacement_abs up to sign, unchecked, on the n nodes
@@ -241,44 +253,57 @@ def _grid_displacement(scale, n_units: int, tau: float, omega_min: float, step: 
 
     scale holds lam/omega over those n + 1 nodes. theta and phi are
     affine in j, so their cos and sin come by angle addition from
-    tables of B = ceil(sqrt(n)) values (_affine_trig): 8 trig calls on
-    B-element arrays in place of 2 on n nodes. The last node is
-    evaluated as cpmg_displacement_abs evaluates it. The result is a
-    fresh buffer the caller may overwrite. Needs n >= 1, N >= 1,
-    tau > 0, every node > 0 and step > 0.
+    tables of B = ceil(sqrt(n)) values (_affine_trig). The 4B table
+    angles and the last node's theta and phi take one cos and one sin
+    call on 4B + 2 values, in place of one each on n nodes; the last
+    node is thereby evaluated as cpmg_displacement_abs evaluates it.
+    The limit test next to the major peak runs only when the grid's
+    theta range or the last node's theta comes within NEAR_PEAK_RAD of
+    a zero of cos theta. The result is a fresh buffer the caller may
+    overwrite. Needs n >= 1, N >= 1, tau > 0, every node > 0 and
+    step > 0.
     """
     n = len(scale) - 1
     b = math.isqrt(n - 1) + 1
     theta0, dtheta = omega_min * (tau / 4.0), step * (tau / 4.0)
-    # B*B >= n grid nodes, then one slot that the last node can take
+    phi0, dphi = theta0 * (2 * n_units), dtheta * (2 * n_units)
+    theta_last = omega_last * (tau / 4.0)
+    # rows a*B*dtheta, c*dtheta, a*B*dphi, c*dphi (a, c = 0..B-1), then the
+    # last node's theta and phi; column 0 takes their cos, column 1 their sin
+    angles = np.empty(4 * b + 2)
+    np.multiply(np.array([[b * dtheta], [dtheta], [b * dphi], [dphi]]), np.arange(b, dtype=float),
+                out=angles[:4 * b].reshape(4, b))
+    angles[4 * b:] = theta_last, theta_last * (2 * n_units)
+    trig = np.empty((4 * b + 2, 2))
+    np.cos(angles, out=trig[:, 0])
+    np.sin(angles, out=trig[:, 1])
+    # B*B >= n grid nodes, then one slot that the last node takes
     cos_theta, sin_phi = np.empty(b * b + 1), np.empty(b * b + 1)
-    _affine_trig(theta0, dtheta, b, cos_theta[:b * b], sine=False)
-    _affine_trig(theta0 * (2 * n_units), dtheta * (2 * n_units), b, sin_phi[:b * b], sine=True)
-    _phases(np.array([omega_last]), n_units, tau, cos_theta[n:n + 1], sin_phi[n:n + 1])
-    return _amplitude(scale, n_units, cos_theta[:n + 1], sin_phi[:n + 1])
+    _affine_trig(theta0, trig[:b], trig[b:2 * b], cos_theta[:b * b], sine=False)
+    _affine_trig(phi0, trig[2 * b:3 * b], trig[3 * b:4 * b], sin_phi[:b * b], sine=True)
+    cos_theta[n], sin_phi[n] = trig[4 * b, 0], trig[4 * b + 1, 1]
+    near_peak = (_near_cos_zero(theta0, theta0 + (n - 1) * dtheta)
+                 or _near_cos_zero(theta_last, theta_last))
+    return _amplitude(scale, n_units, cos_theta[:n + 1], sin_phi[:n + 1], near_peak)
 
 
-def _affine_trig(start: float, delta: float, b: int, out: np.ndarray, sine: bool) -> None:
+def _affine_trig(start: float, rows: np.ndarray, cols: np.ndarray, out: np.ndarray,
+                 sine: bool) -> None:
     """cos (or sin) of start + j*delta for j = 0..B*B-1, into out.
 
     With j = a*B + c, the angle is start + u_a + v_c, u_a = a*B*delta and
-    v_c = c*delta. Angle addition makes the B x B table one matrix
-    product, [cos u_a, sin u_a] @ M @ [cos v_c; sin v_c], where the 2 x 2
-    matrix M holds start's cos and sin. Only start is large, and it is
-    rounded once, where it was computed.
+    v_c = c*delta; rows holds [cos u_a, sin u_a] and cols [cos v_c, sin v_c],
+    each B x 2. Angle addition makes the B x B table one matrix product,
+    [cos u_a, sin u_a] @ M @ [cos v_c; sin v_c], where the 2 x 2 matrix M
+    holds start's cos and sin. Only start is large, and it is rounded
+    once, where it was computed.
     """
-    k = np.arange(b, dtype=float)
-    rows, cols = np.empty((b, 2)), np.empty((2, b))
-    u, v = k * (b * delta), k * delta
-    np.cos(u, out=rows[:, 0])
-    np.sin(u, out=rows[:, 1])
-    np.cos(v, out=cols[0])
-    np.sin(v, out=cols[1])
+    b = len(rows)
     cs, ss = math.cos(start), math.sin(start)
     # sin(s + u + v) = sin(s + u) cos v + cos(s + u) sin v, and
     # cos(s + u + v) = cos(s + u) cos v - sin(s + u) sin v
     m = np.array([[ss, cs], [cs, -ss]] if sine else [[cs, -ss], [-ss, -cs]])
-    np.matmul(rows @ m, cols, out=out.reshape(b, b))
+    np.matmul(rows @ m, cols.T, out=out.reshape(b, b))
 
 
 def total_displacement(sched: ControlSchedule, coupling: Coupling, omega) -> complex:
@@ -326,9 +351,13 @@ def _contrast(alpha, state: ThermalState, out=None):
     With out (which may be alpha) every step runs in place there;
     without, a scalar alpha gives a numpy scalar.
     """
+    factor = -2.0 * (2.0 * state.nbar + 1.0)
+    if type(alpha) is float:
+        # already float64: the same ops, without numpy's array set-up
+        return np.exp(alpha * alpha * factor)
     # squared in float64, so an integer cannot wrap and a complex fails the cast
     contrast = np.square(alpha, out=out, dtype=float)
-    contrast *= -2.0 * (2.0 * state.nbar + 1.0)
+    contrast *= factor
     return np.exp(contrast, out=out)
 
 

@@ -22,6 +22,7 @@ aliases from ever being amplified back.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -52,6 +53,11 @@ REGRID_TRIGGER_SPACINGS = 20.0
 REGRID_HALFWIDTH_SIGMAS = 10.0
 NU_PROBE = 3
 MAX_PROBE_BLOCKS = 40
+# A bound on the period count N of any plan or probe. N is at most about
+# omega/(2 dw), and the width dw stays above a grid spacing over sqrt(12),
+# which a grid of distinct float64 nodes keeps above omega * 2**-54; a
+# probe's N is about the rival's omega times the step's T over 2 pi.
+PERIODS_BOUND = 2.0**55
 
 # Schedule constants: stage (i) aims at evolution time 1/(KAPPA_I*dw) with
 # shot-budget scale C_I; stage (ii) at 1/(KAPPA*sqrt(2 pi lambda_tilde dw))
@@ -78,7 +84,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Physical parameters and run policy."""
+    """Physical parameters and run policy.
+
+    Besides each field's own range, lam is bounded so that the loop's
+    contrast exponent 2(2 nbar + 1) alpha^2 stays finite: every
+    amplitude the loop evaluates is |alpha| <= 4 N lam / omega, since
+    |sin phi / cos theta| <= 2N and 1 - cos theta <= 2, with N below
+    PERIODS_BOUND and omega at least the prior grid's lowest node or
+    omega_true. So 2(2 nbar + 1) (4 PERIODS_BOUND lam / omega)^2 must
+    be finite in float64: lam up to about 6e137 at nbar 10 on the
+    reference prior (omega >= 46.5). A regrid window about an estimate
+    near the prior's lower end can reach below that node; the bound
+    does not cover such a window.
+    """
 
     omega_true: float
     omega0: float
@@ -120,6 +138,16 @@ class AdaptiveConfig:
             problems.append(f"seed must be nonnegative, got {self.seed}")
         if self.n_points < 64:
             problems.append(f"n_points must be >= 64, got {self.n_points}")
+        if not problems:
+            # Python floats overflow to inf without an error
+            low = min(self.omega_true, self.omega0 - half)
+            alpha_max = 4.0 * PERIODS_BOUND * self.lam / low
+            factor = 2.0 * (2.0 * self.nbar + 1.0)
+            if not math.isfinite(alpha_max * alpha_max * factor):
+                limit = math.sqrt(sys.float_info.max / factor) * low / (4.0 * PERIODS_BOUND)
+                problems.append(f"lam must keep the contrast exponent 2*(2*nbar+1)*alpha**2 "
+                                f"finite for |alpha| <= 4*N*lam/omega: need lam below about "
+                                f"{limit:.3g} at nbar {self.nbar}, got {self.lam}")
         # the regrid abort's predicate, on the prior's own grid
         if not problems and not _distinct_nodes(np.linspace(self.omega0 - half, self.omega0 + half,
                                                             self.n_points)):

@@ -546,6 +546,18 @@ class TestAdapt:
         assert [str(w.message) for w in recwarn] == []
         assert not list(tmp_path.glob("b*"))
 
+    def test_coupling_beyond_float_range_exits_2(self, tmp_path, capsys, recwarn):
+        # finite, but the contrast exponent 2*(2*nbar+1)*alpha**2 would overflow
+        cfg = write_adapt_config(tmp_path / "cfg.json", nbar=10.0, **{"lambda": 1.0e200})
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "lam")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: lambda must keep the contrast exponent ")
+        assert err[0].endswith(" at nbar 10.0, got 1e+200")
+        assert [str(w.message) for w in recwarn] == []
+        assert not list(tmp_path.glob("lam*"))
+
     @pytest.mark.parametrize("span_sigmas", [1e-17, 1e-300])
     def test_prior_grid_without_width_exits_2(self, tmp_path, capsys, span_sigmas):
         # omega0 -+ span_sigmas*delta_omega0 round to the same float64

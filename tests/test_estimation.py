@@ -5,11 +5,16 @@ contraction law against analytic likelihoods, and the estimator
 consistency statistically over seeded trials.
 """
 
+import copy
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsense import estimation
 from qsense.estimation import (
     LOG_FLOOR,
     P_CLAMP,
@@ -26,6 +31,11 @@ from qsense.estimation import (
 def flat_posterior(omega_min=0.0, omega_max=1.0, n_points=64):
     lw = np.full(n_points, -np.log(n_points))
     return Posterior(np.linspace(omega_min, omega_max, n_points), lw)
+
+
+def rough_posterior(omega_min=2.0, omega_max=4.0, n_points=257, seed=5):
+    lc = np.random.default_rng(seed).uniform(-0.9, 0.9, n_points)
+    return bayes_update(flat_posterior(omega_min, omega_max, n_points), lc, 3, 2)
 
 
 class TestPosteriorType:
@@ -252,6 +262,79 @@ class TestMle:
         assert mle(post) == pytest.approx(post.grid[-1], abs=1e-12)
 
 
+def count_nonzero_mle(post):
+    """mle with its earlier tie rule: count every node equal to the maximum."""
+    w = post.weights
+    i = int(w.argmax())
+    ties = np.count_nonzero(w == w[i])
+    center = 0.5 * (post.omega_min + post.omega_max)
+    if ties == post.n_points:
+        warnings.warn("degenerate posterior: all weights equal, returning grid center")
+        return center
+    if ties > 1:
+        top = np.flatnonzero(w == w[i])
+        i = int(top[np.argmin(np.abs(post.grid[top] - center))])
+    omega_hat = post.grid.item(i)
+    if 0 < i < post.n_points - 1:
+        l0, l1, l2 = post.log_weights[i - 1:i + 2].tolist()
+        den = l0 - 2.0 * l1 + l2
+        if den < 0:
+            off = 0.5 * (l0 - l2) / den
+            if abs(off) <= 0.5:
+                omega_hat += off * post.spacing
+    return omega_hat
+
+
+def same_mle(post):
+    """mle and the count_nonzero rule give the same value and the same
+    warnings: (the value, the warning messages)."""
+    with warnings.catch_warnings(record=True) as got_warned:
+        warnings.simplefilter("always")
+        got = mle(post)
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always")
+        want = count_nonzero_mle(post)
+    messages = [str(w.message) for w in got_warned]
+    assert got == want and messages == [str(w.message) for w in want_warned]
+    return got, messages
+
+
+class TestMleTailTie:
+    """mle looks for a tie only after argmax's first maximum; the earlier
+    rule counted every equal node."""
+
+    @staticmethod
+    def posterior(top, n=64):
+        lw = np.full(n, -10.0)
+        lw[list(top)] = -1.0
+        return Posterior(np.linspace(0.0, 1.0, n), lw)
+
+    @pytest.mark.parametrize("top,want", [
+        ((5, 33), 33),         # a tie after the first maximum, nearer the center
+        ((20, 43), 20),        # a symmetric tie
+        ((3, 30, 60), 30),     # three equal maxima
+        ((63,), 63),           # a maximum at the last node
+        ((2, 63), 2),          # a tie at the last node
+        ((0, 63), 0),          # the ends tie, equally far from the center
+        ((40,), 40),           # no tie
+    ])
+    def test_matches_count_nonzero_rule(self, top, want):
+        post = self.posterior(top)
+        assert same_mle(post) == (pytest.approx(post.grid[want], abs=1e-12), [])
+
+    def test_flat_posterior_warns_as_before(self):
+        post = flat_posterior(2.0, 4.0, 64)
+        assert same_mle(post) == (3.0, ["degenerate posterior: all weights equal, "
+                                        "returning grid center"])
+
+    @given(levels=st.lists(st.integers(min_value=-2, max_value=0), min_size=64, max_size=96))
+    @settings(max_examples=200, deadline=None)
+    def test_coarse_weights_match_count_nonzero_rule(self, levels):
+        # equal log weights give bitwise equal weights, so ties are common
+        n = len(levels)
+        same_mle(Posterior(np.linspace(-1.0, 2.0, n), np.array(levels, dtype=float)))
+
+
 class TestUncertainty:
     def test_bimodal_direct_sum(self):
         lw = np.full(64, LOG_FLOOR)
@@ -285,11 +368,6 @@ class TestUncertainty:
 class TestWindowedSums:
     """Slice windows against brute-force masks |grid - center| <= radius."""
 
-    @staticmethod
-    def rough_posterior(omega_min=2.0, omega_max=4.0, n_points=257):
-        lc = np.random.default_rng(5).uniform(-0.9, 0.9, n_points)
-        return bayes_update(flat_posterior(omega_min, omega_max, n_points), lc, 3, 2)
-
     # the default grid has spacing 1/128, so its nodes are exact binary
     # fractions; (grid, center, radius)
     CASES = [
@@ -308,7 +386,7 @@ class TestWindowedSums:
 
     @pytest.mark.parametrize("grid,center,radius", CASES)
     def test_uncertainty_matches_masked_sum(self, grid, center, radius):
-        post = self.rough_posterior(*grid)
+        post = rough_posterior(*grid)
         inside = np.abs(post.grid - center) <= radius
         w, d = post.weights[inside], post.grid[inside] - center
         want = np.sqrt(np.sum(w * d**2) / np.sum(w))
@@ -316,7 +394,7 @@ class TestWindowedSums:
 
     @pytest.mark.parametrize("grid,center,radius", CASES + [((), 3.0013, 1e-4)])
     def test_mass_beyond_matches_masked_sum(self, grid, center, radius):
-        post = self.rough_posterior(*grid)
+        post = rough_posterior(*grid)
         out = np.abs(post.grid - center) > radius
         mass, node = mass_beyond(post, center, radius)
         assert mass == pytest.approx(float(post.weights[out].sum()), rel=1e-12, abs=0.0)
@@ -326,15 +404,136 @@ class TestWindowedSums:
             assert mass == 0.0 and np.isnan(node)
 
     def test_whole_grid_is_the_default_window(self):
-        post = self.rough_posterior()
+        post = rough_posterior()
         assert uncertainty(post, 3.0) == uncertainty(post, 3.0, 5.0)
 
     def test_invalid_window(self):
-        post = self.rough_posterior()
+        post = rough_posterior()
         with pytest.raises(ValueError):
             mass_beyond(post, 3.0, -0.1)
         with pytest.raises(ValueError):
             uncertainty(post, float("nan"), 0.1)
+
+
+def memo_free(post):
+    """A copy of post that has found no window yet."""
+    fresh = copy.copy(post)
+    object.__setattr__(fresh, "_last_window", None)
+    return fresh
+
+
+def masked_window(post, center, radius):
+    """[lo, hi) of the nodes with |omega - center| <= radius, by a mask."""
+    inside = np.flatnonzero(np.abs(post.grid - center) <= radius)
+    if len(inside):
+        return int(inside[0]), int(inside[-1]) + 1
+    k = int(np.count_nonzero(post.grid < center))
+    return k, k
+
+
+def concatenated_mass_beyond(post, center, radius):
+    """mass_beyond as written before: the outer weights copied into one array."""
+    lo, hi = masked_window(post, center, radius)
+    outer = np.concatenate((post.weights[:lo], post.weights[hi:]))
+    if not len(outer):
+        return 0.0, math.nan
+    j = int(outer.argmax())
+    if j >= lo:
+        j += hi - lo
+    return float(outer.sum()), float(post.grid[j])
+
+
+def same_bits(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def check_window_calls(post, center, radius):
+    """_window, uncertainty and mass_beyond on post against a memo-free
+    copy and the concatenated outer sum, bit for bit."""
+    lo, hi = estimation._window(post, center, radius)
+    assert (lo, hi) == masked_window(post, center, radius)
+    assert (lo, hi) == estimation._window(memo_free(post), center, radius)
+    mass, node = mass_beyond(post, center, radius)
+    want_mass, want_node = concatenated_mass_beyond(post, center, radius)
+    assert mass == want_mass and same_bits(node, want_node)
+    fresh_mass, fresh_node = mass_beyond(memo_free(post), center, radius)
+    assert mass == fresh_mass and same_bits(node, fresh_node)
+    if lo == hi:
+        with pytest.raises(ValueError, match="zero total weight"):
+            uncertainty(post, center, radius)
+        return lo, hi
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a one-node window is resolution limited
+        got, want = uncertainty(post, center, radius), uncertainty(memo_free(post), center, radius)
+    assert got == want
+    return lo, hi
+
+
+class TestWindowReuse:
+    """A posterior remembers its last window; every reuse must give what a
+    fresh search gives."""
+
+    # (center, radius) as fractions of the grid's span, from its lower end
+    query = st.tuples(st.floats(min_value=-0.5, max_value=1.5),
+                      st.sampled_from([0.0, 1e-9, 1e-3, 0.01, 0.1, 0.3, 0.5, 1.0, 2.0])
+                      | st.floats(min_value=0.0, max_value=2.0))
+
+    @given(n_points=st.integers(min_value=64, max_value=300),
+           seed=st.integers(min_value=0, max_value=2**16),
+           pool=st.lists(query, min_size=1, max_size=3),
+           order=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_alternating_and_changed_windows(self, n_points, seed, pool, order):
+        post = rough_posterior(n_points=n_points, seed=seed)
+        span = post.omega_max - post.omega_min
+        for k in order:
+            c, r = pool[k % len(pool)]
+            check_window_calls(post, post.omega_min + c * span, r * span)
+
+    @pytest.mark.parametrize("center,radius,shape", [
+        (3.0, 5.0, "whole grid"),
+        (3.0013, 1e-4, "no node"),
+        (5.0, 0.1, "no node, above the grid"),
+        (2.05, 0.4, "reaches the lower end"),
+        (3.9713, 0.1, "reaches the upper end"),
+        (2.0, 0.0, "the first node alone"),
+        (4.0, 0.0, "the last node alone"),
+        (3.0, 0.3, "both sides outside"),
+    ])
+    def test_window_shapes(self, center, radius, shape):
+        post = rough_posterior()
+        lo, hi = check_window_calls(post, center, radius)
+        # the same call again reads the remembered window
+        assert check_window_calls(post, center, radius) == (lo, hi)
+        whole, empty = (lo, hi) == (0, 257), lo == hi
+        assert whole == (shape == "whole grid") and empty == shape.startswith("no node")
+        if not (whole or empty):
+            assert (lo == 0) == (shape in ("reaches the lower end", "the first node alone"))
+            assert (hi == 257) == (shape in ("reaches the upper end", "the last node alone"))
+
+    @pytest.mark.parametrize("pi_over_t", [0.02, 0.2])
+    def test_far_mass_radius_beyond_pi_over_t(self, pi_over_t):
+        # the loop's pair of calls: the width within pi/T, then the mass
+        # beyond max(pi/T, 6 dw), here 6 dw > pi/T, so the window changes
+        post = bayes_update(flat_posterior(2.0, 4.0, 512),
+                            0.9 * np.cos(40.0 * np.linspace(2.0, 4.0, 512)), 4, 1)
+        w_hat = mle(post)
+        dw = uncertainty(post, w_hat, pi_over_t)
+        assert 6 * dw > pi_over_t
+        assert dw == uncertainty(memo_free(post), w_hat, pi_over_t)
+        check_window_calls(post, w_hat, max(pi_over_t, 6 * dw))
+        check_window_calls(post, w_hat, pi_over_t)
+
+    def test_new_posteriors_start_without_a_window(self):
+        post = rough_posterior()
+        uncertainty(post, 3.0, 0.3)
+        assert post._last_window == (3.0, 0.3, *masked_window(post, 3.0, 0.3))
+        updated = bayes_update(post, np.full(257, 0.5), 1, 0)
+        moved = regrid(post, 3.0, 0.5, 257)
+        assert updated._last_window is None and moved._last_window is None
+        # and the update's result, on the same grid, searches afresh
+        check_window_calls(updated, 3.0, 0.3)
+        assert updated._last_window[:2] == (3.0, 0.3)
 
 
 class TestRegrid:

@@ -28,7 +28,8 @@ from qsense.model import (
     total_displacement_direct,
     zeta,
 )
-from qsense.model import _contrast, _grid_displacement
+from qsense import model
+from qsense.model import _contrast, _grid_displacement, _near_cos_zero
 
 lam_st = st.floats(min_value=1e-3, max_value=10.0)
 tau_st = st.floats(min_value=0.1, max_value=20.0)
@@ -333,6 +334,32 @@ def amplitude_oracle(lam, n_units, nodes, tau):
     return np.array(out)
 
 
+def assert_within_pointwise_tolerance(got, nodes, n_units, tau):
+    """got, a kernel at lam = 0.1 on nodes, agrees with cpmg_displacement_abs."""
+    want = cpmg_displacement_abs(Coupling(0.1), n_units, nodes, tau)
+    assert got.shape == want.shape
+    # conditioning: each kernel rounds theta and phi by a few ulp, and
+    # the grid kernel's node omega_min + j*step is within an ulp of the
+    # grid's; dc and ds bound the errors in cos theta and sin phi
+    eps = np.finfo(float).eps
+    theta = nodes * (tau / 4)
+    phi = theta * (2 * n_units)
+    c, s = np.cos(theta), np.sin(phi)
+    dc, ds = 4 * eps * (np.abs(theta) + 1), 4 * eps * (np.abs(phi) + 1)
+    # low is the nearest the perturbed cos theta comes to 0
+    low = np.abs(c) - dc
+    ok = low > 1e-12
+    low = np.where(ok, low, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_err = ds / low + np.abs(s) * dc / (np.abs(c) * low)
+        bound = (0.1 / nodes) * ((1 - c) * ratio_err + dc * np.abs(s / c)) + 4 * eps * want
+    assert np.all(np.abs(got - want)[ok] <= bound[ok])
+    # next to the major peak the ratio is 0/0 in float64, and
+    # |sin phi / cos theta| <= 2N bounds it; the kernels take that limit
+    limit = (0.1 / nodes) * (1 - c) * 2 * n_units
+    assert np.all(got[~ok] <= limit[~ok] * (1 + 1e-3))
+
+
 class TestGridKernel:
     """The loop's kernel, built by angle addition on a uniform grid, against
     cpmg_displacement_abs on the same nodes."""
@@ -353,27 +380,7 @@ class TestGridKernel:
         nodes = np.append(grid, center + last * half)
         coupling = Coupling(0.1)
         got = grid_kernel(coupling, n_units, grid, nodes[-1], tau)
-        want = cpmg_displacement_abs(coupling, n_units, nodes, tau)
-        assert got.shape == want.shape
-        # conditioning: each kernel rounds theta and phi by a few ulp, and
-        # the grid kernel's node omega_min + j*step is within an ulp of the
-        # grid's; dc and ds bound the errors in cos theta and sin phi
-        eps = np.finfo(float).eps
-        theta = nodes * (tau / 4)
-        phi = theta * (2 * n_units)
-        c, s = np.cos(theta), np.sin(phi)
-        dc, ds = 4 * eps * (np.abs(theta) + 1), 4 * eps * (np.abs(phi) + 1)
-        # low is the nearest the perturbed cos theta comes to 0
-        low = np.abs(c) - dc
-        ok = low > 1e-12
-        low = np.where(ok, low, 1.0)
-        ratio_err = ds / low + np.abs(s) * dc / (np.abs(c) * low)
-        bound = (0.1 / nodes) * ((1 - c) * ratio_err + dc * np.abs(s / c)) + 4 * eps * want
-        assert np.all(np.abs(got - want)[ok] <= bound[ok])
-        # next to the major peak the ratio is 0/0 in float64, and
-        # |sin phi / cos theta| <= 2N bounds it; the kernels take that limit
-        limit = (0.1 / nodes) * (1 - c) * 2 * n_units
-        assert np.all(got[~ok] <= limit[~ok] * (1 + 1e-3))
+        assert_within_pointwise_tolerance(got, nodes, n_units, tau)
 
     @pytest.mark.parametrize("n_units,half", [(80000, 3e-7), (1000, 1e-3)])
     def test_worst_error_within_twice_pointwise(self, n_units, half):
@@ -408,6 +415,72 @@ class TestGridKernel:
             got = grid_kernel(coupling, n_units, grid, w, tau)
             assert got.shape == (n + 1,)
             assert got[-1] == cpmg_displacement_abs(coupling, n_units, w, tau)
+
+
+class TestNearPeakPretest:
+    """The grid kernel runs its |cos theta| < 1e-12 limit test only when its
+    angles come within NEAR_PEAK_RAD of a zero pi/2 + k pi of cos theta."""
+
+    TAU = 2 * np.pi / 50.0  # theta = pi/2 at omega = 50
+
+    @staticmethod
+    def kernels(monkeypatch, n_units, grid, omega_last, tau):
+        """(the kernel, the kernel with the limit test forced on, whether
+        the pre-test asked for it)."""
+        asked = []
+
+        def recorded(lo, hi):
+            asked.append(_near_cos_zero(lo, hi))
+            return asked[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(model, "_near_cos_zero", recorded)
+            got = grid_kernel(Coupling(0.1), n_units, grid, omega_last, tau)
+            m.setattr(model, "_near_cos_zero", lambda lo, hi: True)
+            want = grid_kernel(Coupling(0.1), n_units, grid, omega_last, tau)
+        return got, want, any(asked)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("gap", [0.0, 0.5e-9, 1e-9, 2e-9])
+    @pytest.mark.parametrize("n_units", [3, 20000])
+    def test_range_ending_near_a_zero(self, monkeypatch, k, side, gap, n_units):
+        # the theta range ends gap rad short of pi/2 + k pi, from below or above
+        q = self.TAU / 4
+        zero = np.pi / 2 + k * np.pi
+        if side == "below":
+            grid = np.linspace((zero - gap - 1e-4) / q, (zero - gap) / q, 4096)
+        else:
+            grid = np.linspace((zero + gap) / q, (zero + gap + 1e-4) / q, 4096)
+        got, want, asked = self.kernels(monkeypatch, n_units, grid, 50.5, self.TAU)
+        assert np.array_equal(got, want)
+        assert_within_pointwise_tolerance(got, np.append(grid, 50.5), n_units, self.TAU)
+        if gap < 1e-9:
+            assert asked
+        elif gap > 1e-9:
+            assert not asked
+
+    @pytest.mark.parametrize("n_units", [3, 20000])
+    def test_node_on_the_peak(self, monkeypatch, n_units):
+        # step 1/2048 is exact, so node 2048 is omega = 50 and theta = pi/2
+        grid = np.linspace(49.0, 51.0, 4097)
+        got, want, asked = self.kernels(monkeypatch, n_units, grid, 52.0, self.TAU)
+        assert asked and np.array_equal(got, want)
+        assert got[2048] == pytest.approx(2 * 0.1 / 50.0 * n_units, rel=1e-14)
+        assert_within_pointwise_tolerance(got, np.append(grid, 52.0), n_units, self.TAU)
+
+    @pytest.mark.parametrize("n_units", [3, 20000])
+    def test_last_node_on_the_peak(self, monkeypatch, n_units):
+        # the grid lies far from the zero, the last node on it
+        grid = np.linspace(52.0, 53.0, 4096)
+        got, want, asked = self.kernels(monkeypatch, n_units, grid, 50.0, self.TAU)
+        assert asked and np.array_equal(got, want)
+        assert got[-1] == cpmg_displacement_abs(Coupling(0.1), n_units, 50.0, self.TAU)
+
+    def test_far_from_every_zero_skips_the_test(self, monkeypatch):
+        grid = np.linspace(52.0, 53.0, 4096)
+        got, want, asked = self.kernels(monkeypatch, 7, grid, 52.5, self.TAU)
+        assert not asked and np.array_equal(got, want)
 
 
 class TestCoherence:

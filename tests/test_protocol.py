@@ -7,6 +7,9 @@ invariants run against the shared 500-repetition fixture.
 """
 
 import dataclasses
+import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -228,6 +231,26 @@ class TestConfigValidation:
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             dataclasses.replace(reference_config(nbar=10.0), **{field: value})
+
+    def test_coupling_must_keep_the_contrast_exponent_finite(self):
+        # the bound at nbar 10 on the reference prior, whose lowest node is 46.5
+        limit = math.sqrt(sys.float_info.max / 42.0) * 46.5 / (4 * protocol.PERIODS_BOUND)
+        cfg = reference_config(nbar=10.0, max_steps=30)
+        for lam in (1.01 * limit, 1.0e200):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    "lam must keep the contrast exponent 2*(2*nbar+1)*alpha**2 finite for "
+                    f"|alpha| <= 4*N*lam/omega: need lam below about {limit:.3g} at nbar 10.0, "
+                    f"got {lam}") + "$"):
+                dataclasses.replace(cfg, lam=lam)
+        # just inside, the loop leaks no overflow warning (the suite fails on one)
+        traj = run_adaptive(dataclasses.replace(cfg, lam=0.99 * limit))
+        assert not traj.aborted and len(traj.records) == 30
+
+    # every coupling and occupation the suite runs
+    @pytest.mark.parametrize("lam", [0.01, 0.03, 0.1, 0.2, 0.37])
+    @pytest.mark.parametrize("nbar", [0.0, 10.0, 1000.0])
+    def test_suite_couplings_are_inside_the_bound(self, lam, nbar):
+        assert dataclasses.replace(reference_config(nbar=nbar), lam=lam).lam == lam
 
     def test_seed_range(self):
         # any nonnegative integer seeds numpy's generator
