@@ -20,70 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PulseSequence",
-    "ControlSchedule",
     "ThermalState",
     "Coupling",
-    "alpha_single_unit",
     "alpha_cpmg",
     "interference_factor",
     "cpmg_displacement_abs",
-    "total_displacement",
-    "total_displacement_direct",
     "zeta",
     "outcome_probability",
 ]
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """Pi-pulse pattern within one control period.
-
-    pulse_fractions holds the pulse times in units of tau. They must be
-    strictly increasing and lie inside (0, 1). The count must be even
-    so the modulation returns to +1 at the end of the period and
-    consecutive periods are identical.
-    """
-
-    tau: float
-    pulse_fractions: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        fr = self.pulse_fractions
-        if len(fr) % 2 != 0:
-            raise ValueError(f"pulse count must be even, got {len(fr)}")
-        for f in fr:
-            if not 0.0 < f < 1.0:
-                raise ValueError(f"pulse fraction {f} outside (0, 1)")
-        if any(b <= a for a, b in zip(fr, fr[1:])):
-            raise ValueError("pulse fractions must be strictly increasing")
-
-    @property
-    def pulse_times(self) -> tuple[float, ...]:
-        return tuple(f * self.tau for f in self.pulse_fractions)
-
-    @classmethod
-    def cpmg(cls, tau: float) -> "PulseSequence":
-        """Standard two-pulse unit: tau/4 - pi - tau/2 - pi - tau/4."""
-        return cls(tau=tau, pulse_fractions=(0.25, 0.75))
-
-
-@dataclass(frozen=True)
-class ControlSchedule:
-    """N identical control periods applied back to back."""
-
-    unit: PulseSequence
-    n_units: int
-
-    def __post_init__(self):
-        if self.n_units < 1:
-            raise ValueError(f"n_units must be >= 1, got {self.n_units}")
-
-    @property
-    def total_time(self) -> float:
-        return self.n_units * self.unit.tau
 
 
 @dataclass(frozen=True)
@@ -111,34 +55,12 @@ class Coupling:
             raise ValueError(f"lam must be positive, got {self.lam}")
 
 
-def _segment_phase_sum(lam, omega, t_bounds, signs):
-    """Piecewise-exact integral -(lam/(2*omega)) * sum_j s_j (e^{i w t_{j+1}} - e^{i w t_j})."""
-    omega = np.asarray(omega, dtype=float)
-    acc = np.zeros(np.shape(omega), dtype=complex)
-    for j, s in enumerate(signs):
-        acc = acc + s * (np.exp(1j * omega * t_bounds[j + 1]) - np.exp(1j * omega * t_bounds[j]))
-    out = -(lam / (2.0 * omega)) * acc
-    return out if out.shape else complex(out)
-
-
-def alpha_single_unit(seq: PulseSequence, coupling: Coupling, omega) -> complex:
-    """Oscillator displacement accumulated over one control period.
-
-    Exact piecewise evaluation of -i*(lam/2) * int_0^tau f(t) e^{i omega t} dt,
-    no numerical quadrature. Vectorized over omega.
-    """
-    if np.any(np.asarray(omega) <= 0):
-        raise ValueError("omega must be positive")
-    t_bounds = (0.0,) + seq.pulse_times + (seq.tau,)
-    signs = [(-1) ** j for j in range(len(t_bounds) - 1)]
-    return _segment_phase_sum(coupling.lam, omega, t_bounds, signs)
-
-
 def alpha_cpmg(coupling: Coupling, omega, tau: float) -> complex:
     """Closed-form single-period displacement for the two-pulse unit.
 
-    alpha_1 = i*(8*lam/omega) * e^{i omega tau/2} * cos(omega tau/8) * sin^3(omega tau/8).
-    Agrees with alpha_single_unit on the same sequence to machine precision.
+    alpha_1 = i*(8*lam/omega) * e^{i omega tau/2} * cos(omega tau/8) * sin^3(omega tau/8),
+    the exact integral -i*(lam/2) * int_0^tau f(t) e^{i omega t} dt of the
+    square wave f that pulses at tau/4 and 3*tau/4. Vectorized over omega.
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
@@ -304,31 +226,6 @@ def _affine_trig(start: float, rows: np.ndarray, cols: np.ndarray, out: np.ndarr
     # cos(s + u + v) = cos(s + u) cos v - sin(s + u) sin v
     m = np.array([[ss, cs], [cs, -ss]] if sine else [[cs, -ss], [-ss, -cs]])
     np.matmul(rows @ m, cols.T, out=out.reshape(b, b))
-
-
-def total_displacement(sched: ControlSchedule, coupling: Coupling, omega) -> complex:
-    """Total displacement alpha = alpha_1 * K over the full schedule."""
-    a1 = alpha_single_unit(sched.unit, coupling, omega)
-    k = interference_factor(sched.n_units, omega, sched.unit.tau)
-    return a1 * k
-
-
-def total_displacement_direct(sched: ControlSchedule, coupling: Coupling, omega) -> complex:
-    """Total displacement summed segment by segment over all N periods.
-
-    Independent of the alpha_1 * K factorization; used as an internal
-    cross-check of total_displacement.
-    """
-    tau = sched.unit.tau
-    unit_bounds = (0.0,) + sched.unit.pulse_times + (tau,)
-    unit_signs = [(-1) ** j for j in range(len(unit_bounds) - 1)]
-    t_bounds = [0.0]
-    signs = []
-    for n in range(sched.n_units):
-        for j, s in enumerate(unit_signs):
-            t_bounds.append(n * tau + unit_bounds[j + 1])
-            signs.append(s)
-    return _segment_phase_sum(coupling.lam, omega, t_bounds, signs)
 
 
 def zeta(n_units: int, omega, tau: float):

@@ -94,8 +94,9 @@ class AdaptiveConfig:
     omega_true. So 2(2 nbar + 1) (4 PERIODS_BOUND lam / omega)^2 must
     be finite in float64: lam up to about 6e137 at nbar 10 on the
     reference prior (omega >= 46.5). A regrid window about an estimate
-    near the prior's lower end can reach below that node; the bound
-    does not cover such a window.
+    near the prior's lower end can reach below that node; the run
+    aborts on one that reaches omega <= 0, but the bound does not cover
+    one whose lowest node lies between 0 and the prior's.
     """
 
     omega_true: float
@@ -266,8 +267,8 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     windowed width -> probe -> regrid; the posterior arithmetic is all
     in `estimation`. The run aborts, with a diagnostic, on a non-finite
     estimate (a width window pi/T that holds no posterior weight leaves
-    the width undefined) or once a regrid window cannot hold n_points
-    distinct float64 nodes.
+    the width undefined), on a regrid window that reaches omega <= 0, or
+    once a regrid window cannot hold n_points distinct float64 nodes.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -290,12 +291,10 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         step, and lam/omega over the grid with the true frequency
         appended, so one kernel pass gives the shot law and the update.
 
-        The kernel's omega > 0 check runs here, once per grid, on the
-        lowest node (omega_true > 0 is a config check); every plan and
-        probe has N >= 2 and tau > 0.
+        Every grid here has its lowest node above 0 (the prior by
+        AdaptiveConfig, a regrid by the loop's abort), as has omega_true;
+        every plan and probe has N >= 2 and tau > 0.
         """
-        if not grid[0] > 0:
-            raise ValueError("omega must be positive")
         scale = cfg.lam / np.append(grid, cfg.omega_true)
         return scale, grid.item(0), (grid.item(-1) - grid.item(0)) / (len(grid) - 1)
 
@@ -368,6 +367,11 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
             hw = max(REGRID_HALFWIDTH_SIGMAS * dw_hat, 1.05 * float(np.abs(kept - w_hat).max()))
             if hw < (post.omega_max - post.omega_min) / 2:
                 new = regrid(post, w_hat, hw, cfg.n_points)
+                if not new.grid[0] > 0:
+                    aborted = True
+                    diagnostic = (f"grid reaches omega <= 0 at step {k}: the window "
+                                  f"{w_hat} +- {hw} starts at {new.grid[0]}")
+                    break
                 if not _distinct_nodes(new.grid):
                     aborted = True
                     diagnostic = (f"grid beyond float64 resolution at step {k}: the window "

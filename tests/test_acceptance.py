@@ -7,6 +7,7 @@ ensemble-backed checks (04, 05, 06, 11) share the session fixtures and are
 budgeted in minutes, not seconds.
 """
 
+import math
 import subprocess
 import sys
 from time import perf_counter
@@ -19,23 +20,15 @@ from qsense.information import (
     cfi_binary,
     compare_control,
     g_finite,
-    g_rms,
+    g_sq_mean,
     g_universal,
     lambda_tilde_cpmg,
     qfi_real,
 )
-from qsense.model import (
-    ControlSchedule,
-    Coupling,
-    PulseSequence,
-    alpha_cpmg,
-    alpha_single_unit,
-    cpmg_displacement_abs,
-    total_displacement,
-)
+from qsense.model import Coupling, alpha_cpmg, cpmg_displacement_abs, interference_factor
 from qsense.simkit import fit_loglog_slope, fringe_scan, gsq_scan, matched_time_ratio
+from oracles import periods, quad_oracle, segment_displacement
 from test_cli import write_adapt_config
-from test_model import quad_oracle
 
 FROZEN_SUP_BOUND_N50 = 5e-3
 # Final-step calibration bands (check 11). Over six disjoint 500-rep
@@ -66,11 +59,11 @@ def test_01_fringe_structure():
 
 def test_02_rms_envelope_constant():
     t0 = perf_counter()
-    value = g_rms(1.0)
+    value = math.sqrt(g_sq_mean(1.0))
     assert value == pytest.approx(0.83544, abs=5e-4)
     dt = perf_counter() - t0
     assert dt < 1.0
-    print(f"\n[PASS] 02 rms envelope constant: g_rms(1) = {value:.5f} "
+    print(f"\n[PASS] 02 rms envelope constant: sqrt(g_sq_mean(1)) = {value:.5f} "
           f"= 0.83544 +- 0.0005, {dt:.2f} s")
 
 
@@ -126,17 +119,19 @@ def test_07_algebraic_identity_suite():
                            abs(f_c - f_q) / max(1.0, abs(f_q)))
     assert worst_fisher <= 1e-12
 
-    # closed-form displacement against direct quadrature
+    # closed-form displacement against direct quadrature, and the segment
+    # sum on an asymmetric four-pulse unit, which no closed form covers
+    asymmetric = periods(2.0, 2, fractions=(0.15, 0.4, 0.55, 0.9))
     cases = [
-        (ControlSchedule(PulseSequence.cpmg(0.13), 4), Coupling(0.1), 50.0),
-        (ControlSchedule(PulseSequence.cpmg(1.7), 2), Coupling(2.0), 3.0),
-        (ControlSchedule(PulseSequence(2.0, (0.15, 0.4, 0.55, 0.9)), 2),
-         Coupling(0.5), 2.3),
+        (0.1, 50.0, periods(0.13, 4),
+         alpha_cpmg(Coupling(0.1), 50.0, 0.13) * interference_factor(4, 50.0, 0.13)),
+        (2.0, 3.0, periods(1.7, 2),
+         alpha_cpmg(Coupling(2.0), 3.0, 1.7) * interference_factor(2, 3.0, 1.7)),
+        (0.5, 2.3, asymmetric, segment_displacement(0.5, 2.3, *asymmetric)),
     ]
     worst_quad = 0.0
-    for sched, coupling, omega in cases:
-        closed = total_displacement(sched, coupling, omega)
-        oracle = quad_oracle(sched, coupling, omega)
+    for lam, omega, bounds, closed in cases:
+        oracle = quad_oracle(lam, omega, *bounds)
         worst_quad = max(worst_quad, abs(closed - oracle) / abs(oracle))
     assert worst_quad <= 1e-9
 
@@ -153,7 +148,7 @@ def test_07_algebraic_identity_suite():
         if omega * tau > 100.0:
             continue
         a = alpha_cpmg(Coupling(lam), omega, tau)
-        b = alpha_single_unit(PulseSequence.cpmg(tau), Coupling(lam), omega)
+        b = segment_displacement(lam, omega, *periods(tau, 1))
         if abs(b) > 0.05 * (8.0 * lam / omega):
             kept += 1
             worst_unit = max(worst_unit, abs(a - b) / abs(b))

@@ -316,6 +316,21 @@ class TestAdapt:
                 "rep 0: grid beyond float64 resolution at step ") in err
         assert not list(tmp_path.glob("a_*"))
 
+    @pytest.mark.filterwarnings("ignore:resolution-limited posterior:UserWarning")
+    def test_window_reaching_omega_zero_is_reported(self, tmp_path, capsys):
+        # rep 0 regrids onto a window below omega = 0 at step 10, rep 1 not by step 12
+        cfg = write_adapt_config(tmp_path / "cfg.json", omega_true=0.06, omega0=1.0,
+                                 delta_omega0=0.12, nbar=10.0, span_sigmas=7.5,
+                                 max_steps=12, seed=12345)
+        rc = cli.main(["adapt", "--config", str(cfg), "--threads", "1",
+                       "--out-prefix", str(tmp_path / "a")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert ("adapt: 1 repetitions aborted; first, rep 0: "
+                "grid reaches omega <= 0 at step 10: the window ") in err
+        assert "numerical failure" not in err
+        assert not list(tmp_path.glob("a_*"))
+
     @pytest.mark.parametrize("extra", [
         {"max_steps": 1}, {"max_steps": 2},
     ], ids=["one-step", "two-steps"])

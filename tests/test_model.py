@@ -1,58 +1,34 @@
 """Displacement, interference, and coherence checks against independent oracles.
 
-The closed-form displacement is compared against direct numerical
-quadrature of the modulated phase integral, and the thermal fringe
-contrast against a Fock-space Laguerre sum. Structural properties
-(node placement, |K| bound, symmetry, validation) are exercised with
-hypothesis.
+The closed-form displacement is compared against the segment sum and
+the quadrature of the modulated phase integral in `oracles`, and the
+thermal fringe contrast against a Fock-space Laguerre sum. Structural
+properties (node placement, |K| bound, symmetry, validation) are
+exercised with hypothesis.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.special import eval_laguerre
 
 from qsense.model import (
-    ControlSchedule,
     Coupling,
-    PulseSequence,
     ThermalState,
     alpha_cpmg,
-    alpha_single_unit,
     cpmg_displacement_abs,
     interference_factor,
     outcome_probability,
-    total_displacement,
-    total_displacement_direct,
     zeta,
 )
 from qsense import model
 from qsense.model import _contrast, _grid_displacement, _near_cos_zero
+from oracles import periods, quad_oracle, segment_displacement
 
 lam_st = st.floats(min_value=1e-3, max_value=10.0)
 tau_st = st.floats(min_value=0.1, max_value=20.0)
 omega_st = st.floats(min_value=0.1, max_value=100.0)
-
-
-def quad_oracle(sched, coupling, omega):
-    """-i*(lam/2) * int_0^{N tau} f(t) e^{i omega t} dt by adaptive quadrature.
-
-    The modulation is piecewise constant, so integrate each constant
-    segment separately and sum.
-    """
-    tau = sched.unit.tau
-    bounds = (0.0,) + sched.unit.pulse_times + (tau,)
-    total = 0.0 + 0.0j
-    for n in range(sched.n_units):
-        for j in range(len(bounds) - 1):
-            a, b = n * tau + bounds[j], n * tau + bounds[j + 1]
-            sign = (-1) ** j
-            re, _ = quad(lambda t: np.cos(omega * t), a, b, limit=200)
-            im, _ = quad(lambda t: np.sin(omega * t), a, b, limit=200)
-            total += sign * (re + 1j * im)
-    return -1j * (coupling.lam / 2.0) * total
 
 
 def laguerre_oracle(alpha, nbar):
@@ -71,39 +47,14 @@ def laguerre_oracle(alpha, nbar):
     return float(np.exp(-x / 2.0) * np.sum(np.exp(log_p) * eval_laguerre(n, x)))
 
 
-class TestPulseSequence:
-    def test_cpmg_fractions(self):
-        seq = PulseSequence.cpmg(2.0)
-        assert seq.pulse_fractions == (0.25, 0.75)
-        assert seq.pulse_times == (0.5, 1.5)
+class TestPeriods:
+    def test_cpmg_pulse_times(self):
+        assert periods(2.0, 1) == ([0.0, 0.5, 1.5, 2.0], [1, -1, 1])
 
-    def test_tau_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PulseSequence(tau=0.0, pulse_fractions=(0.25, 0.75))
-
-    def test_odd_pulse_count_rejected(self):
-        with pytest.raises(ValueError):
-            PulseSequence(tau=1.0, pulse_fractions=(0.5,))
-
-    def test_fraction_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError):
-            PulseSequence(tau=1.0, pulse_fractions=(0.25, 1.0))
-        with pytest.raises(ValueError):
-            PulseSequence(tau=1.0, pulse_fractions=(0.0, 0.75))
-
-    def test_non_increasing_fractions_rejected(self):
-        with pytest.raises(ValueError):
-            PulseSequence(tau=1.0, pulse_fractions=(0.75, 0.25))
-        with pytest.raises(ValueError):
-            PulseSequence(tau=1.0, pulse_fractions=(0.5, 0.5))
-
-    def test_schedule_requires_units(self):
-        with pytest.raises(ValueError):
-            ControlSchedule(unit=PulseSequence.cpmg(1.0), n_units=0)
-
-    def test_schedule_total_time(self):
-        sched = ControlSchedule(unit=PulseSequence.cpmg(0.5), n_units=8)
-        assert sched.total_time == pytest.approx(4.0)
+    def test_last_bound_is_total_time(self):
+        t_bounds, signs = periods(0.5, 8)
+        assert t_bounds[-1] == pytest.approx(4.0)
+        assert len(signs) == 24 and len(t_bounds) == 25
 
 
 class TestDisplacement:
@@ -115,8 +66,7 @@ class TestDisplacement:
     @given(lam_st, tau_st, omega_st)
     @settings(max_examples=150, deadline=None)
     def test_cpmg_matches_piecewise(self, lam, tau, omega):
-        seq = PulseSequence.cpmg(tau)
-        a = alpha_single_unit(seq, Coupling(lam), omega)
+        a = segment_displacement(lam, omega, *periods(tau, 1))
         b = alpha_cpmg(Coupling(lam), omega, tau)
         # round-off floor: the piecewise sum cancels terms of size
         # lam/(2*omega), and trig argument reduction loses eps*omega*tau
@@ -127,26 +77,23 @@ class TestDisplacement:
         (1, 1.7, 3.1), (3, 0.9, 3.7), (5, 2.3, 1.1), (4, 0.4, 9.3),
     ])
     def test_total_displacement_matches_quadrature(self, n_units, tau, omega):
-        sched = ControlSchedule(unit=PulseSequence.cpmg(tau), n_units=n_units)
-        coupling = Coupling(0.37)
-        got = total_displacement(sched, coupling, omega)
-        want = quad_oracle(sched, coupling, omega)
+        got = (alpha_cpmg(Coupling(0.37), omega, tau)
+               * interference_factor(n_units, omega, tau))
+        want = quad_oracle(0.37, omega, *periods(tau, n_units))
         assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_quadrature_with_asymmetric_unit(self):
-        unit = PulseSequence(tau=1.3, pulse_fractions=(0.2, 0.45, 0.6, 0.9))
-        sched = ControlSchedule(unit=unit, n_units=3)
-        coupling = Coupling(0.8)
-        got = total_displacement(sched, coupling, 2.9)
-        want = quad_oracle(sched, coupling, 2.9)
+        # the segment sum's own check, on a unit no closed form covers
+        bounds = periods(1.3, 3, fractions=(0.2, 0.45, 0.6, 0.9))
+        got = segment_displacement(0.8, 2.9, *bounds)
+        want = quad_oracle(0.8, 2.9, *bounds)
         assert abs(got - want) <= 1e-9 * abs(want)
 
     @given(st.integers(min_value=1, max_value=40), lam_st, tau_st, omega_st)
     @settings(max_examples=120, deadline=None)
     def test_factorized_equals_direct(self, n_units, lam, tau, omega):
-        sched = ControlSchedule(unit=PulseSequence.cpmg(tau), n_units=n_units)
-        a = total_displacement(sched, Coupling(lam), omega)
-        b = total_displacement_direct(sched, Coupling(lam), omega)
+        a = alpha_cpmg(Coupling(lam), omega, tau) * interference_factor(n_units, omega, tau)
+        b = segment_displacement(lam, omega, *periods(tau, n_units))
         # the geometric-ratio form divides by sin(omega tau / 2), which
         # amplifies fixed trig noise near resonances; the floor below was
         # calibrated over 8e4 random draws (worst case 23x inside it)
@@ -159,7 +106,7 @@ class TestDisplacement:
         with pytest.raises(ValueError):
             alpha_cpmg(Coupling(0.1), -1.0, 1.0)
         with pytest.raises(ValueError):
-            alpha_single_unit(PulseSequence.cpmg(1.0), Coupling(0.1), 0.0)
+            alpha_cpmg(Coupling(0.1), 0.0, 1.0)
 
 
 class TestInterferenceFactor:
@@ -220,7 +167,7 @@ def magnitude_grid(n_units, tau):
 
 
 class TestDisplacementMagnitude:
-    """cpmg_displacement_abs against the complex displacement it replaces."""
+    """cpmg_displacement_abs against the segment sum and the factorized closed form."""
 
     @pytest.mark.parametrize("n_units", [1, 2, 3, 7, 16, 64])
     @pytest.mark.parametrize("tau", [2 * np.pi / 50.0 * 1.02, 0.37, 1.3])
@@ -228,8 +175,7 @@ class TestDisplacementMagnitude:
         coupling = Coupling(0.1)
         omega = magnitude_grid(n_units, tau)
         got = cpmg_displacement_abs(coupling, n_units, omega, tau)
-        sched = ControlSchedule(unit=PulseSequence.cpmg(tau), n_units=n_units)
-        want = np.abs(total_displacement_direct(sched, coupling, omega))
+        want = np.abs(segment_displacement(coupling.lam, omega, *periods(tau, n_units)))
         # the segment sum carries the round-off floor calibrated in
         # test_factorized_equals_direct; elsewhere the two agree to 1e-13
         s = np.abs(np.sin(omega * tau / 2.0))

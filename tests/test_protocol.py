@@ -383,6 +383,20 @@ class TestRunLoop:
         assert (np.diff(traj.final_posterior.grid) > 0).all()
         assert traj.final_estimate.omega_hat == traj.records[-1].omega_k
 
+    def test_window_reaching_omega_zero_aborts(self):
+        # an estimate near the prior's lower end regrids about 0.141 with
+        # half-width 0.792, which the kernel's omega > 0 cannot take
+        cfg = AdaptiveConfig(omega_true=0.06, omega0=1.0, delta_omega0=0.12, lam=0.1,
+                             nbar=10.0, span_sigmas=7.5)
+        traj = run_adaptive(cfg)
+        assert traj.aborted
+        k = len(traj.records) - 1
+        assert re.fullmatch(rf"grid reaches omega <= 0 at step {k}: the window \S+ \+- \S+ "
+                            r"starts at -\S+", traj.diagnostic)
+        # the run keeps the last grid that lay above 0
+        assert traj.final_posterior.grid[0] > 0
+        assert traj.final_estimate.omega_hat == traj.records[-1].omega_k
+
     def test_empty_width_window_aborts(self, monkeypatch):
         # held in stage (i), the evolution time outgrows the grid until no
         # node within pi/T of the estimate keeps any weight; rep 1 of six

@@ -2,17 +2,21 @@
 
 A name in `qsense.__all__` must be referenced somewhere under
 `src/qsense` or `scripts/`, outside its own definition, unless it is
-one of the named oracles below: independent implementations that only
-the tests call, to check the fast paths against. `qsense.__all__` is
-the concatenation of the library modules' own lists, so the guard sees
-every module-public name.
+one of the named ORACLES below, each kept for the reason given there.
+The independent implementations that only the tests need live in
+`tests/oracles.py`, which the library never imports. `qsense.__all__`
+is the concatenation of the library modules' own lists, so the guard
+sees every module-public name.
 
-The config-file layer sits above the library: only `cli` imports
-`runconfig` (the package `__init__` re-exports it, as every module).
+The benchmark under `bench/` imports library names by name, so each
+of those must exist. The config-file layer sits above the library:
+only `cli` imports `runconfig` (the package `__init__` re-exports it,
+as every module).
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import qsense
@@ -20,16 +24,13 @@ import qsense
 ROOT = Path(__file__).resolve().parents[1]
 
 ORACLES = frozenset({
-    # closed forms the real-only kernel cpmg_displacement_abs is checked against
+    # the one-period closed form: the benchmark imports it by name
+    # (test_benchmark_imports_resolve)
     "alpha_cpmg",
-    "total_displacement",
-    "total_displacement_direct",
     # the binary-readout Fisher identity of acceptance check 07, for the
     # efficiency gate that will give cfi_binary a caller in the run loop
     "qfi_real",
     "cfi_binary",
-    # recomputes the frozen constant G_RMS1 (acceptance check 02)
-    "g_rms",
 })
 
 
@@ -98,3 +99,34 @@ def test_only_cli_imports_runconfig():
     importers = [p.stem for p in sorted((ROOT / "src" / "qsense").glob("*.py"))
                  if "runconfig" in imported_modules(p)]
     assert importers == ["__init__", "cli"]
+
+
+def bench_imports():
+    """(module, name) for each `from qsense... import name` under bench/."""
+    found = []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qsense":
+                found += [(node.module, alias.name) for alias in node.names]
+    return found
+
+
+def test_benchmark_imports_resolve():
+    imports = bench_imports()
+    unresolved = []
+    for module, name in imports:
+        mod = importlib.import_module(module)
+        # `from qsense import cli` names a submodule that import qsense does not load
+        if not (hasattr(mod, name) or hasattr(mod, "__path__")
+                and importlib.util.find_spec(f"{module}.{name}") is not None):
+            unresolved.append(f"{module}.{name}")
+    assert unresolved == []
+    # the reason alpha_cpmg is in ORACLES
+    assert ("qsense.model", "alpha_cpmg") in imports
+
+
+def test_library_never_imports_the_tests():
+    tests = {p.stem for p in (ROOT / "tests").glob("*.py")} | {"tests"}
+    importers = [p.stem for p in sorted((ROOT / "src" / "qsense").glob("*.py"))
+                 if {m.split(".")[0] for m in imported_modules(p)} & tests]
+    assert importers == []
