@@ -1,30 +1,41 @@
 """Grid-based Bayesian inference of the oscillator frequency.
 
-The posterior over omega lives on a uniform grid and is carried in log
-domain so that many-shot likelihood products cannot underflow. An
-update takes each node's binary-outcome likelihood as the signed
-contrast L = P+ - P- in [-1, 1], from which log P+ and log P- follow
-by log1p up to a common ln 2. Updates,
-point estimation (argmax refined by a local parabola), RMS uncertainty
-(over the whole grid or a window about the estimate), the mass beyond a
-radius, and window changes (regrid) are pure functions returning new
-posteriors or numbers. Every update keeps the weights from the single
-exp of its normalization next to the grid, so nothing re-exponentiates
-or rebuilds the grid.
+The posterior over omega lives on a uniform grid as normalized weights.
+An update takes each node's binary-outcome likelihood as the signed
+contrast L = P+ - P- in [-1, 1], so P+ and P- are (1 + L)/2 and
+(1 - L)/2, and multiplies the weights by (1 + L)^n_plus (1 - L)^n_minus;
+the common 2^-(n_plus + n_minus) goes with the normalization. A batch
+large enough that this product could sink the peak weight below
+float64's normal range (more than 25 shots on 4096 nodes) is formed in
+log domain instead. Weights reach about 745 nats below 1, down to the
+smallest subnormal; a node below that is 0, and stays 0 under later
+updates. Point estimation (argmax refined by a local parabola in log
+weight), RMS uncertainty (over the whole grid or a window about the
+estimate), the mass beyond a radius, and window changes (regrid, by
+log-linear interpolation) are pure functions returning new posteriors
+or numbers.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# log weight that stands for a zero weight, and for the mass off the old grid
+# in a regrid: exp(LOG_FLOOR) is the smallest subnormal
 LOG_FLOOR = -745.0
 # floor on each outcome's probability in an update, P+ and P- >= P_CLAMP:
 # the signed contrast L = P+ - P- is clamped to |L| <= 1 - 2*P_CLAMP
 P_CLAMP = 1e-12
+# a batch of nu shots multiplies each weight by at least (2*P_CLAMP)**nu, and the
+# peak weight of n nodes is at least 1/n; the product stays normal while
+# nu*_LOG_MIN_FACTOR - log(n) >= _LOG_MIN_NORMAL
+_LOG_MIN_FACTOR = math.log(2.0 * P_CLAMP)
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
 __all__ = [
     "LOG_FLOOR",
@@ -42,35 +53,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Posterior:
-    """Normalized log-domain posterior on a uniform frequency grid.
+    """Normalized posterior weights on a uniform frequency grid.
 
-    The constructor shifts log_weights to unit mass and keeps the
-    weights exp(log_weights) from the one exp of that normalization.
-    It also remembers the last window (center, radius, lo, hi) found on
-    its grid, so the width and the far mass about one estimate search
-    the grid once; a new posterior starts with none.
+    The constructor scales a copy of the weights, which must be
+    nonnegative with a positive finite sum, to unit sum. It also
+    remembers the last window (center, radius, lo, hi) found on its
+    grid, so the width and the far mass about one estimate search the
+    grid once; a new posterior starts with none.
     """
 
     grid: np.ndarray = field(repr=False)
-    log_weights: np.ndarray
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray
     _last_window: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = self.grid
+        grid, w = self.grid, self.weights
         if len(grid) < 64:
             raise ValueError(f"n_points must be >= 64, got {len(grid)}")
-        if len(self.log_weights) != len(grid):
-            raise ValueError("log_weights length does not match the grid")
+        if len(w) != len(grid):
+            raise ValueError("weights length does not match the grid")
         if not grid[0] < grid[-1]:
             raise ValueError(f"need omega_min < omega_max, got [{grid[0]}, {grid[-1]}]")
-        lw = np.subtract(self.log_weights, self.log_weights.max())
-        w = np.exp(lw)
-        total = w.sum()
-        lw -= np.log(total)
-        w /= total
-        object.__setattr__(self, "log_weights", lw)
-        object.__setattr__(self, "weights", w)
+        total = float(w.sum())
+        # the scale 1/total must be finite too: a sum below about 5.6e-309 is refused
+        if not (0.0 < total < math.inf and 1.0 / total < math.inf):
+            raise ValueError(f"weights must have a positive finite sum, got {total}")
+        object.__setattr__(self, "weights", np.multiply(w, 1.0 / total))
         object.__setattr__(self, "_last_window", None)
 
     @property
@@ -135,21 +143,36 @@ def gaussian_prior(omega0: float, delta_omega0: float, span_sigmas: float,
         raise ValueError(f"span_sigmas must be positive, got {span_sigmas}")
     half = span_sigmas * delta_omega0
     grid = np.linspace(omega0 - half, omega0 + half, n_points)
-    return Posterior(grid, -((grid - omega0) ** 2) / (2.0 * delta_omega0**2))
+    lw = -((grid - omega0) ** 2) / (2.0 * delta_omega0**2)
+    lw -= lw.max()
+    return Posterior(grid, np.exp(lw, out=lw))
+
+
+def _times_power(w: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
+    """w * f**n as n multiplies; with n = 1 into f, the caller's own array."""
+    if n == 1:
+        return np.multiply(w, f, out=f)
+    out = w * f
+    for _ in range(n - 1):
+        out *= f
+    return out
 
 
 def bayes_update(post: Posterior, contrast: np.ndarray, n_plus: int,
                  n_minus: int) -> Posterior:
     """Multiply in a batch of binary outcomes with per-node signed contrast L.
 
-    L = 2*P_plus - 1 lies in [-1, 1]. log-weights gain
-    n_plus*log1p(L) + n_minus*log1p(-L), which is the log-likelihood
-    n_plus*log(P+) + n_minus*log(P-) up to the common -(n_plus +
-    n_minus)*ln 2 that the renormalization removes; a term whose count
-    is zero is skipped. L is clamped to [2*P_CLAMP - 1, 1 - 2*P_CLAMP],
-    that is P+ and P- to at least P_CLAMP, before the logs so a single
-    contrary outcome at a likelihood node cannot zero the posterior.
-    Batches compose associatively.
+    L = 2*P_plus - 1 lies in [-1, 1]. The weights are multiplied by
+    (1 + L)**n_plus * (1 - L)**n_minus, which is the likelihood
+    P+**n_plus * P-**n_minus up to the common 2**-(n_plus + n_minus)
+    that the normalization removes; a factor whose count is zero is
+    skipped. L is clamped to [2*P_CLAMP - 1, 1 - 2*P_CLAMP], that is P+
+    and P- to at least P_CLAMP, so a single contrary outcome at a
+    likelihood node cannot zero the posterior. A batch of more shots
+    than keep (2*P_CLAMP)**nu / n_points in float64's normal range adds
+    n_plus*log1p(L) + n_minus*log1p(-L) to the log weights instead, and
+    takes the exp after subtracting the peak. Batches compose
+    associatively.
     """
     c = np.asarray(contrast, dtype=float)
     if c.shape != (post.n_points,):
@@ -157,40 +180,42 @@ def bayes_update(post: Posterior, contrast: np.ndarray, n_plus: int,
     if n_plus < 0 or n_minus < 0:
         raise ValueError("outcome counts must be nonnegative")
     # fmin/fmax skip NaN, as the elementwise comparisons c < -1, c > 1 do
-    lowest = np.fmin.reduce(c)
-    if lowest < -1.0 or np.fmax.reduce(c) > 1.0:
+    lowest, highest = np.fmin.reduce(c), np.fmax.reduce(c)
+    if lowest < -1.0 or highest > 1.0:
         raise ValueError("per-node contrasts must lie in [-1, 1]")
     bound = 1.0 - 2.0 * P_CLAMP
-    # with every L at or above the lower clamp only the upper one can act
-    # (minimum passes NaN, as clip does); L of the thermal law lies in [0, 1]
-    if lowest >= -bound:
-        cc = np.minimum(c, bound)
-    else:
-        cc = np.clip(c, -bound, bound)
-    lw = post.log_weights
-    # each term is built in a fresh array, then the old log-weights added to it
+    # the clamp runs only when some L lies beyond it, and with every L at or
+    # above the lower clamp only the upper one can act: L of the thermal law
+    # lies in [0, 1], and within 2*P_CLAMP of 1 only on a fringe's dark node
+    if lowest < -bound:
+        c = np.clip(c, -bound, bound)
+    elif highest > bound:
+        c = np.minimum(c, bound)
+    w = post.weights
+    if (n_plus + n_minus) * _LOG_MIN_FACTOR - math.log(post.n_points) < _LOG_MIN_NORMAL:
+        with np.errstate(divide="ignore"):  # a zero weight is -inf, and stays 0
+            lw = np.log(w)
+        if n_plus:
+            lw += n_plus * np.log1p(c)
+        if n_minus:
+            lw += n_minus * np.log1p(-c)
+        lw -= lw.max()
+        return Posterior(post.grid, np.exp(lw, out=lw))
+    # each factor is a fresh array, which holds the product after one shot
     if n_plus:
-        term = np.log1p(cc)
-        if n_plus != 1:
-            term *= n_plus
-        term += lw
-        lw = term
+        w = _times_power(w, c + 1.0, n_plus)
     if n_minus:
-        np.negative(cc, out=cc)  # cc is this call's own array
-        np.log1p(cc, out=cc)
-        if n_minus != 1:
-            cc *= n_minus
-        cc += lw
-        lw = cc
-    return Posterior(post.grid, lw)
+        w = _times_power(w, 1.0 - c, n_minus)
+    return Posterior(post.grid, w)
 
 
 def mle(post: Posterior) -> float:
-    """Maximum of the posterior, refined by a three-point parabola.
+    """Maximum of the posterior, refined by a three-point parabola in log weight.
 
-    Ties are broken toward the node closest to the grid center, then
-    the lower index. A perfectly flat posterior is degenerate; the grid
-    center is returned with a warning.
+    A neighbour whose weight is 0 counts as LOG_FLOOR. Ties are broken
+    toward the node closest to the grid center, then the lower index. A
+    perfectly flat posterior is degenerate; the grid center is returned
+    with a warning.
     """
     w = post.weights
     i = int(w.argmax())
@@ -206,7 +231,10 @@ def mle(post: Posterior) -> float:
         i = int(top[np.argmin(np.abs(grid[top] - center))])
     omega_hat = grid.item(i)
     if 0 < i < post.n_points - 1:
-        l0, l1, l2 = post.log_weights[i - 1:i + 2].tolist()
+        w0, w1, w2 = w[i - 1:i + 2].tolist()
+        l0 = math.log(w0) if w0 > 0.0 else LOG_FLOOR
+        l1 = math.log(w1)
+        l2 = math.log(w2) if w2 > 0.0 else LOG_FLOOR
         den = l0 - 2.0 * l1 + l2
         if den < 0:
             off = 0.5 * (l0 - l2) / den
@@ -267,8 +295,9 @@ def regrid(post: Posterior, center: float, half_width: float,
            n_points: int) -> Posterior:
     """Move the posterior to a new uniform window by log-linear interpolation.
 
-    Mass outside the old grid is set to the log floor; the result is
-    renormalized. The new window must overlap the old grid.
+    The log of the old weights is interpolated, with LOG_FLOOR standing
+    for a zero weight and for the mass outside the old grid; the result
+    is renormalized. The new window must overlap the old grid.
     """
     if not half_width > 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
@@ -278,5 +307,8 @@ def regrid(post: Posterior, center: float, half_width: float,
             f"new window [{lo}, {hi}] does not overlap grid [{post.omega_min}, {post.omega_max}]"
         )
     grid = np.linspace(lo, hi, n_points)
-    return Posterior(grid, np.interp(grid, post.grid, post.log_weights,
-                                     left=LOG_FLOOR, right=LOG_FLOOR))
+    w = post.weights
+    lw = np.interp(grid, post.grid, np.log(w, out=np.full(len(w), LOG_FLOOR), where=w > 0.0),
+                   left=LOG_FLOOR, right=LOG_FLOOR)
+    lw -= lw.max()
+    return Posterior(grid, np.exp(lw, out=lw))

@@ -40,8 +40,8 @@ MIN_PERIODS = 2
 
 # Disambiguation-probe thresholds: far mass above PROBE_ON arms the
 # probe latch; the latch stays armed across steps until far mass falls
-# below PROBE_OFF. A regrid keeps every node whose log weight is within
-# KEEP_LOG_NATS of the peak: 25.3 is -ln(PROBE_OFF) = 25.328 rounded to one
+# below PROBE_OFF. A regrid keeps every node whose weight is above
+# exp(-KEEP_LOG_NATS) of the peak: 25.3 is -ln(PROBE_OFF) = 25.328 rounded to one
 # decimal, so a node is kept down to exp(-25.3) = 1.03e-11 of the peak weight,
 # a shade above PROBE_OFF. Changing it moves output bits (ROADMAP item 5).
 PROBE_ON = 1e-6
@@ -58,6 +58,8 @@ MAX_PROBE_BLOCKS = 40
 # which a grid of distinct float64 nodes keeps above omega * 2**-54; a
 # probe's N is about the rival's omega times the step's T over 2 pi.
 PERIODS_BOUND = 2.0**55
+# the largest shot count rng.binomial takes
+MAX_SHOTS = 2**63 - 1
 
 # Schedule constants: stage (i) aims at evolution time 1/(KAPPA_I*dw) with
 # shot-budget scale C_I; stage (ii) at 1/(KAPPA*sqrt(2 pi lambda_tilde dw))
@@ -265,10 +267,11 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
 
     Each step is plan -> simulate -> Bayes update -> estimate and
     windowed width -> probe -> regrid; the posterior arithmetic is all
-    in `estimation`. The run aborts, with a diagnostic, on a non-finite
-    estimate (a width window pi/T that holds no posterior weight leaves
-    the width undefined), on a regrid window that reaches omega <= 0, or
-    once a regrid window cannot hold n_points distinct float64 nodes.
+    in `estimation`. The run aborts, with a diagnostic, on a plan of more
+    shots than MAX_SHOTS, on a non-finite estimate (a width window pi/T
+    that holds no posterior weight leaves the width undefined), on a
+    regrid window that reaches omega <= 0, or once a regrid window cannot
+    hold n_points distinct float64 nodes.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -317,6 +320,11 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     for k in range(cfg.max_steps):
         plan = (stage1_plan if stage == STAGE_I else stage2_plan)(w_est, dw_est, cfg)
         N, tau, nu, ltk = plan.n_units, plan.tau, plan.repetitions, plan.lambda_tilde_k
+        if nu > MAX_SHOTS:
+            aborted = True
+            diagnostic = (f"shot count beyond int64 at step {k}: the stage {stage} plan asks "
+                          f"for nu={nu} shots of N={N}, tau={tau}")
+            break
         T = N * tau
         a_t, n_plus, n_minus = measure(N, tau, nu)
         t_probe_start = t_total
@@ -362,8 +370,8 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
 
         if dw_hat < REGRID_TRIGGER_SPACINGS * post.spacing:
             # the new window keeps every node within KEEP_LOG_NATS of the peak
-            lw = post.log_weights
-            kept = post.grid[lw > lw.max() - KEEP_LOG_NATS]
+            w = post.weights
+            kept = post.grid[w > w.max() * math.exp(-KEEP_LOG_NATS)]
             hw = max(REGRID_HALFWIDTH_SIGMAS * dw_hat, 1.05 * float(np.abs(kept - w_hat).max()))
             if hw < (post.omega_max - post.omega_min) / 2:
                 new = regrid(post, w_hat, hw, cfg.n_points)

@@ -182,7 +182,7 @@ def test_08_estimation_suite():
     t0 = perf_counter()
 
     # batch associativity: two updates equal one merged update
-    base = Posterior(np.linspace(-1.0, 1.0, 512), np.full(512, -np.log(512)))
+    base = Posterior(np.linspace(-1.0, 1.0, 512), np.ones(512))
     l_profile = 0.8 * np.sin(base.grid)
     split = bayes_update(bayes_update(base, l_profile, 3, 2), l_profile, 1, 4)
     merged = bayes_update(base, l_profile, 4, 6)
@@ -190,7 +190,7 @@ def test_08_estimation_suite():
     assert assoc <= 1e-12
 
     # width contraction follows 1/sqrt(nu) under expected counts
-    grid_post = Posterior(np.linspace(-1.0, 1.0, 4096), np.full(4096, -np.log(4096)))
+    grid_post = Posterior(np.linspace(-1.0, 1.0, 4096), np.ones(4096))
     profile = 0.8 * np.sin(grid_post.grid)
     nus = np.array([100, 1000, 10_000, 100_000])
     widths = []
@@ -203,7 +203,7 @@ def test_08_estimation_suite():
 
     # estimator consistency over seeded binomial trials
     omega_true = 0.35
-    flat = Posterior(np.linspace(-1.0, 1.0, 1024), np.full(1024, -np.log(1024)))
+    flat = Posterior(np.linspace(-1.0, 1.0, 1024), np.ones(1024))
     trial_profile = 0.8 * np.sin(flat.grid - omega_true)
     nu = 400
     rng = np.random.default_rng(20260822)

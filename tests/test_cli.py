@@ -316,6 +316,18 @@ class TestAdapt:
                 "rep 0: grid beyond float64 resolution at step ") in err
         assert not list(tmp_path.glob("a_*"))
 
+    def test_shot_count_beyond_int64_is_reported(self, tmp_path, capsys):
+        # stage (i) plans about 3.5e19 shots at step 0 of every rep
+        cfg = write_adapt_config(tmp_path / "cfg.json", nbar=0.0, **{"lambda": 1e-11})
+        rc = cli.main(["adapt", "--config", str(cfg), "--threads", "1",
+                       "--out-prefix", str(tmp_path / "a")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        got = re.search(r"numerical failure: all 2 repetitions aborted; rep 0: shot count "
+                        r"beyond int64 at step 0: the stage 1 plan asks for nu=(\d+) shots", err)
+        assert got and int(got.group(1)) > 2**63 - 1
+        assert not list(tmp_path.glob("a_*"))
+
     @pytest.mark.filterwarnings("ignore:resolution-limited posterior:UserWarning")
     def test_window_reaching_omega_zero_is_reported(self, tmp_path, capsys):
         # rep 0 regrids onto a window below omega = 0 at step 10, rep 1 not by step 12

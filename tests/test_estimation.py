@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import log_domain_mle, log_domain_update
 from qsense import estimation
 from qsense.estimation import (
     LOG_FLOOR,
@@ -29,8 +30,7 @@ from qsense.estimation import (
 
 
 def flat_posterior(omega_min=0.0, omega_max=1.0, n_points=64):
-    lw = np.full(n_points, -np.log(n_points))
-    return Posterior(np.linspace(omega_min, omega_max, n_points), lw)
+    return Posterior(np.linspace(omega_min, omega_max, n_points), np.ones(n_points))
 
 
 def rough_posterior(omega_min=2.0, omega_max=4.0, n_points=257, seed=5):
@@ -50,22 +50,28 @@ class TestPosteriorType:
 
     def test_ordering_required(self):
         with pytest.raises(ValueError):
-            Posterior(np.linspace(1.0, 1.0, 64), np.zeros(64))
+            Posterior(np.linspace(1.0, 1.0, 64), np.ones(64))
 
     def test_minimum_grid_size(self):
         with pytest.raises(ValueError):
-            Posterior(np.linspace(0.0, 1.0, 32), np.zeros(32))
+            Posterior(np.linspace(0.0, 1.0, 32), np.ones(32))
 
     def test_length_consistency(self):
         with pytest.raises(ValueError):
-            Posterior(np.linspace(0.0, 1.0, 64), np.zeros(65))
+            Posterior(np.linspace(0.0, 1.0, 64), np.ones(65))
 
     def test_constructor_normalizes(self):
-        post = Posterior(np.linspace(0.0, 1.0, 64), np.zeros(64))
+        post = Posterior(np.linspace(0.0, 1.0, 64), np.full(64, 3.0))
         assert post.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.exp(post.log_weights).sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(post.weights == post.weights[0])
         mass, _ = mass_beyond(post, 0.5, 0.1)
         assert 0.0 <= mass <= 1.0
+
+    @pytest.mark.parametrize("fill", [0.0, -1.0, np.inf, np.nan, 1e-320])
+    def test_sum_must_be_positive_and_finite(self, fill):
+        # a sum whose reciprocal overflows cannot be scaled to 1 either
+        with pytest.raises(ValueError, match="positive finite sum"):
+            Posterior(np.linspace(0.0, 1.0, 64), np.full(64, fill))
 
 
 class TestGaussianPrior:
@@ -92,22 +98,23 @@ class TestGaussianPrior:
 
 
 def clip_update(post, contrast, n_plus, n_minus):
-    """The Bayes update written plainly, with L clipped on both sides."""
+    """The weight-domain Bayes update written plainly, with L clipped on
+    both sides: one multiply per shot."""
     bound = 1.0 - 2.0 * P_CLAMP
     lc = np.clip(np.asarray(contrast, dtype=float), -bound, bound)
-    lw = post.log_weights
-    if n_plus:
-        lw = lw + n_plus * np.log1p(lc)
-    if n_minus:
-        lw = lw + n_minus * np.log1p(-lc)
-    return Posterior(post.grid, lw)
+    w = post.weights
+    for _ in range(n_plus):
+        w = w * (1.0 + lc)
+    for _ in range(n_minus):
+        w = w * (1.0 - lc)
+    return Posterior(post.grid, w)
 
 
 class TestBayesUpdate:
     def test_no_data_identity(self):
         post = gaussian_prior(50.0, 1.0, 4.0, 128)
         same = bayes_update(post, np.full(128, -0.4), 0, 0)
-        assert np.allclose(same.log_weights, post.log_weights, atol=1e-12)
+        assert np.allclose(same.weights, post.weights, rtol=1e-12, atol=0.0)
 
     def test_three_level_brute_force(self):
         # flat prior, block-valued P+ = 0.2 / 0.5 / 0.8 (L = -0.6 / 0 / 0.6),
@@ -139,7 +146,7 @@ class TestBayesUpdate:
         lc = rng.uniform(-0.9, 0.9, size=96)
         split = bayes_update(bayes_update(post, lc, a_plus, a_minus), lc, b_plus, b_minus)
         joint = bayes_update(post, lc, a_plus + b_plus, a_minus + b_minus)
-        assert np.allclose(split.log_weights, joint.log_weights, atol=1e-12)
+        assert np.allclose(split.weights, joint.weights, rtol=1e-12, atol=0.0)
 
     @given(st.lists(st.one_of(st.sampled_from([-1.0, 2.0 * P_CLAMP - 1.0, 0.0,
                                                1.0 - 2.0 * P_CLAMP, 1.0]),
@@ -157,8 +164,19 @@ class TestBayesUpdate:
         post = gaussian_prior(50.0, 1.0, 4.0, 64)
         got = bayes_update(post, lc, n_plus, n_minus)
         want = clip_update(post, lc, n_plus, n_minus)
-        assert np.array_equal(got.log_weights, want.log_weights)
         assert np.array_equal(got.weights, want.weights)
+
+    @pytest.mark.parametrize("nu", [1, 3, 25, 26, 390, 350651])
+    def test_uniform_batch_leaves_the_posterior(self, nu):
+        # every node at the upper clamp and every outcome contrary: one
+        # common factor (2*P_CLAMP)**nu, which the weight domain holds at
+        # the prior's tails (exp(-32) of its peak) up to nu = 25; above
+        # that the update goes through log domain, whose sum rounds to
+        # 2**-53 of nu*|ln(2*P_CLAMP)|
+        post = gaussian_prior(50.0, 0.5, 8.0, 4096)
+        out = bayes_update(post, np.ones(4096), 0, nu)
+        rtol = 1e-12 + 4 * 2.0**-53 * nu * abs(math.log(2.0 * P_CLAMP))
+        assert np.allclose(out.weights, post.weights, rtol=rtol, atol=0.0)
 
     def test_renormalized(self):
         post = flat_posterior(n_points=64)
@@ -167,26 +185,26 @@ class TestBayesUpdate:
 
     def test_input_unchanged(self):
         post = gaussian_prior(50.0, 1.0, 4.0, 128)
-        before = post.log_weights.copy()
+        before = post.weights.copy()
         contrast = np.linspace(-0.9, 0.9, 128)
         c_before = contrast.copy()
         for n_plus, n_minus in ((5, 3), (5, 0), (0, 3)):
             out = bayes_update(post, contrast, n_plus, n_minus)
-            assert np.array_equal(post.log_weights, before)
+            assert np.array_equal(post.weights, before)
             assert np.array_equal(contrast, c_before)
         # the constructor normalizes a copy, not the caller's array
-        lw = out.log_weights + 7.0
-        lw_before = lw.copy()
-        Posterior(out.grid, lw)
-        assert np.array_equal(lw, lw_before)
+        w = out.weights * 7.0
+        w_before = w.copy()
+        Posterior(out.grid, w)
+        assert np.array_equal(w, w_before)
 
     def test_boundary_probabilities_clamped(self):
         # a contrary outcome at a certain node must not produce -inf
         post = flat_posterior(n_points=64)
         lc = np.concatenate([np.full(32, -1.0), np.ones(32)])
         out = bayes_update(post, lc, 3, 2)
-        assert np.all(np.isfinite(out.log_weights))
-        assert np.all(out.log_weights >= LOG_FLOOR)
+        assert np.all(np.isfinite(out.weights))
+        assert np.all(out.weights > 0.0)
 
     def test_shape_mismatch(self):
         post = flat_posterior(n_points=64)
@@ -209,7 +227,7 @@ class TestBayesUpdate:
         # analytic likelihood at omega_true, expected counts: the
         # posterior width must fall as 1/sqrt(nu)
         omega_true = 0.0
-        grid_post = Posterior(np.linspace(-1.0, 1.0, 4096), np.full(4096, -np.log(4096)))
+        grid_post = Posterior(np.linspace(-1.0, 1.0, 4096), np.ones(4096))
         l_profile = 0.8 * np.sin(grid_post.grid)
         p_true = 0.5
         nus = np.array([100, 1000, 10_000, 100_000])
@@ -225,6 +243,61 @@ class TestBayesUpdate:
         assert abs(mle(out) - omega_true) <= 3 * widths[-1]
 
 
+class TestLogDomainOracle:
+    """Sequences of updates against the log-domain update of tests/oracles.py.
+
+    Outcomes are drawn from one true node's law, as in the run loop. A
+    weight that underflows to 0 stays 0, where the oracle keeps the
+    node at any depth, so data that later favoured such a node would
+    fail the comparison; with outcomes drawn this way none does.
+    """
+
+    SPECIAL = [0.0, 1.0 - 2.0 * P_CLAMP, 1.0]
+
+    @given(nus=st.lists(st.sampled_from([1, 3, 21, 390, 350651]), min_size=1, max_size=50),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           true=st.integers(min_value=0, max_value=63),
+           special_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_sequence_matches_log_domain(self, nus, seed, true, special_share):
+        rng = np.random.default_rng(seed)
+        post = gaussian_prior(50.0, 1.0, 4.0, 64)
+        lw = np.log(post.weights)
+        for nu in nus:
+            lc = rng.uniform(0.0, 1.0, 64)
+            special = rng.random(64) < special_share
+            lc[special] = rng.choice(self.SPECIAL, int(special.sum()))
+            n_plus = int(rng.binomial(nu, (1.0 + min(lc[true], 1.0 - 2.0 * P_CLAMP)) / 2.0))
+            post = bayes_update(post, lc, n_plus, nu - n_plus)
+            lw = log_domain_update(lw, lc, n_plus, nu - n_plus)
+        # the oracle rounds each term n*log1p(+-L) to 2**-53 of its size, at
+        # most nu*|ln(2*P_CLAMP)|, and so its log weights
+        tol = 1e-12 + 4 * 2.0**-53 * sum(nus) * abs(math.log(2.0 * P_CLAMP))
+        w_oracle = np.exp(lw)
+        compared = lw > math.log(1e-250)
+        assert np.all(np.abs(post.weights[compared] / w_oracle[compared] - 1.0) <= tol)
+        assert np.all(post.weights[~compared] <= 1e-249)
+        i = int(np.argmax(lw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # one-node posteriors
+            omega_hat = mle(post)
+            for half_window in (None, 3 * post.spacing, 0.5):
+                inside = (np.ones(64, dtype=bool) if half_window is None
+                          else np.abs(post.grid - omega_hat) <= half_window)
+                d = post.grid[inside] - omega_hat
+                want = max(math.sqrt(np.sum(w_oracle[inside] * d**2) / np.sum(w_oracle[inside])),
+                           post.spacing / math.sqrt(12.0))
+                assert uncertainty(post, omega_hat, half_window) == pytest.approx(want, rel=1e-9)
+        want_mle = log_domain_mle(post.grid, lw)
+        if 0 < i < 63 and compared[i - 1] and compared[i + 1]:
+            assert omega_hat == pytest.approx(want_mle, abs=1e-9 * post.spacing)
+        else:
+            # a neighbour below the compared range: the parabola's offset
+            # differs, but both stay within half a spacing of the peak node
+            assert abs(omega_hat - post.grid[i]) <= 0.5 * post.spacing
+            assert abs(want_mle - post.grid[i]) <= 0.5 * post.spacing
+
+
 class TestMle:
     def test_single_peak_within_spacing(self):
         post = gaussian_prior(10.0, 0.3, 6.0, 256)
@@ -235,19 +308,19 @@ class TestMle:
         grid = np.linspace(0.0, 1.0, 101)
         true_peak = 0.503
         lw = -((grid - true_peak) ** 2) / (2 * 0.05**2)
-        post = Posterior(np.linspace(0.0, 1.0, 101), lw)
+        post = Posterior(np.linspace(0.0, 1.0, 101), np.exp(lw))
         assert abs(mle(post) - true_peak) < 0.1 * post.spacing
 
     def test_symmetric_tie_takes_lower_index(self):
         lw = np.full(64, -10.0)
         lw[20] = lw[43] = -1.0
-        post = Posterior(np.linspace(0.0, 1.0, 64), lw)
+        post = Posterior(np.linspace(0.0, 1.0, 64), np.exp(lw))
         assert mle(post) == pytest.approx(post.grid[20], abs=1e-12)
 
     def test_tie_prefers_center(self):
         lw = np.full(64, -10.0)
         lw[5] = lw[33] = -1.0
-        post = Posterior(np.linspace(0.0, 1.0, 64), lw)
+        post = Posterior(np.linspace(0.0, 1.0, 64), np.exp(lw))
         assert mle(post) == pytest.approx(post.grid[33], abs=1e-12)
 
     def test_flat_posterior_warns_and_centers(self):
@@ -258,7 +331,7 @@ class TestMle:
 
     def test_boundary_maximum_no_refinement(self):
         lw = np.linspace(-5.0, 0.0, 64)
-        post = Posterior(np.linspace(0.0, 1.0, 64), lw)
+        post = Posterior(np.linspace(0.0, 1.0, 64), np.exp(lw))
         assert mle(post) == pytest.approx(post.grid[-1], abs=1e-12)
 
 
@@ -276,7 +349,7 @@ def count_nonzero_mle(post):
         i = int(top[np.argmin(np.abs(post.grid[top] - center))])
     omega_hat = post.grid.item(i)
     if 0 < i < post.n_points - 1:
-        l0, l1, l2 = post.log_weights[i - 1:i + 2].tolist()
+        l0, l1, l2 = (math.log(v) if v > 0.0 else LOG_FLOOR for v in w[i - 1:i + 2].tolist())
         den = l0 - 2.0 * l1 + l2
         if den < 0:
             off = 0.5 * (l0 - l2) / den
@@ -307,7 +380,7 @@ class TestMleTailTie:
     def posterior(top, n=64):
         lw = np.full(n, -10.0)
         lw[list(top)] = -1.0
-        return Posterior(np.linspace(0.0, 1.0, n), lw)
+        return Posterior(np.linspace(0.0, 1.0, n), np.exp(lw))
 
     @pytest.mark.parametrize("top,want", [
         ((5, 33), 33),         # a tie after the first maximum, nearer the center
@@ -330,19 +403,19 @@ class TestMleTailTie:
     @given(levels=st.lists(st.integers(min_value=-2, max_value=0), min_size=64, max_size=96))
     @settings(max_examples=200, deadline=None)
     def test_coarse_weights_match_count_nonzero_rule(self, levels):
-        # equal log weights give bitwise equal weights, so ties are common
+        # equal levels give bitwise equal weights, so ties are common
         n = len(levels)
-        same_mle(Posterior(np.linspace(-1.0, 2.0, n), np.array(levels, dtype=float)))
+        same_mle(Posterior(np.linspace(-1.0, 2.0, n), np.exp(np.array(levels, dtype=float))))
 
 
 class TestUncertainty:
     def test_bimodal_direct_sum(self):
         lw = np.full(64, LOG_FLOOR)
         lw[10] = lw[53] = -0.5
-        post = Posterior(np.linspace(0.0, 1.0, 64), lw)
+        post = Posterior(np.linspace(0.0, 1.0, 64), np.exp(lw))
         omega_hat = post.grid[10]
         got = uncertainty(post, omega_hat)
-        w = np.exp(np.maximum(lw, LOG_FLOOR))
+        w = np.exp(lw)
         coeff = np.ones(64)
         coeff[0] = coeff[-1] = 0.5
         want = np.sqrt(np.sum(coeff * w * (post.grid - omega_hat) ** 2)
@@ -353,7 +426,7 @@ class TestUncertainty:
     def test_single_node_resolution_floor(self):
         lw = np.full(64, LOG_FLOOR)
         lw[30] = 0.0
-        post = Posterior(np.linspace(0.0, 1.0, 64), lw)
+        post = Posterior(np.linspace(0.0, 1.0, 64), np.exp(lw))
         with pytest.warns(UserWarning):
             val = uncertainty(post, post.grid[30])
         assert val == pytest.approx(post.spacing / np.sqrt(12.0))
@@ -541,7 +614,7 @@ class TestRegrid:
         post = gaussian_prior(50.0, 0.5, 6.0, 256)
         half = 0.5 * (post.omega_max - post.omega_min)
         out = regrid(post, 50.0, half, 256)
-        assert np.allclose(out.log_weights, post.log_weights, atol=1e-10)
+        assert np.allclose(out.weights, post.weights, rtol=1e-10, atol=0.0)
 
     def test_tighter_window_preserves_moments(self):
         post = gaussian_prior(50.0, 0.5, 8.0, 2048)
@@ -554,7 +627,8 @@ class TestRegrid:
         post = gaussian_prior(50.0, 0.5, 6.0, 256)
         out = regrid(post, 50.8, 0.6, 256)
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(out.log_weights >= LOG_FLOOR)
+        # the mass off the old grid is floored at exp(LOG_FLOOR) of the old peak, not 0
+        assert np.all(out.weights > 0.0)
 
     def test_round_trip_preserves_mle(self):
         post = gaussian_prior(50.0, 0.5, 8.0, 1024)
@@ -578,7 +652,7 @@ class TestEstimatorConsistency:
         # binomial data from the true model: the interval omega_hat
         # +- 3 delta_omega must cover omega_true in at least 99% of trials
         omega_true = 0.35
-        base = Posterior(np.linspace(-1.0, 1.0, 1024), np.full(1024, -np.log(1024)))
+        base = Posterior(np.linspace(-1.0, 1.0, 1024), np.ones(1024))
         l_profile = 0.8 * np.sin(base.grid - omega_true)
         p_true = 0.5
         nu = 400

@@ -329,8 +329,9 @@ class TestRunLoop:
         traj = run_adaptive(cfg, rng=ForcedPlus())
         assert not traj.aborted
         assert isinstance(traj.final_posterior, Posterior)
-        assert np.all(np.isfinite(traj.final_posterior.log_weights))
-        assert traj.final_posterior.weights.sum() == pytest.approx(1.0, abs=1e-9)
+        w = traj.final_posterior.weights
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_probe_latch(self, monkeypatch):
         # far masses in call order: 40 probe blocks hit the cap with the
@@ -397,6 +398,17 @@ class TestRunLoop:
         assert traj.final_posterior.grid[0] > 0
         assert traj.final_estimate.omega_hat == traj.records[-1].omega_k
 
+    def test_shot_count_beyond_int64_aborts(self):
+        # at lambda 1e-11 on the reference prior, stage (i)'s first plan asks
+        # for about 3.5e19 shots, more than rng.binomial takes
+        cfg = dataclasses.replace(reference_config(nbar=0.0, max_steps=5), lam=1e-11)
+        traj = run_adaptive(cfg)
+        assert traj.aborted and traj.records == ()
+        got = re.fullmatch(r"shot count beyond int64 at step 0: the stage 1 plan asks for "
+                           r"nu=(\d+) shots of N=\d+, tau=\S+", traj.diagnostic)
+        assert got and int(got.group(1)) > protocol.MAX_SHOTS == np.iinfo(np.int64).max
+        assert traj.final_estimate == Estimate(cfg.omega0, cfg.delta_omega0)
+
     def test_empty_width_window_aborts(self, monkeypatch):
         # held in stage (i), the evolution time outgrows the grid until no
         # node within pi/T of the estimate keeps any weight; rep 1 of six
@@ -414,7 +426,7 @@ class TestRunLoop:
         assert ", dw=nan, width window pi/T=" in traj.diagnostic
         assert traj.diagnostic.endswith(f", grid spacing {traj.final_posterior.spacing}")
         post = traj.final_posterior
-        assert np.all(np.isfinite(post.log_weights))
+        assert np.all(np.isfinite(post.weights)) and np.all(post.weights >= 0.0)
         assert post.weights.sum() == pytest.approx(1.0, abs=1e-9)
         last = traj.records[-1]
         assert traj.final_estimate == Estimate(last.omega_k, last.delta_omega_k)
@@ -452,16 +464,17 @@ class TestGridKernelInLoop:
 
     def test_same_decisions_as_probability_update(self, monkeypatch):
         # the update on the signed contrast L against the update on
-        # P+ = (1 + L)/2, clipped to [P_CLAMP, 1 - P_CLAMP] on both sides
-        # before log and log1p
+        # P+ = (1 + L)/2, clipped to [P_CLAMP, 1 - P_CLAMP] on both sides,
+        # in log domain: the loop's batches are small enough for either
         def probability_update(post, contrast, n_plus, n_minus):
             p = np.clip((1.0 + contrast) / 2.0, P_CLAMP, 1.0 - P_CLAMP)
-            lw = post.log_weights
+            with np.errstate(divide="ignore"):  # a zero weight stays 0
+                lw = np.log(post.weights)
             if n_plus:
                 lw = lw + n_plus * np.log(p)
             if n_minus:
                 lw = lw + n_minus * np.log1p(-p)
-            return Posterior(post.grid, lw)
+            return Posterior(post.grid, np.exp(lw - lw.max()))
 
         assert_same_decisions(monkeypatch, "bayes_update", probability_update)
 
