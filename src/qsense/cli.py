@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--seed", type=int, default=None)
     a.add_argument("--out-prefix", default="adapt")
     a.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: the CPU count)")
+                   help="worker cap (default: the number of CPUs this process may run on)")
     a.add_argument("--snapshot-posterior", default=None,
                    help="also write the final posterior CSV of repetition 0 here")
     a.set_defaults(func=cmd_adapt)

@@ -74,12 +74,18 @@ class Posterior:
             raise ValueError("weights length does not match the grid")
         if not grid[0] < grid[-1]:
             raise ValueError(f"need omega_min < omega_max, got [{grid[0]}, {grid[-1]}]")
-        total = float(w.sum())
-        # the scale 1/total must be finite too: a sum below about 5.6e-309 is refused
-        if not (0.0 < total < math.inf and 1.0 / total < math.inf):
-            raise ValueError(f"weights must have a positive finite sum, got {total}")
-        object.__setattr__(self, "weights", np.multiply(w, 1.0 / total))
+        object.__setattr__(self, "weights", _normalized(w))
         object.__setattr__(self, "_last_window", None)
+
+    def _on_same_grid(self, weights: np.ndarray) -> Posterior:
+        """Posterior(self.grid, weights) for weights of the grid's length,
+        without checking the grid again: the sum check and the
+        normalization run as in the constructor."""
+        post = object.__new__(Posterior)
+        object.__setattr__(post, "grid", self.grid)
+        object.__setattr__(post, "weights", _normalized(weights))
+        object.__setattr__(post, "_last_window", None)
+        return post
 
     @property
     def omega_min(self) -> float:
@@ -98,6 +104,16 @@ class Posterior:
         return float(self.grid[1] - self.grid[0])
 
 
+def _normalized(w: np.ndarray) -> np.ndarray:
+    """w scaled to unit sum, as a new array; w must be nonnegative with a
+    positive finite sum."""
+    total = float(w.sum())
+    # the scale 1/total must be finite too: a sum below about 5.6e-309 is refused
+    if not (0.0 < total < math.inf and 1.0 / total < math.inf):
+        raise ValueError(f"weights must have a positive finite sum, got {total}")
+    return np.multiply(w, 1.0 / total)
+
+
 @dataclass(frozen=True)
 class Estimate:
     """Point estimate of omega with its RMS uncertainty."""
@@ -114,22 +130,27 @@ def _window(post: Posterior, center: float, radius: float) -> tuple[int, int]:
     the search can miss a node at round-off. The upper end never needs
     lowering: a node below fl(center + radius) is at or below
     center + radius, so its rounded distance from center cannot exceed
-    radius. A repeat of the posterior's last (center, radius) returns
-    its last result.
+    radius. When both end nodes lie within radius, the window is the
+    whole grid: fl(omega - center) is monotone in omega, so on each side
+    of center the end node has the largest rounded distance. A repeat of
+    the posterior's last (center, radius) returns its last result.
     """
     last = post._last_window
     if last is not None and last[0] == center and last[1] == radius:
         return last[2], last[3]
     if not (math.isfinite(center) and radius >= 0):
         raise ValueError(f"need a finite center and radius >= 0, got {center}, {radius}")
-    grid, n = post.grid, post.n_points
-    lo, hi = int(grid.searchsorted(center - radius)), int(grid.searchsorted(center + radius))
-    while lo > 0 and abs(grid.item(lo - 1) - center) <= radius:
-        lo -= 1
-    while lo < hi and not abs(grid.item(lo) - center) <= radius:
-        lo += 1
-    while hi < n and abs(grid.item(hi) - center) <= radius:
-        hi += 1
+    grid, n = post.grid, len(post.grid)
+    if abs(grid.item(0) - center) <= radius and abs(grid.item(n - 1) - center) <= radius:
+        lo, hi = 0, n
+    else:
+        lo, hi = int(grid.searchsorted(center - radius)), int(grid.searchsorted(center + radius))
+        while lo > 0 and abs(grid.item(lo - 1) - center) <= radius:
+            lo -= 1
+        while lo < hi and not abs(grid.item(lo) - center) <= radius:
+            lo += 1
+        while hi < n and abs(grid.item(hi) - center) <= radius:
+            hi += 1
     object.__setattr__(post, "_last_window", (center, radius, lo, hi))
     return lo, hi
 
@@ -200,13 +221,13 @@ def bayes_update(post: Posterior, contrast: np.ndarray, n_plus: int,
         if n_minus:
             lw += n_minus * np.log1p(-c)
         lw -= lw.max()
-        return Posterior(post.grid, np.exp(lw, out=lw))
+        return post._on_same_grid(np.exp(lw, out=lw))
     # each factor is a fresh array, which holds the product after one shot
     if n_plus:
         w = _times_power(w, c + 1.0, n_plus)
     if n_minus:
         w = _times_power(w, 1.0 - c, n_minus)
-    return Posterior(post.grid, w)
+    return post._on_same_grid(w)
 
 
 def mle(post: Posterior) -> float:
@@ -221,12 +242,12 @@ def mle(post: Posterior) -> float:
     i = int(w.argmax())
     # argmax takes the first maximum, so a tie can only lie after it
     ties = 1 if i == post.n_points - 1 or w[i + 1:].max() < w[i] else np.count_nonzero(w == w[i])
-    center = 0.5 * (post.omega_min + post.omega_max)
-    if ties == post.n_points:
-        warnings.warn("degenerate posterior: all weights equal, returning grid center")
-        return center
     grid = post.grid
     if ties > 1:
+        center = 0.5 * (post.omega_min + post.omega_max)
+        if ties == post.n_points:
+            warnings.warn("degenerate posterior: all weights equal, returning grid center")
+            return center
         top = np.flatnonzero(w == w[i])
         i = int(top[np.argmin(np.abs(grid[top] - center))])
     omega_hat = grid.item(i)

@@ -15,6 +15,7 @@ exp(-2*(2*nbar+1)*|alpha|^2), and the +1 outcome has probability
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,35 @@ def _near_cos_zero(lo: float, hi: float) -> bool:
     return math.pi * (k + 0.5) <= hi + NEAR_PEAK_RAD
 
 
+class _TrigWork:
+    """_grid_displacement's work arrays for tables of B values: the index
+    row 0..B-1, the four row multipliers, the 4B + 2 angles and their
+    cos/sin table, the 2 x 2 angle-addition matrix and the B x 2 product.
+    Every call fills each of them before it reads it, and returns none of them.
+    """
+
+    def __init__(self, b: int):
+        self.b = b
+        self.index = np.arange(b, dtype=float)
+        self.steps = np.empty((4, 1))
+        self.angles = np.empty(4 * b + 2)
+        self.table_angles = self.angles[:4 * b].reshape(4, b)
+        # rows a*B*dtheta, c*dtheta, a*B*dphi, c*dphi (a, c = 0..B-1), then
+        # the last node's theta and phi; column 0 takes their cos, column 1 their sin
+        trig = np.empty((4 * b + 2, 2))
+        self.trig = trig
+        self.cos_col, self.sin_col = trig[:, 0], trig[:, 1]
+        self.theta_rows, self.theta_cols = trig[:b], trig[b:2 * b].T
+        self.phi_rows, self.phi_cols = trig[2 * b:3 * b], trig[3 * b:4 * b].T
+        self.matrix = np.empty((2, 2))
+        self.product = np.empty((b, 2))
+
+
+# One _TrigWork per thread, for the B of that thread's last call, so that
+# threads that run the kernel at once never share a work array.
+_trig_work = threading.local()
+
+
 def _grid_displacement(scale, n_units: int, tau: float, omega_min: float, step: float,
                        omega_last: float) -> np.ndarray:
     """cpmg_displacement_abs up to sign, unchecked, on the n nodes
@@ -181,28 +211,32 @@ def _grid_displacement(scale, n_units: int, tau: float, omega_min: float, step: 
     node is thereby evaluated as cpmg_displacement_abs evaluates it.
     The limit test next to the major peak runs only when the grid's
     theta range or the last node's theta comes within NEAR_PEAK_RAD of
-    a zero of cos theta. The result is a fresh buffer the caller may
-    overwrite. Needs n >= 1, N >= 1, tau > 0, every node > 0 and
-    step > 0.
+    a zero of cos theta. The small work arrays are kept per thread
+    (_TrigWork) and refilled on every call; the result is a fresh
+    buffer the caller may overwrite. Needs n >= 1, N >= 1, tau > 0,
+    every node > 0 and step > 0.
     """
     n = len(scale) - 1
     b = math.isqrt(n - 1) + 1
+    work = getattr(_trig_work, "work", None)
+    if work is None or work.b != b:
+        work = _trig_work.work = _TrigWork(b)
     theta0, dtheta = omega_min * (tau / 4.0), step * (tau / 4.0)
     phi0, dphi = theta0 * (2 * n_units), dtheta * (2 * n_units)
     theta_last = omega_last * (tau / 4.0)
-    # rows a*B*dtheta, c*dtheta, a*B*dphi, c*dphi (a, c = 0..B-1), then the
-    # last node's theta and phi; column 0 takes their cos, column 1 their sin
-    angles = np.empty(4 * b + 2)
-    np.multiply(np.array([[b * dtheta], [dtheta], [b * dphi], [dphi]]), np.arange(b, dtype=float),
-                out=angles[:4 * b].reshape(4, b))
-    angles[4 * b:] = theta_last, theta_last * (2 * n_units)
-    trig = np.empty((4 * b + 2, 2))
-    np.cos(angles, out=trig[:, 0])
-    np.sin(angles, out=trig[:, 1])
+    angles, steps = work.angles, work.steps
+    steps[0, 0], steps[1, 0], steps[2, 0], steps[3, 0] = b * dtheta, dtheta, b * dphi, dphi
+    np.multiply(steps, work.index, out=work.table_angles)
+    angles[4 * b], angles[4 * b + 1] = theta_last, theta_last * (2 * n_units)
+    np.cos(angles, out=work.cos_col)
+    np.sin(angles, out=work.sin_col)
     # B*B >= n grid nodes, then one slot that the last node takes
     cos_theta, sin_phi = np.empty(b * b + 1), np.empty(b * b + 1)
-    _affine_trig(theta0, trig[:b], trig[b:2 * b], cos_theta[:b * b], sine=False)
-    _affine_trig(phi0, trig[2 * b:3 * b], trig[3 * b:4 * b], sin_phi[:b * b], sine=True)
+    _affine_trig(theta0, work.theta_rows, work.theta_cols, cos_theta[:b * b].reshape(b, b),
+                 work.matrix, work.product, sine=False)
+    _affine_trig(phi0, work.phi_rows, work.phi_cols, sin_phi[:b * b].reshape(b, b),
+                 work.matrix, work.product, sine=True)
+    trig = work.trig
     cos_theta[n], sin_phi[n] = trig[4 * b, 0], trig[4 * b + 1, 1]
     near_peak = (_near_cos_zero(theta0, theta0 + (n - 1) * dtheta)
                  or _near_cos_zero(theta_last, theta_last))
@@ -210,22 +244,25 @@ def _grid_displacement(scale, n_units: int, tau: float, omega_min: float, step: 
 
 
 def _affine_trig(start: float, rows: np.ndarray, cols: np.ndarray, out: np.ndarray,
-                 sine: bool) -> None:
-    """cos (or sin) of start + j*delta for j = 0..B*B-1, into out.
+                 m: np.ndarray, product: np.ndarray, sine: bool) -> None:
+    """cos (or sin) of start + j*delta for j = 0..B*B-1, into the B x B out.
 
     With j = a*B + c, the angle is start + u_a + v_c, u_a = a*B*delta and
-    v_c = c*delta; rows holds [cos u_a, sin u_a] and cols [cos v_c, sin v_c],
-    each B x 2. Angle addition makes the B x B table one matrix product,
-    [cos u_a, sin u_a] @ M @ [cos v_c; sin v_c], where the 2 x 2 matrix M
-    holds start's cos and sin. Only start is large, and it is rounded
-    once, where it was computed.
+    v_c = c*delta; rows holds [cos u_a, sin u_a] (B x 2) and cols
+    [cos v_c; sin v_c] (2 x B). Angle addition makes the B x B table one
+    matrix product, rows @ M @ cols, where the 2 x 2 matrix M holds
+    start's cos and sin. Only start is large, and it is rounded once,
+    where it was computed. m (2 x 2) and product (B x 2) are work arrays.
     """
-    b = len(rows)
     cs, ss = math.cos(start), math.sin(start)
     # sin(s + u + v) = sin(s + u) cos v + cos(s + u) sin v, and
     # cos(s + u + v) = cos(s + u) cos v - sin(s + u) sin v
-    m = np.array([[ss, cs], [cs, -ss]] if sine else [[cs, -ss], [-ss, -cs]])
-    np.matmul(rows @ m, cols.T, out=out.reshape(b, b))
+    if sine:
+        m[0, 0], m[0, 1], m[1, 0], m[1, 1] = ss, cs, cs, -ss
+    else:
+        m[0, 0], m[0, 1], m[1, 0], m[1, 1] = cs, -ss, -ss, -cs
+    np.matmul(rows, m, out=product)
+    np.matmul(product, cols, out=out)
 
 
 def zeta(n_units: int, omega, tau: float):
@@ -266,5 +303,8 @@ def outcome_probability(alpha, state: ThermalState):
     a complex alpha raises TypeError. P(-1) is its complement. L lies in
     [0, 1], so P_plus lies in [1/2, 1].
     """
+    if type(alpha) is float:
+        # the same IEEE operations on Python floats, after the one np.exp
+        return (1.0 + float(_contrast(alpha, state))) / 2.0
     p_plus = (1.0 + _contrast(alpha, state)) / 2.0
     return p_plus if isinstance(p_plus, np.ndarray) else float(p_plus)

@@ -89,6 +89,18 @@ def _run_one(args) -> tuple:
     return steps, final, traj.diagnostic, traj.final_posterior if r == 0 else None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which under an affinity mask
+    (taskset, a CPU-limited container) are fewer than the host's:
+    os.process_cpu_count() where it exists (Python 3.13 on), else the
+    size of the affinity mask, else os.cpu_count()."""
+    if hasattr(os, "process_cpu_count"):
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_repetitions(cfg: AdaptiveConfig, n_reps: int,
                     n_workers: int | None = None) -> AggregateResult:
     """Average n_reps independent adaptive runs and fit the late-time scaling.
@@ -103,13 +115,13 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int,
     FIT_TAIL_FRACTION of the steps where every averaged repetition has
     reached stage (ii), and over at least 3 steps; with max_steps below
     3 no slope is fitted. The repetitions run on min(n_workers, n_reps)
-    processes, n_workers defaulting to the CPU count; with one, they run
-    in this process.
+    processes, n_workers defaulting to the number of CPUs this process
+    may run on (_usable_cpus); with one, they run in this process.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     if n_workers is None:
-        n_workers = os.cpu_count() or 1
+        n_workers = _usable_cpus()
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     workers = min(n_workers, n_reps)

@@ -474,7 +474,7 @@ class TestAdapt:
         assert rc == 3
 
     def test_threads_env_is_ignored(self, tmp_path, monkeypatch):
-        # the worker count comes from --threads or the CPU count only
+        # the worker count comes from --threads or the usable CPU count only
         sizes = []
 
         class SerialPool:
@@ -491,7 +491,7 @@ class TestAdapt:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(simkit.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(simkit, "_usable_cpus", lambda: 3)
         monkeypatch.setenv("QSENSE_THREADS", "1")
         cfg = write_adapt_config(tmp_path / "cfg.json")
         rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "t")])

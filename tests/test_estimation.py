@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import log_domain_mle, log_domain_update
@@ -540,6 +540,73 @@ def check_window_calls(post, center, radius):
         got, want = uncertainty(post, center, radius), uncertainty(memo_free(post), center, radius)
     assert got == want
     return lo, hi
+
+
+class TestWholeGridShortcut:
+    """_window returns the whole grid at once when both end nodes lie
+    within radius; it must still be the nodes with |omega - center| <= radius."""
+
+    @staticmethod
+    def check(post, center, radius):
+        inside = np.flatnonzero(np.abs(post.grid - center) <= radius)
+        lo, hi = estimation._window(memo_free(post), center, radius)
+        assert np.array_equal(np.arange(lo, hi), inside)
+        return lo, hi
+
+    @staticmethod
+    def ulps(radius):
+        return np.nextafter(radius, 0.0), radius, np.nextafter(radius, math.inf)
+
+    @pytest.mark.parametrize("grid", [(2.0, 4.0, 257), (50.0 - 3e-7, 50.0 + 3e-7, 4096),
+                                      (1e6, 1e6 + 1e-4, 64)])
+    @pytest.mark.parametrize("where", [0.5, 0.3, 1e-9, 0.0, 1.0])
+    def test_end_node_at_the_radius(self, grid, where):
+        # the farther end node at exactly the rounded distance, one ulp
+        # inside it and one ulp outside it
+        post = rough_posterior(*grid)
+        center = post.omega_min + where * (post.omega_max - post.omega_min)
+        far = max(abs(post.omega_min - center), abs(post.omega_max - center))
+        for radius, whole in zip(self.ulps(far), (False, True, True)):
+            assert (self.check(post, center, radius) == (0, post.n_points)) == whole
+        # the nearer end node's rounded distance, and an ulp about it
+        near = min(abs(post.omega_min - center), abs(post.omega_max - center))
+        for radius in self.ulps(near):
+            lo, hi = self.check(post, center, radius)
+            assert (lo == 0 or hi == post.n_points) == (radius >= near)
+
+    @given(n_points=st.integers(min_value=64, max_value=300),
+           lo=st.floats(min_value=1e-3, max_value=1e6),
+           log_span=st.floats(min_value=-9.0, max_value=1.0),
+           where=st.floats(min_value=-0.5, max_value=1.5),
+           ulp=st.sampled_from([-1, 0, 1]), end=st.sampled_from([0, -1]))
+    @settings(max_examples=300, deadline=None)
+    def test_radius_about_an_end_node(self, n_points, lo, log_span, where, ulp, end):
+        grid = np.linspace(lo, lo * (1 + 10**log_span), n_points)
+        assume((np.diff(grid) > 0).all())
+        post = flat_posterior(grid[0], grid[-1], n_points)
+        center = float(grid[0] + where * (grid[-1] - grid[0]))
+        radius = abs(post.grid[end] - center)
+        self.check(post, center, float(self.ulps(radius)[ulp + 1]))
+
+    @pytest.mark.parametrize("center,radius", [(3.0, 1.0), (3.0, 5.0), (-7.0, 20.0),
+                                               (3.0, math.inf)])
+    def test_whole_grid(self, center, radius):
+        # an infinite radius takes every node, as the predicate does
+        assert self.check(rough_posterior(), center, radius) == (0, 257)
+
+    @pytest.mark.parametrize("center,radius,touches", [
+        (2.0, 0.5, "lower"), (1.9, 0.25, "lower"), (4.0, 0.5, "upper"), (4.2, 0.3, "upper")])
+    def test_window_touching_one_end(self, center, radius, touches):
+        lo, hi = self.check(rough_posterior(), center, radius)
+        assert (lo == 0, hi == 257) == (touches == "lower", touches == "upper")
+
+    @pytest.mark.parametrize("center,radius", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 5.0),
+                                               (3.0, math.nan), (3.0, -0.1), (math.nan, math.inf)])
+    def test_bad_arguments_raise(self, center, radius):
+        post = rough_posterior()
+        with pytest.raises(ValueError, match="need a finite center and radius >= 0"):
+            estimation._window(post, center, radius)
+        assert post._last_window is None
 
 
 class TestWindowReuse:

@@ -7,6 +7,9 @@ properties (node placement, |K| bound, symmetry, validation) are
 exercised with hypothesis.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +27,8 @@ from qsense.model import (
 )
 from qsense import model
 from qsense.model import _contrast, _grid_displacement, _near_cos_zero
+from qsense.protocol import run_adaptive
+from qsense.simkit import reference_config
 from oracles import periods, quad_oracle, segment_displacement
 
 lam_st = st.floats(min_value=1e-3, max_value=10.0)
@@ -258,12 +263,17 @@ class TestDisplacementMagnitude:
             cpmg_displacement_abs(coupling, 0, 1.0, 1.0)
 
 
-def grid_kernel(coupling, n_units, grid, omega_last, tau):
-    """|the loop's kernel| on a linspace grid and one more node, last; the
-    kernel keeps the sign of sin phi / cos theta, which the outcome law squares."""
+def signed_grid_kernel(coupling, n_units, grid, omega_last, tau):
+    """The loop's kernel on a linspace grid and one more node, last."""
     scale = coupling.lam / np.append(grid, omega_last)
     step = (grid[-1] - grid[0]) / (len(grid) - 1)
-    return np.abs(_grid_displacement(scale, n_units, tau, grid[0], step, omega_last))
+    return _grid_displacement(scale, n_units, tau, grid[0], step, omega_last)
+
+
+def grid_kernel(coupling, n_units, grid, omega_last, tau):
+    """|the loop's kernel|; the kernel keeps the sign of sin phi / cos theta,
+    which the outcome law squares."""
+    return np.abs(signed_grid_kernel(coupling, n_units, grid, omega_last, tau))
 
 
 def amplitude_oracle(lam, n_units, nodes, tau):
@@ -429,6 +439,69 @@ class TestNearPeakPretest:
         assert not asked and np.array_equal(got, want)
 
 
+def kernel_call(n, n_units, center, half):
+    """The loop's kernel on a linspace grid of n nodes about center, at a
+    plan's tau for N = n_units, with a last node inside the grid."""
+    tau = 2 * np.pi / center * (1 + 1 / n_units)
+    grid = np.linspace(center - half, center + half, n)
+    return signed_grid_kernel(Coupling(0.1), n_units, grid, center + half / 3, tau)
+
+
+class TestGridKernelWorkArrays:
+    """The kernel refills small per-thread work arrays on every call; no
+    result may depend on the calls made before it or beside it."""
+
+    # (n, N, center, half-width): B = 64, 64, 8, 32 and 71, and two
+    # calls with the same B but another (N, tau)
+    CASES = [(4096, 300, 50.0, 0.3), (4096, 20000, 52.0, 1e-4), (64, 7, 49.0, 0.02),
+             (1000, 2, 50.5, 4.0), (5000, 80000, 50.0, 3e-7)]
+
+    @pytest.mark.parametrize("a", range(len(CASES)))
+    def test_a_b_a_is_bit_equal(self, a):
+        first = kernel_call(*self.CASES[a]).tobytes()
+        for b, other in enumerate(self.CASES):
+            if b != a:
+                kernel_call(*other)
+                assert kernel_call(*self.CASES[a]).tobytes() == first
+
+    def test_returned_buffer_is_left_alone(self):
+        kept = kernel_call(*self.CASES[0])
+        want = kept.copy()
+        for case in self.CASES + self.CASES[:1]:
+            got = kernel_call(*case)
+            assert not np.shares_memory(got, kept)
+        assert kept.tobytes() == want.tobytes()
+
+    def test_threads_match_serial_calls(self):
+        # eight threads, more than the cores, run the kernel at once; the
+        # cases share B = 64, so a work array shared between threads would
+        # be refilled under another thread's call
+        cases = [(4096, 300, 50.0, 0.3), (4096, 20000, 52.0, 1e-4), (4000, 7, 49.0, 0.02),
+                 (4090, 2, 50.5, 4.0)]
+        serial = [kernel_call(*case).tobytes() for case in cases]
+        wrong, done = [0] * 8, [0] * 8
+        start = threading.Barrier(8)
+
+        def run(t):
+            start.wait(timeout=60)
+            for _ in range(300):
+                wrong[t] += kernel_call(*cases[t % 4]).tobytes() != serial[t % 4]
+                done[t] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert done == [300] * 8 and wrong == [0] * 8
+
+
 class TestCoherence:
     """The outcome law P+ = (1 + L)/2 with the thermal contrast L."""
 
@@ -522,9 +595,24 @@ class TestOutcomeProbability:
         assert np.array_equal((1.0 + buf) / 2.0, outcome_probability(np.abs(alpha), state))
 
     def test_array_matches_scalar_calls(self):
-        state = ThermalState(2.0)
-        alpha = np.abs(np.array([0.0, 0.01, -0.2, 0.3j, 0.1 - 0.1j, 5.0, 1e100]))
-        p_plus = outcome_probability(alpha, state)
-        assert p_plus.shape == alpha.shape
-        for i, value in enumerate(alpha):
-            assert p_plus[i] == outcome_probability(float(value), state)
+        # the loop's scalar call takes (1 + L)/2 in Python floats; it must
+        # be the array path's element bit for bit: at 0, at tiny amplitudes,
+        # at the reference plans' amplitudes of the true frequency, and
+        # where the contrast underflows to 0 (alpha^2 overflows at 1e200)
+        plans = [s.plan for nbar in (10.0, 1000.0)
+                 for s in run_adaptive(reference_config(nbar, max_steps=60)).records]
+        sweep = np.concatenate([
+            np.abs(np.array([0.0, 0.01, -0.2, 0.3j, 0.1 - 0.1j, 5.0, 1e100])),
+            [5e-324, 1e-300, 1e-160, 1e-20, 1e-9, 1.5e-8],
+            [cpmg_displacement_abs(Coupling(0.1), p.n_units, 50.0, p.tau) for p in plans],
+            [0.2, 1.0, 3.0, 27.3, 1e3, 1e154, 1e200, 1.7e308]])
+        for nbar in (0.0, 2.0, 10.0, 1000.0):
+            state = ThermalState(nbar)
+            with np.errstate(over="ignore"):
+                p_plus = outcome_probability(sweep, state)
+            assert p_plus.shape == sweep.shape
+            assert p_plus[-1] == 0.5 and p_plus[0] == 1.0
+            for i, value in enumerate(sweep.tolist()):
+                got = outcome_probability(value, state)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == p_plus[i].tobytes()

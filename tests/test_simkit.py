@@ -8,6 +8,7 @@ against synthetic power laws with known exponents.
 import concurrent.futures
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def pool_size(monkeypatch, n_reps, n_workers, cpu_count=8):
 
     # run_repetitions imports the pool from concurrent.futures when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(simkit.os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(simkit, "_usable_cpus", lambda: cpu_count)
     run_repetitions(reference_config(nbar=1000.0, max_steps=3, seed=1), n_reps,
                     n_workers=n_workers)
     return sizes[0] if sizes else 1
@@ -58,6 +59,19 @@ class TestWorkerCount:
         # QSENSE_THREADS is no longer read
         monkeypatch.setenv("QSENSE_THREADS", "1")
         assert pool_size(monkeypatch, 8, None, cpu_count=3) == 3
+
+    def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        # the affinity mask, not the host's CPU count, where os has no
+        # process_cpu_count (before Python 3.13)
+        monkeypatch.delattr(simkit.os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(simkit.os, "cpu_count", lambda: 64)
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: {0, 3})
+            assert simkit._usable_cpus() == 2
+            monkeypatch.delattr(simkit.os, "sched_getaffinity")
+        assert simkit._usable_cpus() == 64
+        monkeypatch.setattr(simkit.os, "process_cpu_count", lambda: 3, raising=False)
+        assert simkit._usable_cpus() == 3
 
     def test_clamped_to_job_count(self, monkeypatch):
         assert pool_size(monkeypatch, 4, 99) == 4
