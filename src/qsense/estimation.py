@@ -74,18 +74,12 @@ class Posterior:
             raise ValueError("weights length does not match the grid")
         if not grid[0] < grid[-1]:
             raise ValueError(f"need omega_min < omega_max, got [{grid[0]}, {grid[-1]}]")
-        object.__setattr__(self, "weights", _normalized(w))
+        total = float(w.sum())
+        # the scale 1/total must be finite too: a sum below about 5.6e-309 is refused
+        if not (0.0 < total < math.inf and 1.0 / total < math.inf):
+            raise ValueError(f"weights must have a positive finite sum, got {total}")
+        object.__setattr__(self, "weights", np.multiply(w, 1.0 / total))
         object.__setattr__(self, "_last_window", None)
-
-    def _on_same_grid(self, weights: np.ndarray) -> Posterior:
-        """Posterior(self.grid, weights) for weights of the grid's length,
-        without checking the grid again: the sum check and the
-        normalization run as in the constructor."""
-        post = object.__new__(Posterior)
-        object.__setattr__(post, "grid", self.grid)
-        object.__setattr__(post, "weights", _normalized(weights))
-        object.__setattr__(post, "_last_window", None)
-        return post
 
     @property
     def omega_min(self) -> float:
@@ -102,16 +96,6 @@ class Posterior:
     @property
     def spacing(self) -> float:
         return float(self.grid[1] - self.grid[0])
-
-
-def _normalized(w: np.ndarray) -> np.ndarray:
-    """w scaled to unit sum, as a new array; w must be nonnegative with a
-    positive finite sum."""
-    total = float(w.sum())
-    # the scale 1/total must be finite too: a sum below about 5.6e-309 is refused
-    if not (0.0 < total < math.inf and 1.0 / total < math.inf):
-        raise ValueError(f"weights must have a positive finite sum, got {total}")
-    return np.multiply(w, 1.0 / total)
 
 
 @dataclass(frozen=True)
@@ -221,13 +205,13 @@ def bayes_update(post: Posterior, contrast: np.ndarray, n_plus: int,
         if n_minus:
             lw += n_minus * np.log1p(-c)
         lw -= lw.max()
-        return post._on_same_grid(np.exp(lw, out=lw))
+        return Posterior(post.grid, np.exp(lw, out=lw))
     # each factor is a fresh array, which holds the product after one shot
     if n_plus:
         w = _times_power(w, c + 1.0, n_plus)
     if n_minus:
         w = _times_power(w, 1.0 - c, n_minus)
-    return post._on_same_grid(w)
+    return Posterior(post.grid, w)
 
 
 def mle(post: Posterior) -> float:

@@ -303,8 +303,8 @@ def outcome_probability(alpha, state: ThermalState):
     a complex alpha raises TypeError. P(-1) is its complement. L lies in
     [0, 1], so P_plus lies in [1/2, 1].
     """
-    if type(alpha) is float:
-        # the same IEEE operations on Python floats, after the one np.exp
-        return (1.0 + float(_contrast(alpha, state))) / 2.0
-    p_plus = (1.0 + _contrast(alpha, state)) / 2.0
-    return p_plus if isinstance(p_plus, np.ndarray) else float(p_plus)
+    contrast = _contrast(alpha, state)
+    if isinstance(contrast, np.ndarray):
+        return (1.0 + contrast) / 2.0
+    # a scalar: the same IEEE operations, on Python floats
+    return (1.0 + float(contrast)) / 2.0

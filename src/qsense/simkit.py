@@ -91,9 +91,11 @@ def _run_one(args) -> tuple:
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on, which under an affinity mask
-    (taskset, a CPU-limited container) are fewer than the host's:
+    (taskset, a cpuset-limited container) are fewer than the host's:
     os.process_cpu_count() where it exists (Python 3.13 on), else the
-    size of the affinity mask, else os.cpu_count()."""
+    size of the affinity mask, else os.cpu_count(). A CPU quota (cgroup
+    cpu.max, as docker --cpus sets) leaves the mask as it is and is not
+    counted."""
     if hasattr(os, "process_cpu_count"):
         return os.process_cpu_count() or 1
     if hasattr(os, "sched_getaffinity"):
