@@ -56,15 +56,11 @@ class Posterior:
     """Normalized posterior weights on a uniform frequency grid.
 
     The constructor scales a copy of the weights, which must be
-    nonnegative with a positive finite sum, to unit sum. It also
-    remembers the last window (center, radius, lo, hi) found on its
-    grid, so the width and the far mass about one estimate search the
-    grid once; a new posterior starts with none.
+    nonnegative with a positive finite sum, to unit sum.
     """
 
     grid: np.ndarray = field(repr=False)
     weights: np.ndarray
-    _last_window: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid, w = self.grid, self.weights
@@ -79,7 +75,6 @@ class Posterior:
         if not (0.0 < total < math.inf and 1.0 / total < math.inf):
             raise ValueError(f"weights must have a positive finite sum, got {total}")
         object.__setattr__(self, "weights", np.multiply(w, 1.0 / total))
-        object.__setattr__(self, "_last_window", None)
 
     @property
     def omega_min(self) -> float:
@@ -116,26 +111,20 @@ def _window(post: Posterior, center: float, radius: float) -> tuple[int, int]:
     center + radius, so its rounded distance from center cannot exceed
     radius. When both end nodes lie within radius, the window is the
     whole grid: fl(omega - center) is monotone in omega, so on each side
-    of center the end node has the largest rounded distance. A repeat of
-    the posterior's last (center, radius) returns its last result.
+    of center the end node has the largest rounded distance.
     """
-    last = post._last_window
-    if last is not None and last[0] == center and last[1] == radius:
-        return last[2], last[3]
     if not (math.isfinite(center) and radius >= 0):
         raise ValueError(f"need a finite center and radius >= 0, got {center}, {radius}")
     grid, n = post.grid, len(post.grid)
     if abs(grid.item(0) - center) <= radius and abs(grid.item(n - 1) - center) <= radius:
-        lo, hi = 0, n
-    else:
-        lo, hi = int(grid.searchsorted(center - radius)), int(grid.searchsorted(center + radius))
-        while lo > 0 and abs(grid.item(lo - 1) - center) <= radius:
-            lo -= 1
-        while lo < hi and not abs(grid.item(lo) - center) <= radius:
-            lo += 1
-        while hi < n and abs(grid.item(hi) - center) <= radius:
-            hi += 1
-    object.__setattr__(post, "_last_window", (center, radius, lo, hi))
+        return 0, n
+    lo, hi = int(grid.searchsorted(center - radius)), int(grid.searchsorted(center + radius))
+    while lo > 0 and abs(grid.item(lo - 1) - center) <= radius:
+        lo -= 1
+    while lo < hi and not abs(grid.item(lo) - center) <= radius:
+        lo += 1
+    while hi < n and abs(grid.item(hi) - center) <= radius:
+        hi += 1
     return lo, hi
 
 
@@ -189,13 +178,10 @@ def bayes_update(post: Posterior, contrast: np.ndarray, n_plus: int,
     if lowest < -1.0 or highest > 1.0:
         raise ValueError("per-node contrasts must lie in [-1, 1]")
     bound = 1.0 - 2.0 * P_CLAMP
-    # the clamp runs only when some L lies beyond it, and with every L at or
-    # above the lower clamp only the upper one can act: L of the thermal law
+    # the clamp runs only when some L lies beyond it: L of the thermal law
     # lies in [0, 1], and within 2*P_CLAMP of 1 only on a fringe's dark node
-    if lowest < -bound:
+    if lowest < -bound or highest > bound:
         c = np.clip(c, -bound, bound)
-    elif highest > bound:
-        c = np.minimum(c, bound)
     w = post.weights
     if (n_plus + n_minus) * _LOG_MIN_FACTOR - math.log(post.n_points) < _LOG_MIN_NORMAL:
         with np.errstate(divide="ignore"):  # a zero weight is -inf, and stays 0
@@ -224,8 +210,7 @@ def mle(post: Posterior) -> float:
     """
     w = post.weights
     i = int(w.argmax())
-    # argmax takes the first maximum, so a tie can only lie after it
-    ties = 1 if i == post.n_points - 1 or w[i + 1:].max() < w[i] else np.count_nonzero(w == w[i])
+    ties = np.count_nonzero(w == w[i])
     grid = post.grid
     if ties > 1:
         center = 0.5 * (post.omega_min + post.omega_max)

@@ -130,6 +130,16 @@ class AdaptiveConfig:
         if not self.omega0 - half > 0:
             problems.append("prior grid must stay above omega = 0: need "
                             f"omega0 - span_sigmas*delta_omega0 > 0, got {self.omega0 - half}")
+        # the prior's exponent -(omega - omega0)**2 / (2*delta_omega0**2), as gaussian_prior
+        # rounds it; |omega - omega0| is largest at an end node
+        far = max(self.omega0 - (self.omega0 - half), (self.omega0 + half) - self.omega0)
+        if not (math.isfinite(2.0 * (self.delta_omega0 * self.delta_omega0))
+                and math.isfinite(far * far)):
+            limit = math.sqrt(sys.float_info.max) / max(self.span_sigmas, math.sqrt(2.0))
+            problems.append("delta_omega0 must keep the prior's exponent finite: need "
+                            "2*delta_omega0**2 and every prior node's (omega - omega0)**2 "
+                            f"finite, delta_omega0 below about {limit:.3g} at span_sigmas "
+                            f"{self.span_sigmas}, got {self.delta_omega0}")
         # the prior grid's own check, made where the values enter
         if half > 0 and not self.omega0 - half < self.omega0 + half:
             problems.append("span_sigmas leaves the prior grid no width in float64: need "
@@ -286,7 +296,6 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     probing = False
     t_total = 0.0
     records: list[StepRecord] = []
-    aborted = False
     diagnostic = ""
 
     def likelihood_nodes(grid):
@@ -321,7 +330,6 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         plan = (stage1_plan if stage == STAGE_I else stage2_plan)(w_est, dw_est, cfg)
         N, tau, nu, ltk = plan.n_units, plan.tau, plan.repetitions, plan.lambda_tilde_k
         if nu > MAX_SHOTS:
-            aborted = True
             diagnostic = (f"shot count beyond int64 at step {k}: the stage {stage} plan asks "
                           f"for nu={nu} shots of N={N}, tau={tau}")
             break
@@ -352,7 +360,6 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         probe_time = t_total - t_probe_start
 
         if not (math.isfinite(w_hat) and math.isfinite(dw_hat)):
-            aborted = True
             diagnostic = (f"non-finite estimate at step {k}: omega={w_hat}, dw={dw_hat}, "
                           f"width window pi/T={np.pi / T}, grid spacing {post.spacing}")
             break
@@ -376,12 +383,10 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
             if hw < (post.omega_max - post.omega_min) / 2:
                 new = regrid(post, w_hat, hw, cfg.n_points)
                 if not new.grid[0] > 0:
-                    aborted = True
                     diagnostic = (f"grid reaches omega <= 0 at step {k}: the window "
                                   f"{w_hat} +- {hw} starts at {new.grid[0]}")
                     break
                 if not _distinct_nodes(new.grid):
-                    aborted = True
                     diagnostic = (f"grid beyond float64 resolution at step {k}: the window "
                                   f"{w_hat} +- {hw} holds fewer than {cfg.n_points} distinct nodes")
                     break
@@ -391,7 +396,7 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     return Trajectory(
         records=tuple(records),
         final_estimate=Estimate(omega_hat=float(w_est), delta_omega=float(dw_est)),
-        aborted=aborted,
+        aborted=bool(diagnostic),
         diagnostic=diagnostic,
         final_posterior=post,
     )

@@ -585,6 +585,26 @@ class TestAdapt:
         assert [str(w.message) for w in recwarn] == []
         assert not list(tmp_path.glob("lam*"))
 
+    @pytest.mark.parametrize("omega0,delta_omega0", [
+        # just beyond the bound at span_sigmas 8, where 8*delta_omega0 squared overflows
+        (1.01e156, math.sqrt(sys.float_info.max) / 8.0 * (1 + 1e-12)),
+        (1.01e156, 5e153),   # only the prior's numpy square would overflow
+        (1.01e160, 1e158),   # the Python square of delta_omega0 would raise
+    ])
+    def test_prior_exponent_beyond_float_range_exits_2(self, tmp_path, capsys, recwarn,
+                                                       omega0, delta_omega0):
+        cfg = write_adapt_config(tmp_path / "cfg.json", omega_true=omega0 / 1.01, omega0=omega0,
+                                 delta_omega0=delta_omega0)
+        rc = cli.main(["adapt", "--config", str(cfg), "--out-prefix", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: delta_omega0 must keep the prior's exponent "
+                                 "finite: ")
+        assert err[0].endswith(f" at span_sigmas 8.0, got {delta_omega0}")
+        assert [str(w.message) for w in recwarn] == []
+        assert not list(tmp_path.glob("p*"))
+
     @pytest.mark.parametrize("span_sigmas", [1e-17, 1e-300])
     def test_prior_grid_without_width_exits_2(self, tmp_path, capsys, span_sigmas):
         # omega0 -+ span_sigmas*delta_omega0 round to the same float64

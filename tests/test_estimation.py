@@ -5,8 +5,9 @@ contraction law against analytic likelihoods, and the estimator
 consistency statistically over seeded trials.
 """
 
-import copy
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -72,6 +73,21 @@ class TestPosteriorType:
         # a sum whose reciprocal overflows cannot be scaled to 1 either
         with pytest.raises(ValueError, match="positive finite sum"):
             Posterior(np.linspace(0.0, 1.0, 64), np.full(64, fill))
+
+    def test_plain_value(self):
+        # a posterior is its grid and weights; reading it leaves it as it was
+        assert [f.name for f in dataclasses.fields(Posterior)] == ["grid", "weights"]
+        post = rough_posterior()
+        copied = pickle.loads(pickle.dumps(post))
+        assert np.array_equal(copied.grid, post.grid)
+        assert np.array_equal(copied.weights, post.weights)
+        before = dict(vars(post))
+        w_hat = mle(post)
+        uncertainty(post, w_hat, 0.3)
+        mass_beyond(post, w_hat, 0.3)
+        mass_beyond(post, w_hat, 5.0)
+        assert vars(post).keys() == before.keys()
+        assert all(vars(post)[k] is v for k, v in before.items())
 
 
 class TestGaussianPrior:
@@ -157,7 +173,7 @@ class TestBayesUpdate:
            st.sampled_from([0, 1, 3]))
     @settings(max_examples=200, deadline=None)
     def test_matches_two_sided_clip_bitwise(self, l_list, floored, n_plus, n_minus):
-        # with every L at or above the lower clamp the update clamps one side only
+        # L at, within and beyond either clamp, with and without any below the lower one
         lc = np.array(l_list)
         if floored:
             lc = np.maximum(lc, 2.0 * P_CLAMP - 1.0)
@@ -336,7 +352,8 @@ class TestMle:
 
 
 def count_nonzero_mle(post):
-    """mle with its earlier tie rule: count every node equal to the maximum."""
+    """mle written plainly: count every node equal to the maximum, and on a
+    tie take the one nearest the grid center."""
     w = post.weights
     i = int(w.argmax())
     ties = np.count_nonzero(w == w[i])
@@ -373,8 +390,8 @@ def same_mle(post):
 
 
 class TestMleTailTie:
-    """mle looks for a tie only after argmax's first maximum; the earlier
-    rule counted every equal node."""
+    """Ties, which argmax alone would settle toward the first maximum,
+    go to the node nearest the grid center, then the lower index."""
 
     @staticmethod
     def posterior(top, n=64):
@@ -488,13 +505,6 @@ class TestWindowedSums:
             uncertainty(post, float("nan"), 0.1)
 
 
-def memo_free(post):
-    """A copy of post that has found no window yet."""
-    fresh = copy.copy(post)
-    object.__setattr__(fresh, "_last_window", None)
-    return fresh
-
-
 def masked_window(post, center, radius):
     """[lo, hi) of the nodes with |omega - center| <= radius, by a mask."""
     inside = np.flatnonzero(np.abs(post.grid - center) <= radius)
@@ -521,24 +531,16 @@ def same_bits(a, b):
 
 
 def check_window_calls(post, center, radius):
-    """_window, uncertainty and mass_beyond on post against a memo-free
-    copy and the concatenated outer sum, bit for bit."""
+    """_window and mass_beyond on post against the masked window and the
+    concatenated outer sum, bit for bit; uncertainty refuses an empty window."""
     lo, hi = estimation._window(post, center, radius)
     assert (lo, hi) == masked_window(post, center, radius)
-    assert (lo, hi) == estimation._window(memo_free(post), center, radius)
     mass, node = mass_beyond(post, center, radius)
     want_mass, want_node = concatenated_mass_beyond(post, center, radius)
     assert mass == want_mass and same_bits(node, want_node)
-    fresh_mass, fresh_node = mass_beyond(memo_free(post), center, radius)
-    assert mass == fresh_mass and same_bits(node, fresh_node)
     if lo == hi:
         with pytest.raises(ValueError, match="zero total weight"):
             uncertainty(post, center, radius)
-        return lo, hi
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a one-node window is resolution limited
-        got, want = uncertainty(post, center, radius), uncertainty(memo_free(post), center, radius)
-    assert got == want
     return lo, hi
 
 
@@ -549,7 +551,7 @@ class TestWholeGridShortcut:
     @staticmethod
     def check(post, center, radius):
         inside = np.flatnonzero(np.abs(post.grid - center) <= radius)
-        lo, hi = estimation._window(memo_free(post), center, radius)
+        lo, hi = estimation._window(post, center, radius)
         assert np.array_equal(np.arange(lo, hi), inside)
         return lo, hi
 
@@ -606,12 +608,11 @@ class TestWholeGridShortcut:
         post = rough_posterior()
         with pytest.raises(ValueError, match="need a finite center and radius >= 0"):
             estimation._window(post, center, radius)
-        assert post._last_window is None
 
 
 class TestWindowReuse:
-    """A posterior remembers its last window; every reuse must give what a
-    fresh search gives."""
+    """Windows asked for in any order, repeated, alternated or changed, are
+    the nodes with |omega - center| <= radius."""
 
     # (center, radius) as fractions of the grid's span, from its lower end
     query = st.tuples(st.floats(min_value=-0.5, max_value=1.5),
@@ -643,8 +644,6 @@ class TestWindowReuse:
     def test_window_shapes(self, center, radius, shape):
         post = rough_posterior()
         lo, hi = check_window_calls(post, center, radius)
-        # the same call again reads the remembered window
-        assert check_window_calls(post, center, radius) == (lo, hi)
         whole, empty = (lo, hi) == (0, 257), lo == hi
         assert whole == (shape == "whole grid") and empty == shape.startswith("no node")
         if not (whole or empty):
@@ -660,20 +659,8 @@ class TestWindowReuse:
         w_hat = mle(post)
         dw = uncertainty(post, w_hat, pi_over_t)
         assert 6 * dw > pi_over_t
-        assert dw == uncertainty(memo_free(post), w_hat, pi_over_t)
         check_window_calls(post, w_hat, max(pi_over_t, 6 * dw))
         check_window_calls(post, w_hat, pi_over_t)
-
-    def test_new_posteriors_start_without_a_window(self):
-        post = rough_posterior()
-        uncertainty(post, 3.0, 0.3)
-        assert post._last_window == (3.0, 0.3, *masked_window(post, 3.0, 0.3))
-        updated = bayes_update(post, np.full(257, 0.5), 1, 0)
-        moved = regrid(post, 3.0, 0.5, 257)
-        assert updated._last_window is None and moved._last_window is None
-        # and the update's result, on the same grid, searches afresh
-        check_window_calls(updated, 3.0, 0.3)
-        assert updated._last_window[:2] == (3.0, 0.3)
 
 
 class TestRegrid:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from qsense import protocol
-from qsense.estimation import P_CLAMP, Estimate, Posterior
+from qsense.estimation import P_CLAMP, Estimate, Posterior, gaussian_prior
 from qsense.model import Coupling, alpha_cpmg, cpmg_displacement_abs
 from qsense.protocol import (
     STAGE_I,
@@ -246,6 +246,32 @@ class TestConfigValidation:
         traj = run_adaptive(dataclasses.replace(cfg, lam=0.99 * limit))
         assert not traj.aborted and len(traj.records) == 30
 
+    @pytest.mark.parametrize("span_sigmas,limit", [
+        # at span_sigmas 8 the end nodes' (omega - omega0)**2 binds, at 1 2*delta_omega0**2
+        (8.0, math.sqrt(sys.float_info.max) / 8.0),
+        (1.0, math.sqrt(sys.float_info.max / 2.0)),
+    ])
+    def test_prior_exponent_must_stay_finite(self, span_sigmas, limit):
+        def cfg(delta_omega0):
+            # omega about 1e156 at the limit, 6e160 at 1e158
+            return AdaptiveConfig(omega_true=600 * delta_omega0, omega0=606 * delta_omega0,
+                                  delta_omega0=delta_omega0, lam=0.1, nbar=10.0,
+                                  span_sigmas=span_sigmas, max_steps=5)
+        for delta_omega0 in (limit * (1 + 1e-12), 1e158):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    "delta_omega0 must keep the prior's exponent finite: need "
+                    "2*delta_omega0**2 and every prior node's (omega - omega0)**2 finite, "
+                    f"delta_omega0 below about {limit:.3g} at span_sigmas {span_sigmas}, "
+                    f"got {delta_omega0}") + "$"):
+                cfg(delta_omega0)
+        # just inside, the prior builds with no overflow warning (the suite fails on one)
+        inside = cfg(limit * (1 - 1e-12))
+        prior = gaussian_prior(inside.omega0, inside.delta_omega0, inside.span_sigmas,
+                               inside.n_points)
+        # and the ends sit span_sigmas widths out, as on any other scale
+        ends = prior.weights[[0, -1]] / prior.weights.max()
+        assert ends == pytest.approx(math.exp(-span_sigmas**2 / 2), rel=1e-6)
+
     # every coupling and occupation the suite runs
     @pytest.mark.parametrize("lam", [0.01, 0.03, 0.1, 0.2, 0.37])
     @pytest.mark.parametrize("nbar", [0.0, 10.0, 1000.0])
@@ -369,13 +395,14 @@ class TestRunLoop:
     def test_max_steps_honored(self):
         traj = run_adaptive(reference_config(nbar=10.0, max_steps=17))
         assert len(traj.records) == 17
+        assert not traj.aborted and traj.aborted == bool(traj.diagnostic)
 
     def test_grid_beyond_float64_aborts(self):
         # stage (ii) narrows the width about 4% a step: near step 510 a
         # regrid window of 4096 nodes is narrower than 4096 ulp(50)
         cfg = reference_config(nbar=10.0, max_steps=800, seed=100000)
         traj = run_adaptive(cfg)
-        assert traj.aborted
+        assert traj.aborted and traj.aborted == bool(traj.diagnostic)
         assert traj.diagnostic.startswith(f"grid beyond float64 resolution at step "
                                           f"{len(traj.records) - 1}: ")
         assert "fewer than 4096 distinct nodes" in traj.diagnostic
@@ -390,7 +417,7 @@ class TestRunLoop:
         cfg = AdaptiveConfig(omega_true=0.06, omega0=1.0, delta_omega0=0.12, lam=0.1,
                              nbar=10.0, span_sigmas=7.5)
         traj = run_adaptive(cfg)
-        assert traj.aborted
+        assert traj.aborted and traj.aborted == bool(traj.diagnostic)
         k = len(traj.records) - 1
         assert re.fullmatch(rf"grid reaches omega <= 0 at step {k}: the window \S+ \+- \S+ "
                             r"starts at -\S+", traj.diagnostic)
@@ -403,7 +430,7 @@ class TestRunLoop:
         # for about 3.5e19 shots, more than rng.binomial takes
         cfg = dataclasses.replace(reference_config(nbar=0.0, max_steps=5), lam=1e-11)
         traj = run_adaptive(cfg)
-        assert traj.aborted and traj.records == ()
+        assert traj.aborted and traj.aborted == bool(traj.diagnostic) and traj.records == ()
         got = re.fullmatch(r"shot count beyond int64 at step 0: the stage 1 plan asks for "
                            r"nu=(\d+) shots of N=\d+, tau=\S+", traj.diagnostic)
         assert got and int(got.group(1)) > protocol.MAX_SHOTS == np.iinfo(np.int64).max
@@ -419,7 +446,7 @@ class TestRunLoop:
             warnings.simplefilter("ignore", UserWarning)  # resolution-limited widths
             traj = run_adaptive(dataclasses.replace(cfg, seed=100001))
             agg = run_repetitions(cfg, 6, n_workers=1)
-        assert traj.aborted
+        assert traj.aborted and traj.aborted == bool(traj.diagnostic)
         k = len(traj.records)
         assert 0 < k < cfg.max_steps
         assert traj.diagnostic.startswith(f"non-finite estimate at step {k}: omega=")
