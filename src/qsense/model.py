@@ -64,10 +64,11 @@ def alpha_cpmg(coupling: Coupling, omega, tau: float) -> complex:
     square wave f that pulses at tau/4 and 3*tau/4. Vectorized over omega.
     """
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise ValueError("omega must be positive")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    # each test fails on NaN too
+    if not ((omega > 0) & (omega < math.inf)).all():
+        raise ValueError("omega must be finite and positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be finite and positive")
     x = omega * tau / 8.0
     out = 1j * (8.0 * coupling.lam / omega) * np.exp(1j * omega * tau / 2.0) * np.cos(x) * np.sin(x) ** 3
     return out if out.shape else complex(out)
@@ -114,10 +115,11 @@ def cpmg_displacement_abs(coupling: Coupling, n_units: int, omega, tau: float):
     if n_units < 1:
         raise ValueError(f"n_units must be >= 1, got {n_units}")
     omega = np.asarray(omega, dtype=float)
-    if (omega <= 0).any():
-        raise ValueError("omega must be positive")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    # each test fails on NaN too
+    if not ((omega > 0) & (omega < math.inf)).all():
+        raise ValueError("omega must be finite and positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be finite and positive")
     # a 0-d omega runs as a one-element array, since a numpy scalar
     # cannot be an out= target
     w = omega.reshape(omega.shape or 1)
@@ -171,8 +173,9 @@ def _near_cos_zero(lo: float, hi: float) -> bool:
 class _TrigWork:
     """_grid_displacement's work arrays for tables of B values: the index
     row 0..B-1, the four row multipliers, the 4B + 2 angles and their
-    cos/sin table, the 2 x 2 angle-addition matrix and the B x 2 product.
-    Every call fills each of them before it reads it, and returns none of them.
+    cos/sin table, the two 2 x 2 angle-addition matrices and their two
+    B x 2 products. Every call fills each of them before it reads it, and
+    returns none of them.
     """
 
     def __init__(self, b: int):
@@ -181,15 +184,16 @@ class _TrigWork:
         self.steps = np.empty((4, 1))
         self.angles = np.empty(4 * b + 2)
         self.table_angles = self.angles[:4 * b].reshape(4, b)
-        # rows a*B*dtheta, c*dtheta, a*B*dphi, c*dphi (a, c = 0..B-1), then
+        # rows a*B*dtheta, a*B*dphi, c*dtheta, c*dphi (a, c = 0..B-1), then
         # the last node's theta and phi; column 0 takes their cos, column 1 their sin
         trig = np.empty((4 * b + 2, 2))
         self.trig = trig
         self.cos_col, self.sin_col = trig[:, 0], trig[:, 1]
-        self.theta_rows, self.theta_cols = trig[:b], trig[b:2 * b].T
-        self.phi_rows, self.phi_cols = trig[2 * b:3 * b], trig[3 * b:4 * b].T
-        self.matrix = np.empty((2, 2))
-        self.product = np.empty((b, 2))
+        # [cos u_a, sin u_a] (B x 2) and [cos v_c; sin v_c] (2 x B), theta's then phi's
+        self.rows = trig[:2 * b].reshape(2, b, 2)
+        self.cols = trig[2 * b:4 * b].reshape(2, b, 2).transpose(0, 2, 1)
+        self.matrix = np.empty((2, 2, 2))
+        self.product = np.empty((2, b, 2))
 
 
 # One _TrigWork per thread, for the B of that thread's last call, so that
@@ -205,16 +209,21 @@ def _grid_displacement(scale, n_units: int, tau: float, omega_min: float, step: 
 
     scale holds lam/omega over those n + 1 nodes. theta and phi are
     affine in j, so their cos and sin come by angle addition from
-    tables of B = ceil(sqrt(n)) values (_affine_trig). The 4B table
-    angles and the last node's theta and phi take one cos and one sin
-    call on 4B + 2 values, in place of one each on n nodes; the last
-    node is thereby evaluated as cpmg_displacement_abs evaluates it.
-    The limit test next to the major peak runs only when the grid's
-    theta range or the last node's theta comes within NEAR_PEAK_RAD of
-    a zero of cos theta. The small work arrays are kept per thread
-    (_TrigWork) and refilled on every call; the result is a fresh
-    buffer the caller may overwrite. Needs n >= 1, N >= 1, tau > 0,
-    every node > 0 and step > 0.
+    tables of B = ceil(sqrt(n)) values. With j = a*B + c, an angle
+    s + j*delta is s + u_a + v_c, u_a = a*B*delta and v_c = c*delta;
+    rows holds [cos u_a, sin u_a] and cols [cos v_c; sin v_c], so the
+    B x B table is one matrix product, rows @ M @ cols, where the 2 x 2
+    M holds s's cos and sin. Only s is large, and it is rounded once,
+    where it was computed. One stacked product builds cos theta and
+    sin phi together. The 4B table angles and the last node's theta and
+    phi take one cos and one sin call on 4B + 2 values, in place of one
+    each on n nodes; the last node is thereby evaluated as
+    cpmg_displacement_abs evaluates it. The limit test next to the
+    major peak runs only when the grid's theta range or the last node's
+    theta comes within NEAR_PEAK_RAD of a zero of cos theta. The small
+    work arrays are kept per thread (_TrigWork) and refilled on every
+    call; the result is a fresh buffer the caller may overwrite. Needs
+    n >= 1, N >= 1, tau > 0, every node > 0 and step > 0.
     """
     n = len(scale) - 1
     b = math.isqrt(n - 1) + 1
@@ -225,44 +234,28 @@ def _grid_displacement(scale, n_units: int, tau: float, omega_min: float, step: 
     phi0, dphi = theta0 * (2 * n_units), dtheta * (2 * n_units)
     theta_last = omega_last * (tau / 4.0)
     angles, steps = work.angles, work.steps
-    steps[0, 0], steps[1, 0], steps[2, 0], steps[3, 0] = b * dtheta, dtheta, b * dphi, dphi
+    steps[0, 0], steps[1, 0], steps[2, 0], steps[3, 0] = b * dtheta, b * dphi, dtheta, dphi
     np.multiply(steps, work.index, out=work.table_angles)
     angles[4 * b], angles[4 * b + 1] = theta_last, theta_last * (2 * n_units)
     np.cos(angles, out=work.cos_col)
     np.sin(angles, out=work.sin_col)
-    # B*B >= n grid nodes, then one slot that the last node takes
-    cos_theta, sin_phi = np.empty(b * b + 1), np.empty(b * b + 1)
-    _affine_trig(theta0, work.theta_rows, work.theta_cols, cos_theta[:b * b].reshape(b, b),
-                 work.matrix, work.product, sine=False)
-    _affine_trig(phi0, work.phi_rows, work.phi_cols, sin_phi[:b * b].reshape(b, b),
-                 work.matrix, work.product, sine=True)
+    ct, st = math.cos(theta0), math.sin(theta0)
+    cp, sp = math.cos(phi0), math.sin(phi0)
+    # cos(s + u + v) = cos(s + u) cos v - sin(s + u) sin v, and
+    # sin(s + u + v) = sin(s + u) cos v + cos(s + u) sin v
+    m = work.matrix
+    m[0, 0, 0], m[0, 0, 1], m[0, 1, 0], m[0, 1, 1] = ct, -st, -st, -ct
+    m[1, 0, 0], m[1, 0, 1], m[1, 1, 0], m[1, 1, 1] = sp, cp, cp, -sp
+    # rows 0 and 1 are cos theta and sin phi: B*B >= n grid nodes, then
+    # one slot that the last node takes
+    cos_theta, sin_phi = table = np.empty((2, b * b + 1))
+    np.matmul(work.rows, m, out=work.product)
+    np.matmul(work.product, work.cols, out=table[:, :b * b].reshape(2, b, b))
     trig = work.trig
     cos_theta[n], sin_phi[n] = trig[4 * b, 0], trig[4 * b + 1, 1]
     near_peak = (_near_cos_zero(theta0, theta0 + (n - 1) * dtheta)
                  or _near_cos_zero(theta_last, theta_last))
     return _amplitude(scale, n_units, cos_theta[:n + 1], sin_phi[:n + 1], near_peak)
-
-
-def _affine_trig(start: float, rows: np.ndarray, cols: np.ndarray, out: np.ndarray,
-                 m: np.ndarray, product: np.ndarray, sine: bool) -> None:
-    """cos (or sin) of start + j*delta for j = 0..B*B-1, into the B x B out.
-
-    With j = a*B + c, the angle is start + u_a + v_c, u_a = a*B*delta and
-    v_c = c*delta; rows holds [cos u_a, sin u_a] (B x 2) and cols
-    [cos v_c; sin v_c] (2 x B). Angle addition makes the B x B table one
-    matrix product, rows @ M @ cols, where the 2 x 2 matrix M holds
-    start's cos and sin. Only start is large, and it is rounded once,
-    where it was computed. m (2 x 2) and product (B x 2) are work arrays.
-    """
-    cs, ss = math.cos(start), math.sin(start)
-    # sin(s + u + v) = sin(s + u) cos v + cos(s + u) sin v, and
-    # cos(s + u + v) = cos(s + u) cos v - sin(s + u) sin v
-    if sine:
-        m[0, 0], m[0, 1], m[1, 0], m[1, 1] = ss, cs, cs, -ss
-    else:
-        m[0, 0], m[0, 1], m[1, 0], m[1, 1] = cs, -ss, -ss, -cs
-    np.matmul(rows, m, out=product)
-    np.matmul(product, cols, out=out)
 
 
 def zeta(n_units: int, omega, tau: float):

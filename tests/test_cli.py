@@ -9,6 +9,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -425,9 +426,11 @@ class TestAdapt:
         src = Path(cli.__file__).resolve().parents[1]
         code = ("import sys; sys.modules['yaml'] = None; from qsense import cli; "
                 "sys.exit(cli.main(sys.argv[1:]))")
+        # the caller's environment is kept, PYTHONDONTWRITEBYTECODE with it
         proc = subprocess.run([sys.executable, "-c", code, "adapt", "--config", str(cfg),
                                "--threads", "1", "--out-prefix", str(tmp_path / "n")],
-                              env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
+                              env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                              text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "n_summary.json").exists()
 

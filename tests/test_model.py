@@ -112,6 +112,10 @@ class TestDisplacement:
             alpha_cpmg(Coupling(0.1), -1.0, 1.0)
         with pytest.raises(ValueError):
             alpha_cpmg(Coupling(0.1), 0.0, 1.0)
+        # a non-finite omega or tau raises, not a NaN result or a leaked RuntimeWarning
+        for omega, tau in [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (1.0, np.inf)]:
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                alpha_cpmg(Coupling(0.1), omega, tau)
 
 
 class TestInterferenceFactor:
@@ -261,6 +265,10 @@ class TestDisplacementMagnitude:
             cpmg_displacement_abs(coupling, 3, 1.0, -1.0)
         with pytest.raises(ValueError):
             cpmg_displacement_abs(coupling, 0, 1.0, 1.0)
+        for omega, tau in [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                           (np.array([1.0, np.nan]), 1.0), (1.0, np.inf)]:
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                cpmg_displacement_abs(coupling, 3, omega, tau)
 
 
 def signed_grid_kernel(coupling, n_units, grid, omega_last, tau):
