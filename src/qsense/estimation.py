@@ -70,11 +70,7 @@ class Posterior:
             raise ValueError("weights length does not match the grid")
         if not grid[0] < grid[-1]:
             raise ValueError(f"need omega_min < omega_max, got [{grid[0]}, {grid[-1]}]")
-        total = float(w.sum())
-        # the scale 1/total must be finite too: a sum below about 5.6e-309 is refused
-        if not (0.0 < total < math.inf and 1.0 / total < math.inf):
-            raise ValueError(f"weights must have a positive finite sum, got {total}")
-        object.__setattr__(self, "weights", np.multiply(w, 1.0 / total))
+        object.__setattr__(self, "weights", _normalize(w))
 
     @property
     def omega_min(self) -> float:
@@ -101,7 +97,16 @@ class Estimate:
     delta_omega: float
 
 
-def _window(post: Posterior, center: float, radius: float) -> tuple[int, int]:
+def _normalize(w: np.ndarray) -> np.ndarray:
+    """A copy of w scaled to unit sum; w must have a positive finite sum."""
+    total = float(w.sum())
+    # the scale 1/total must be finite too: a sum below about 5.6e-309 is refused
+    if not (0.0 < total < math.inf and 1.0 / total < math.inf):
+        raise ValueError(f"weights must have a positive finite sum, got {total}")
+    return np.multiply(w, 1.0 / total)
+
+
+def _window(grid: np.ndarray, center: float, radius: float) -> tuple[int, int]:
     """Index range [lo, hi) of the nodes with |omega - center| <= radius.
 
     The grid is sorted, so these nodes form one slice. A binary search
@@ -115,7 +120,7 @@ def _window(post: Posterior, center: float, radius: float) -> tuple[int, int]:
     """
     if not (math.isfinite(center) and radius >= 0):
         raise ValueError(f"need a finite center and radius >= 0, got {center}, {radius}")
-    grid, n = post.grid, len(post.grid)
+    n = len(grid)
     if abs(grid.item(0) - center) <= radius and abs(grid.item(n - 1) - center) <= radius:
         return 0, n
     lo, hi = int(grid.searchsorted(center - radius)), int(grid.searchsorted(center + radius))
@@ -152,6 +157,34 @@ def _times_power(w: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _update(w: np.ndarray, c: np.ndarray, n_plus: int, n_minus: int) -> np.ndarray:
+    """bayes_update's product of the weights w and float contrasts c, unnormalized."""
+    # fmin/fmax skip NaN, as the elementwise comparisons c < -1, c > 1 do
+    lowest, highest = np.fmin.reduce(c), np.fmax.reduce(c)
+    if lowest < -1.0 or highest > 1.0:
+        raise ValueError("per-node contrasts must lie in [-1, 1]")
+    bound = 1.0 - 2.0 * P_CLAMP
+    # the clamp runs only when some L lies beyond it: L of the thermal law
+    # lies in [0, 1], and within 2*P_CLAMP of 1 only on a fringe's dark node
+    if lowest < -bound or highest > bound:
+        c = np.clip(c, -bound, bound)
+    if (n_plus + n_minus) * _LOG_MIN_FACTOR - math.log(len(w)) < _LOG_MIN_NORMAL:
+        with np.errstate(divide="ignore"):  # a zero weight is -inf, and stays 0
+            lw = np.log(w)
+        if n_plus:
+            lw += n_plus * np.log1p(c)
+        if n_minus:
+            lw += n_minus * np.log1p(-c)
+        lw -= lw.max()
+        return np.exp(lw, out=lw)
+    # each factor is a fresh array, which holds the product after one shot
+    if n_plus:
+        w = _times_power(w, c + 1.0, n_plus)
+    if n_minus:
+        w = _times_power(w, 1.0 - c, n_minus)
+    return w
+
+
 def bayes_update(post: Posterior, contrast: np.ndarray, n_plus: int,
                  n_minus: int) -> Posterior:
     """Multiply in a batch of binary outcomes with per-node signed contrast L.
@@ -173,31 +206,32 @@ def bayes_update(post: Posterior, contrast: np.ndarray, n_plus: int,
         raise ValueError(f"contrast has shape {c.shape}, grid has {post.n_points} nodes")
     if n_plus < 0 or n_minus < 0:
         raise ValueError("outcome counts must be nonnegative")
-    # fmin/fmax skip NaN, as the elementwise comparisons c < -1, c > 1 do
-    lowest, highest = np.fmin.reduce(c), np.fmax.reduce(c)
-    if lowest < -1.0 or highest > 1.0:
-        raise ValueError("per-node contrasts must lie in [-1, 1]")
-    bound = 1.0 - 2.0 * P_CLAMP
-    # the clamp runs only when some L lies beyond it: L of the thermal law
-    # lies in [0, 1], and within 2*P_CLAMP of 1 only on a fringe's dark node
-    if lowest < -bound or highest > bound:
-        c = np.clip(c, -bound, bound)
-    w = post.weights
-    if (n_plus + n_minus) * _LOG_MIN_FACTOR - math.log(post.n_points) < _LOG_MIN_NORMAL:
-        with np.errstate(divide="ignore"):  # a zero weight is -inf, and stays 0
-            lw = np.log(w)
-        if n_plus:
-            lw += n_plus * np.log1p(c)
-        if n_minus:
-            lw += n_minus * np.log1p(-c)
-        lw -= lw.max()
-        return Posterior(post.grid, np.exp(lw, out=lw))
-    # each factor is a fresh array, which holds the product after one shot
-    if n_plus:
-        w = _times_power(w, c + 1.0, n_plus)
-    if n_minus:
-        w = _times_power(w, 1.0 - c, n_minus)
-    return Posterior(post.grid, w)
+    return Posterior(post.grid, _update(post.weights, c, n_plus, n_minus))
+
+
+def _mle(grid: np.ndarray, w: np.ndarray, spacing: float) -> float:
+    """mle on the grid's normalized weights w; spacing is the grid's."""
+    i = int(w.argmax())
+    ties = np.count_nonzero(w == w[i])
+    if ties > 1:
+        center = 0.5 * (grid.item(0) + grid.item(-1))
+        if ties == len(w):
+            warnings.warn("degenerate posterior: all weights equal, returning grid center")
+            return center
+        top = np.flatnonzero(w == w[i])
+        i = int(top[np.argmin(np.abs(grid[top] - center))])
+    omega_hat = grid.item(i)
+    if 0 < i < len(w) - 1:
+        w0, w1, w2 = w[i - 1:i + 2].tolist()
+        l0 = math.log(w0) if w0 > 0.0 else LOG_FLOOR
+        l1 = math.log(w1)
+        l2 = math.log(w2) if w2 > 0.0 else LOG_FLOOR
+        den = l0 - 2.0 * l1 + l2
+        if den < 0:
+            off = 0.5 * (l0 - l2) / den
+            if abs(off) <= 0.5:
+                omega_hat += off * spacing
+    return omega_hat
 
 
 def mle(post: Posterior) -> float:
@@ -208,29 +242,23 @@ def mle(post: Posterior) -> float:
     perfectly flat posterior is degenerate; the grid center is returned
     with a warning.
     """
-    w = post.weights
-    i = int(w.argmax())
-    ties = np.count_nonzero(w == w[i])
-    grid = post.grid
-    if ties > 1:
-        center = 0.5 * (post.omega_min + post.omega_max)
-        if ties == post.n_points:
-            warnings.warn("degenerate posterior: all weights equal, returning grid center")
-            return center
-        top = np.flatnonzero(w == w[i])
-        i = int(top[np.argmin(np.abs(grid[top] - center))])
-    omega_hat = grid.item(i)
-    if 0 < i < post.n_points - 1:
-        w0, w1, w2 = w[i - 1:i + 2].tolist()
-        l0 = math.log(w0) if w0 > 0.0 else LOG_FLOOR
-        l1 = math.log(w1)
-        l2 = math.log(w2) if w2 > 0.0 else LOG_FLOOR
-        den = l0 - 2.0 * l1 + l2
-        if den < 0:
-            off = 0.5 * (l0 - l2) / den
-            if abs(off) <= 0.5:
-                omega_hat += off * post.spacing
-    return omega_hat
+    return _mle(post.grid, post.weights, post.spacing)
+
+
+def _rms(grid: np.ndarray, w: np.ndarray, omega_hat: float, spacing: float) -> float:
+    """uncertainty over a window's nodes grid and weights w, at the grid's spacing."""
+    den = w.sum()
+    if not den > 0.0:
+        raise ValueError("degenerate posterior: zero total weight")
+    sq = np.subtract(grid, omega_hat)
+    np.square(sq, out=sq)
+    sq *= w
+    rms = math.sqrt(sq.sum() / den)
+    floor = spacing / math.sqrt(12.0)
+    if rms < floor:
+        warnings.warn("resolution-limited posterior: RMS below one grid cell")
+        return floor
+    return rms
 
 
 def uncertainty(post: Posterior, omega_hat: float,
@@ -242,34 +270,17 @@ def uncertainty(post: Posterior, omega_hat: float,
     resolution limited; the grid-cell RMS dx/sqrt(12) is returned with a
     warning in that case.
     """
-    lo, hi = (0, post.n_points) if half_window is None else _window(post, omega_hat, half_window)
-    w = post.weights[lo:hi]
-    den = w.sum()
-    if not den > 0.0:
-        raise ValueError("degenerate posterior: zero total weight")
-    sq = np.subtract(post.grid[lo:hi], omega_hat)
-    np.square(sq, out=sq)
-    sq *= w
-    rms = math.sqrt(sq.sum() / den)
-    floor = post.spacing / math.sqrt(12.0)
-    if rms < floor:
-        warnings.warn("resolution-limited posterior: RMS below one grid cell")
-        return floor
-    return rms
+    grid = post.grid
+    lo, hi = (0, len(grid)) if half_window is None else _window(grid, omega_hat, half_window)
+    return _rms(grid[lo:hi], post.weights[lo:hi], omega_hat, post.spacing)
 
 
-def mass_beyond(post: Posterior, center: float, radius: float) -> tuple[float, float]:
-    """Posterior mass farther than radius from center, and its heaviest node.
-
-    Returns (mass, omega of the heaviest node beyond radius, the lowest
-    on a tie); the node is nan when no node lies beyond.
-    """
-    lo, hi = _window(post, center, radius)
-    w = post.weights
+def _far(grid: np.ndarray, w: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
+    """mass_beyond for the window [lo, hi) of the grid with weights w."""
     # a window that reaches an end of the grid leaves one slice outside it
     if lo == 0:
         outer = w[hi:]
-    elif hi == post.n_points:
+    elif hi == len(w):
         outer = w[:lo]
     else:
         outer = np.concatenate((w[:lo], w[hi:]))
@@ -278,7 +289,50 @@ def mass_beyond(post: Posterior, center: float, radius: float) -> tuple[float, f
     j = int(outer.argmax())
     if j >= lo:
         j += hi - lo
-    return float(outer.sum()), float(post.grid[j])
+    return float(outer.sum()), float(grid[j])
+
+
+def mass_beyond(post: Posterior, center: float, radius: float) -> tuple[float, float]:
+    """Posterior mass farther than radius from center, and its heaviest node.
+
+    Returns (mass, omega of the heaviest node beyond radius, the lowest
+    on a tie); the node is nan when no node lies beyond.
+    """
+    return _far(post.grid, post.weights, *_window(post.grid, center, radius))
+
+
+def _readout(grid: np.ndarray, w: np.ndarray, spacing: float, half_window: float,
+             far_widths: float) -> tuple[float, float, float, float]:
+    """(mle, uncertainty within half_window of it, mass_beyond it at
+    max(half_window, far_widths * that width)) on the grid's normalized
+    weights w, searching the window once when the two radii agree. With
+    no weight within half_window, the width and the far pair are nan."""
+    omega_hat = _mle(grid, w, spacing)
+    lo, hi = _window(grid, omega_hat, half_window)
+    try:
+        width = _rms(grid[lo:hi], w[lo:hi], omega_hat, spacing)
+    except ValueError:
+        return omega_hat, math.nan, math.nan, math.nan
+    radius = max(half_window, far_widths * width)
+    if radius != half_window:
+        lo, hi = _window(grid, omega_hat, radius)
+    return (omega_hat, width, *_far(grid, w, lo, hi))
+
+
+def _regrid(grid: np.ndarray, w: np.ndarray, center: float, half_width: float,
+            n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """regrid's new grid and unnormalized weights, from the old grid and weights."""
+    if not half_width > 0:
+        raise ValueError(f"half_width must be positive, got {half_width}")
+    lo, hi = center - half_width, center + half_width
+    if hi <= grid.item(0) or lo >= grid.item(-1):
+        raise ValueError(f"new window [{lo}, {hi}] does not overlap grid "
+                         f"[{grid.item(0)}, {grid.item(-1)}]")
+    new = np.linspace(lo, hi, n_points)
+    lw = np.interp(new, grid, np.log(w, out=np.full(len(w), LOG_FLOOR), where=w > 0.0),
+                   left=LOG_FLOOR, right=LOG_FLOOR)
+    lw -= lw.max()
+    return new, np.exp(lw, out=lw)
 
 
 def regrid(post: Posterior, center: float, half_width: float,
@@ -289,16 +343,4 @@ def regrid(post: Posterior, center: float, half_width: float,
     for a zero weight and for the mass outside the old grid; the result
     is renormalized. The new window must overlap the old grid.
     """
-    if not half_width > 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    lo, hi = center - half_width, center + half_width
-    if hi <= post.omega_min or lo >= post.omega_max:
-        raise ValueError(
-            f"new window [{lo}, {hi}] does not overlap grid [{post.omega_min}, {post.omega_max}]"
-        )
-    grid = np.linspace(lo, hi, n_points)
-    w = post.weights
-    lw = np.interp(grid, post.grid, np.log(w, out=np.full(len(w), LOG_FLOOR), where=w > 0.0),
-                   left=LOG_FLOOR, right=LOG_FLOOR)
-    lw -= lw.max()
-    return Posterior(grid, np.exp(lw, out=lw))
+    return Posterior(*_regrid(post.grid, post.weights, center, half_width, n_points))

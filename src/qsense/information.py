@@ -12,6 +12,7 @@ and a controlled-vs-free evolution comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +26,6 @@ from .model import ThermalState
 # evaluation. The 32-point quadrature below reproduces it to within an
 # ulp or two, depending on the platform's sin/cos.
 G_RMS1 = 0.8354402775650376
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 # Central-difference step of g_finite: balances truncation against
 # round-off for an O(1)-curvature function.
@@ -82,6 +81,12 @@ def g_finite(n_units: int, zeta):
     return out if out.shape else float(out)
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """32-point Gauss-Legendre nodes and weights, made on first use, not at import."""
+    return np.polynomial.legendre.leggauss(32)
+
+
 def _gsq_integral(a: float, b: float) -> float:
     """Integral of g_universal^2 over [a, b].
 
@@ -99,9 +104,10 @@ def _gsq_integral(a: float, b: float) -> float:
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
-    x = mid + half * _GL_NODES[None, :]
+    nodes, weights = _gauss_legendre()
+    x = mid + half * nodes[None, :]
     vals = g_universal(x) ** 2
-    return float(np.sum(half[:, 0] * np.sum(_GL_WEIGHTS[None, :] * vals, axis=1)))
+    return float(np.sum(half[:, 0] * np.sum(weights[None, :] * vals, axis=1)))
 
 
 def g_sq_mean(delta_zeta: float) -> float:

@@ -84,6 +84,9 @@ def interference_factor(n_units: int, omega, tau: float):
     if n_units < 1:
         raise ValueError(f"n_units must be >= 1, got {n_units}")
     omega = np.asarray(omega, dtype=float)
+    # omega <= 0 is a valid input: a fringe scan about a small omega reaches it
+    if not (np.isfinite(omega).all() and math.isfinite(tau)):
+        raise ValueError("omega and tau must be finite")
     x = omega * tau / 2.0
     s = np.sin(x)
     with np.errstate(divide="ignore", invalid="ignore"):

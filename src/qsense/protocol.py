@@ -27,8 +27,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimation import (Estimate, Posterior, bayes_update, gaussian_prior, mass_beyond, mle,
-                         regrid, uncertainty)
+from .estimation import (Estimate, Posterior, _normalize, _readout, _regrid, _update,
+                         gaussian_prior)
 from .information import G_RMS1, lambda_tilde_cpmg
 from .model import (Coupling, ThermalState, _contrast, _grid_displacement, cpmg_displacement_abs,
                     outcome_probability, zeta)
@@ -277,11 +277,12 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
 
     Each step is plan -> simulate -> Bayes update -> estimate and
     windowed width -> probe -> regrid; the posterior arithmetic is all
-    in `estimation`. The run aborts, with a diagnostic, on a plan of more
-    shots than MAX_SHOTS, on a non-finite estimate (a width window pi/T
-    that holds no posterior weight leaves the width undefined), on a
-    regrid window that reaches omega <= 0, or once a regrid window cannot
-    hold n_points distinct float64 nodes.
+    in `estimation`, whose array cores the loop calls on its grid and
+    weights. The run aborts, with a diagnostic, on a plan of more shots
+    than MAX_SHOTS, on a non-finite estimate (a width window pi/T that
+    holds no posterior weight leaves the width undefined), on a regrid
+    window that reaches omega <= 0, or once a regrid window cannot hold
+    n_points distinct float64 nodes.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -290,7 +291,11 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     sqrt_occupation = math.sqrt(2 * cfg.nbar + 1)
     state = ThermalState(cfg.nbar)
 
-    post = gaussian_prior(cfg.omega0, cfg.delta_omega0, cfg.span_sigmas, cfg.n_points)
+    prior = gaussian_prior(cfg.omega0, cfg.delta_omega0, cfg.span_sigmas, cfg.n_points)
+    # the posterior as its grid, normalized weights w, and raw, the unnormalized
+    # weights of the last update or regrid, from which the final Posterior is
+    # built once, so that the constructor scales them as it scales w
+    grid, w, raw = prior.grid, prior.weights, None
     w_est, dw_est = cfg.omega0, cfg.delta_omega0
     stage = STAGE_II if stage_transition(cfg.delta_omega0, lt_cpmg) else STAGE_I
     probing = False
@@ -298,19 +303,21 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     records: list[StepRecord] = []
     diagnostic = ""
 
-    def likelihood_nodes(grid):
-        """The grid as the kernel takes it: its first node, linspace's
-        step, and lam/omega over the grid with the true frequency
-        appended, so one kernel pass gives the shot law and the update.
+    def grid_scalars(grid):
+        """The grid's spacing, and the grid as the kernel takes it:
+        lam/omega over the grid with the true frequency appended (so one
+        kernel pass gives the shot law and the update), the first node
+        and linspace's step.
 
         Every grid here has its lowest node above 0 (the prior by
         AdaptiveConfig, a regrid by the loop's abort), as has omega_true;
         every plan and probe has N >= 2 and tau > 0.
         """
         scale = cfg.lam / np.append(grid, cfg.omega_true)
-        return scale, grid.item(0), (grid.item(-1) - grid.item(0)) / (len(grid) - 1)
+        return (grid.item(1) - grid.item(0), scale, grid.item(0),
+                (grid.item(-1) - grid.item(0)) / (len(grid) - 1))
 
-    scale, w_min, step = likelihood_nodes(post.grid)
+    spacing, scale, w_min, step = grid_scalars(grid)
 
     def measure(N, tau, nu):
         """Apply nu shots of the (N, tau) schedule: sample at the true
@@ -318,11 +325,12 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
 
         The kernel's buffer becomes the grid's contrast L in place, so
         the true node's amplitude is read from it first."""
-        nonlocal post, t_total
+        nonlocal w, raw, t_total
         a = _grid_displacement(scale, N, tau, w_min, step, cfg.omega_true)
         a_true = abs(a.item(-1))
         npl = rng.binomial(nu, outcome_probability(a_true, state))
-        post = bayes_update(post, _contrast(a, state, out=a)[:-1], npl, nu - npl)
+        raw = _update(w, _contrast(a, state, out=a)[:-1], npl, nu - npl)
+        w = _normalize(raw)
         t_total += nu * N * tau
         return a_true, int(npl), int(nu - npl)
 
@@ -337,14 +345,11 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         a_t, n_plus, n_minus = measure(N, tau, nu)
         t_probe_start = t_total
         for block in range(MAX_PROBE_BLOCKS + 1):
-            # the width is the posterior RMS within half a fringe period
-            w_hat = mle(post)
-            try:
-                dw_hat = uncertainty(post, w_hat, np.pi / T)
-            except ValueError:  # no posterior weight within pi/T of the estimate
-                dw_hat = math.nan
+            # the width is the posterior RMS within half a fringe period, and
+            # the far mass lies beyond max(pi/T, 6 widths)
+            w_hat, dw_hat, far_mass, w_r = _readout(grid, w, spacing, np.pi / T, 6)
+            if math.isnan(dw_hat):  # no posterior weight within pi/T of the estimate
                 break
-            far_mass, w_r = mass_beyond(post, w_hat, max(np.pi / T, 6 * dw_hat))
             if far_mass > PROBE_ON:
                 probing = True
             # the latch stays armed when the block cap cuts a probe short
@@ -361,7 +366,7 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
 
         if not (math.isfinite(w_hat) and math.isfinite(dw_hat)):
             diagnostic = (f"non-finite estimate at step {k}: omega={w_hat}, dw={dw_hat}, "
-                          f"width window pi/T={np.pi / T}, grid spacing {post.spacing}")
+                          f"width window pi/T={np.pi / T}, grid spacing {spacing}")
             break
 
         records.append(StepRecord(
@@ -375,28 +380,28 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         if stage == STAGE_I and stage_transition(dw_hat, ltk):
             stage = STAGE_II
 
-        if dw_hat < REGRID_TRIGGER_SPACINGS * post.spacing:
+        if dw_hat < REGRID_TRIGGER_SPACINGS * spacing:
             # the new window keeps every node within KEEP_LOG_NATS of the peak
-            w = post.weights
-            kept = post.grid[w > w.max() * math.exp(-KEEP_LOG_NATS)]
+            kept = grid[w > w.max() * math.exp(-KEEP_LOG_NATS)]
             hw = max(REGRID_HALFWIDTH_SIGMAS * dw_hat, 1.05 * float(np.abs(kept - w_hat).max()))
-            if hw < (post.omega_max - post.omega_min) / 2:
-                new = regrid(post, w_hat, hw, cfg.n_points)
-                if not new.grid[0] > 0:
+            if hw < (grid.item(-1) - grid.item(0)) / 2:
+                new, new_raw = _regrid(grid, w, w_hat, hw, cfg.n_points)
+                if not new[0] > 0:
                     diagnostic = (f"grid reaches omega <= 0 at step {k}: the window "
-                                  f"{w_hat} +- {hw} starts at {new.grid[0]}")
+                                  f"{w_hat} +- {hw} starts at {new[0]}")
                     break
-                if not _distinct_nodes(new.grid):
+                if not _distinct_nodes(new):
                     diagnostic = (f"grid beyond float64 resolution at step {k}: the window "
                                   f"{w_hat} +- {hw} holds fewer than {cfg.n_points} distinct nodes")
                     break
-                post = new
-                scale, w_min, step = likelihood_nodes(post.grid)
+                grid, raw = new, new_raw
+                w = _normalize(raw)
+                spacing, scale, w_min, step = grid_scalars(grid)
 
     return Trajectory(
         records=tuple(records),
         final_estimate=Estimate(omega_hat=float(w_est), delta_omega=float(dw_est)),
         aborted=bool(diagnostic),
         diagnostic=diagnostic,
-        final_posterior=post,
+        final_posterior=prior if raw is None else Posterior(grid, raw),
     )

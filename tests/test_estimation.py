@@ -8,6 +8,7 @@ consistency statistically over seeded trials.
 import dataclasses
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -533,7 +534,7 @@ def same_bits(a, b):
 def check_window_calls(post, center, radius):
     """_window and mass_beyond on post against the masked window and the
     concatenated outer sum, bit for bit; uncertainty refuses an empty window."""
-    lo, hi = estimation._window(post, center, radius)
+    lo, hi = estimation._window(post.grid, center, radius)
     assert (lo, hi) == masked_window(post, center, radius)
     mass, node = mass_beyond(post, center, radius)
     want_mass, want_node = concatenated_mass_beyond(post, center, radius)
@@ -551,7 +552,7 @@ class TestWholeGridShortcut:
     @staticmethod
     def check(post, center, radius):
         inside = np.flatnonzero(np.abs(post.grid - center) <= radius)
-        lo, hi = estimation._window(post, center, radius)
+        lo, hi = estimation._window(post.grid, center, radius)
         assert np.array_equal(np.arange(lo, hi), inside)
         return lo, hi
 
@@ -607,7 +608,7 @@ class TestWholeGridShortcut:
     def test_bad_arguments_raise(self, center, radius):
         post = rough_posterior()
         with pytest.raises(ValueError, match="need a finite center and radius >= 0"):
-            estimation._window(post, center, radius)
+            estimation._window(post.grid, center, radius)
 
 
 class TestWindowReuse:
@@ -661,6 +662,115 @@ class TestWindowReuse:
         assert 6 * dw > pi_over_t
         check_window_calls(post, w_hat, max(pi_over_t, 6 * dw))
         check_window_calls(post, w_hat, pi_over_t)
+
+
+def bits(values):
+    """The float64 bytes of each value, so that equal means bit for bit."""
+    return [np.float64(v).tobytes() for v in values]
+
+
+def drawn_posterior(seed, n_points, peak, kind):
+    """A rough posterior on [2, 4] whose heaviest node sits at fraction peak of
+    the grid: alone, tied with another node, with zero weights beside it,
+    alone with every other weight 0, or with every weight tied."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 1.0, n_points) ** 4
+    i = round(peak * (n_points - 1))
+    w[i] = 2.0
+    if kind == "tie":
+        w[int(rng.integers(n_points))] = 2.0
+    elif kind == "zeros beside":
+        w[max(i - 1, 0)] = w[min(i + 1, n_points - 1)] = 0.0
+    elif kind == "one node":
+        w[:] = 0.0
+        w[i] = 2.0
+    elif kind == "flat":
+        w[:] = 1.0
+    return Posterior(np.linspace(2.0, 4.0, n_points), w)
+
+
+posterior_args = dict(seed=st.integers(min_value=0, max_value=2**16),
+                      n_points=st.sampled_from([64, 65, 257, 4096]),
+                      peak=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0,
+                                                                        max_value=1.0),
+                      kind=st.sampled_from(["alone", "tie", "zeros beside", "one node", "flat"]))
+
+
+class TestArrayCores:
+    """The array cores the run loop calls return, bit for bit, what the
+    public functions return for the same posterior."""
+
+    @given(**posterior_args, shape=st.sampled_from(["whole", "inside", "end", "empty"]),
+           far_widths=st.sampled_from([0, 6, 1e9]))
+    @settings(max_examples=300, deadline=None)
+    def test_readout_is_mle_uncertainty_and_mass_beyond(self, seed, n_points, peak, kind,
+                                                        shape, far_widths):
+        post = drawn_posterior(seed, n_points, peak, kind)
+        grid, n = post.grid, post.n_points
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            w_hat = mle(post)
+            ends = abs(grid.item(0) - w_hat), abs(grid.item(-1) - w_hat)
+            nearest = float(np.abs(grid - w_hat).min())
+            # the window as asked: both ends in, both out (unless the estimate is
+            # an end node), the nearer end only, or no node when the estimate
+            # lies off every node
+            half_window = {"whole": max(ends), "inside": 0.5 * min(ends), "end": min(ends),
+                           "empty": 0.5 * nearest}[shape]
+            lo, hi = estimation._window(grid, w_hat, half_window)
+            assert {"whole": (lo, hi) == (0, n), "inside": (0 < lo and hi < n) or min(ends) == 0,
+                    "end": lo == 0 or hi == n, "empty": (lo == hi) == (nearest > 0)}[shape]
+            try:
+                width = uncertainty(post, w_hat, half_window)
+            except ValueError:
+                want = w_hat, math.nan, math.nan, math.nan
+            else:
+                want = (w_hat, width,
+                        *mass_beyond(post, w_hat, max(half_window, far_widths * width)))
+            public = len(seen)
+            got = estimation._readout(grid, post.weights, post.spacing, half_window, far_widths)
+        assert bits(got) == bits(want)
+        messages = [str(x.message) for x in seen]
+        assert messages[public:] == messages[:public]
+
+    @given(**posterior_args, n_plus=st.integers(min_value=0, max_value=40),
+           n_minus=st.integers(min_value=0, max_value=40),
+           edge=st.sampled_from([0.0, 1.0, -1.0, 1.0 - P_CLAMP, P_CLAMP - 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_update_and_normalization_are_bayes_update(self, seed, n_points, peak, kind,
+                                                       n_plus, n_minus, edge):
+        # batches on both sides of the log-domain switch (26 shots at 4096
+        # nodes, 27 at 64), with some contrasts at or beyond the clamp
+        post = drawn_posterior(seed, n_points, peak, kind)
+        rng = np.random.default_rng(seed + 1)
+        contrast = rng.uniform(-1.0, 1.0, n_points)
+        contrast[rng.random(n_points) < 0.1] = edge
+        w = post.weights
+        before = w.tobytes()
+        raw = estimation._update(w, contrast, n_plus, n_minus)
+        want = bayes_update(post, contrast, n_plus, n_minus).weights.tobytes()
+        assert w.tobytes() == before
+        assert estimation._normalize(raw).tobytes() == want
+        # the loop's final posterior, built once from the unnormalized weights
+        assert Posterior(post.grid, raw).weights.tobytes() == want
+
+    @given(**posterior_args, center=st.floats(min_value=1.0, max_value=5.0),
+           half_width=st.sampled_from([0.0, -1.0, 1e-9, 1.0]) | st.floats(min_value=1e-6,
+                                                                            max_value=3.0),
+           new_points=st.sampled_from([64, 100, 4096]))
+    @settings(max_examples=300, deadline=None)
+    def test_regrid_core_is_regrid(self, seed, n_points, peak, kind, center, half_width,
+                                   new_points):
+        post = drawn_posterior(seed, n_points, peak, kind)
+        try:
+            want = regrid(post, center, half_width, new_points)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                estimation._regrid(post.grid, post.weights, center, half_width, new_points)
+            return
+        grid, raw = estimation._regrid(post.grid, post.weights, center, half_width, new_points)
+        assert grid.tobytes() == want.grid.tobytes()
+        assert estimation._normalize(raw).tobytes() == want.weights.tobytes()
 
 
 class TestRegrid:

@@ -9,6 +9,7 @@ exercised with hypothesis.
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,20 @@ class TestInterferenceFactor:
     def test_invalid_n_units(self):
         with pytest.raises(ValueError):
             interference_factor(0, 50.0, 0.1)
+
+    @pytest.mark.parametrize("omega,tau", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                                           (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf),
+                                           (np.array([50.0, np.nan]), 0.1)])
+    def test_non_finite_inputs(self, omega, tau):
+        # one ValueError, not a nan result or a leaked RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="omega and tau must be finite"):
+                interference_factor(3, omega, tau)
+
+    def test_non_positive_omega_accepted(self):
+        k = interference_factor(3, np.array([-2.0, 0.0, 2.0]), 0.5)
+        assert k[1] == 3.0 and k[0] == pytest.approx(np.conj(k[2]))
 
     def test_zeta_labels(self):
         n_units, tau = 50, 2 * np.pi / 50.0

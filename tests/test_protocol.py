@@ -365,22 +365,24 @@ class TestRunLoop:
         # sits between PROBE_OFF and PROBE_ON, and one block later drops
         # below PROBE_OFF; the same in-between mass does not arm step 2
         masses = iter([1e-3] * 40 + [1e-12] + [1e-8, 1e-12] + [1e-8] + [0.0])
-        calls = {"mass_beyond": 0, "bayes_update": 0}
-        real_update = protocol.bayes_update
+        calls = {"_readout": 0, "_update": 0}
+        real_readout, real_update = protocol._readout, protocol._update
 
-        def mass_beyond(post, center, radius):
-            calls["mass_beyond"] += 1
-            return next(masses), center + 0.05
+        def readout(*args):
+            # the loop's estimate and width, with the far mass and rival set here
+            calls["_readout"] += 1
+            w_hat, dw_hat, _, _ = real_readout(*args)
+            return w_hat, dw_hat, next(masses), w_hat + 0.05
 
-        def bayes_update(*args):
-            calls["bayes_update"] += 1
+        def update(*args):
+            calls["_update"] += 1
             return real_update(*args)
 
-        monkeypatch.setattr(protocol, "mass_beyond", mass_beyond)
-        monkeypatch.setattr(protocol, "bayes_update", bayes_update)
+        monkeypatch.setattr(protocol, "_readout", readout)
+        monkeypatch.setattr(protocol, "_update", update)
         traj = run_adaptive(reference_config(nbar=10.0, max_steps=4))
         assert not traj.aborted
-        assert calls == {"mass_beyond": 45, "bayes_update": 45}
+        assert calls == {"_readout": 45, "_update": 45}
         assert [r.probe_time > 0 for r in traj.records] == [True, True, False, False]
 
     @pytest.mark.parametrize("nbar", [10.0, 1000.0])
@@ -466,10 +468,17 @@ class TestRunLoop:
 def assert_same_decisions(monkeypatch, name, stand_in):
     """4 reps of the nbar-1000 reference scenario, run as they are and with
     protocol.<name> replaced by stand_in, make the same N, shot counts and
-    probe steps, with estimates and widths within 1e-5 widths."""
+    probe steps, with estimates and widths within 1e-5 widths; the loop
+    must call stand_in at least once a step."""
     cfgs = [reference_config(nbar=1000.0, seed=100000 + r) for r in range(4)]
     runs = [run_adaptive(cfg) for cfg in cfgs]
-    monkeypatch.setattr(protocol, name, stand_in)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return stand_in(*args)
+
+    monkeypatch.setattr(protocol, name, counted)
     for cfg, a in zip(cfgs, runs):
         b = run_adaptive(cfg)
         assert not a.aborted and not b.aborted
@@ -478,6 +487,7 @@ def assert_same_decisions(monkeypatch, name, stand_in):
         for ra, rb in zip(a.records, b.records):
             assert abs(ra.omega_k - rb.omega_k) <= 1e-5 * rb.delta_omega_k
             assert abs(ra.delta_omega_k - rb.delta_omega_k) <= 1e-5 * rb.delta_omega_k
+    assert len(calls) >= sum(len(a.records) for a in runs)
 
 
 class TestGridKernelInLoop:
@@ -492,18 +502,19 @@ class TestGridKernelInLoop:
     def test_same_decisions_as_probability_update(self, monkeypatch):
         # the update on the signed contrast L against the update on
         # P+ = (1 + L)/2, clipped to [P_CLAMP, 1 - P_CLAMP] on both sides,
-        # in log domain: the loop's batches are small enough for either
-        def probability_update(post, contrast, n_plus, n_minus):
+        # in log domain: the loop's batches are small enough for either;
+        # both give unnormalized weights, which the loop scales
+        def probability_update(w, contrast, n_plus, n_minus):
             p = np.clip((1.0 + contrast) / 2.0, P_CLAMP, 1.0 - P_CLAMP)
             with np.errstate(divide="ignore"):  # a zero weight stays 0
-                lw = np.log(post.weights)
+                lw = np.log(w)
             if n_plus:
                 lw = lw + n_plus * np.log(p)
             if n_minus:
                 lw = lw + n_minus * np.log1p(-p)
-            return Posterior(post.grid, np.exp(lw - lw.max()))
+            return np.exp(lw - lw.max())
 
-        assert_same_decisions(monkeypatch, "bayes_update", probability_update)
+        assert_same_decisions(monkeypatch, "_update", probability_update)
 
 
 class TestEnsembleInvariants:
