@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -69,9 +70,24 @@ KAPPA_I = 2.0
 C = 0.1
 KAPPA = 2.0
 
+# The per-step columns of a run, in order. The first eight are the ones the
+# ensemble's step table averages, under its names: the plan's stage, N, tau
+# and nu, then the cumulative time, delta_omega, and zeta and scaled alpha
+# (at the true frequency: diagnostics the controller never sees); then the
+# estimate, the outcome counts, the probe time and the plan's lambda_tilde_k.
+# The INT_COLUMNS are int64, the rest float64.
+STEP_COLUMNS = ("stage", "n_units", "tau", "nu", "mean_time", "mean_delta_omega",
+                "mean_zeta", "mean_scaled_alpha")
+TRAJECTORY_COLUMNS = STEP_COLUMNS + ("omega_k", "n_plus", "n_minus", "probe_time",
+                                     "lambda_tilde_k")
+INT_COLUMNS = frozenset({"stage", "n_units", "nu", "n_plus", "n_minus"})
+
 __all__ = [
     "STAGE_I",
     "STAGE_II",
+    "STEP_COLUMNS",
+    "TRAJECTORY_COLUMNS",
+    "INT_COLUMNS",
     "AdaptiveConfig",
     "StepPlan",
     "StepRecord",
@@ -189,7 +205,8 @@ class StepPlan:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One step's plan, outcomes, estimate, and diagnostics.
+    """One step's plan, outcomes, estimate, and diagnostics, as
+    Trajectory.records builds them from the run's columns.
 
     zeta_k and scaled_alpha_k are evaluated at the true frequency, as
     simulation-side diagnostics; the controller never sees them.
@@ -212,19 +229,47 @@ class StepRecord:
 class Trajectory:
     """Complete record of one adaptive run, with its final posterior.
 
-    records holds cfg.max_steps steps, or fewer when the run aborted.
+    columns maps each name in TRAJECTORY_COLUMNS to an array with one
+    entry per step: cfg.max_steps of them, or the steps run when the run
+    aborted. The INT_COLUMNS are int64, the others float64.
     """
 
-    records: tuple[StepRecord, ...]
+    columns: dict[str, np.ndarray]
     final_estimate: Estimate
     aborted: bool
     diagnostic: str
     final_posterior: Posterior
 
+    @cached_property
+    def records(self) -> tuple[StepRecord, ...]:
+        """The steps as StepRecords of Python ints and floats, built from
+        columns on first access: a compatibility view, which
+        bench/run.py's record_rows and check_rep still read."""
+        c = {name: col.tolist() for name, col in self.columns.items()}
+        plans = map(StepPlan, c["stage"], c["n_units"], c["tau"], c["nu"], c["lambda_tilde_k"])
+        return tuple(map(StepRecord, plans, c["n_plus"], c["n_minus"], c["omega_k"],
+                         c["mean_delta_omega"], c["mean_zeta"], c["mean_scaled_alpha"],
+                         c["mean_time"], c["probe_time"]))
+
 
 def nint(a: float) -> int:
     """Nearest integer, halves rounded away from zero."""
     return int(math.floor(a + 0.5)) if a >= 0 else int(math.ceil(a - 0.5))
+
+
+def _stage1_core(omega_est: float, delta_omega_est: float, coupling: Coupling,
+                 sqrt_occupation: float) -> tuple[int, float, int, float]:
+    """stage1_plan's (N, tau, nu, lambda_tilde_k), given Coupling(lam) and
+    sqrt(2 nbar + 1)."""
+    if not delta_omega_est > 0:
+        raise ValueError(f"delta_omega_est must be positive, got {delta_omega_est}")
+    N = max(nint(omega_est / (KAPPA_I * delta_omega_est) - 1), MIN_PERIODS)
+    tau = (2 * np.pi / omega_est) * (1 + 1 / N)
+    a1 = cpmg_displacement_abs(coupling, 1, omega_est, tau)
+    ltk = sqrt_occupation * a1 / tau
+    eta_i = 4 * np.pi * G_RMS1 / KAPPA_I**2  # gain per unit lambda_tilde/dw
+    nu = max(nint(C_I**2 * delta_omega_est**2 / (ltk**2 * eta_i**2)), 1)
+    return N, tau, nu, float(ltk)
 
 
 def stage1_plan(omega_est: float, delta_omega_est: float,
@@ -234,30 +279,32 @@ def stage1_plan(omega_est: float, delta_omega_est: float,
     The shot count spends only as many measurements as the per-shot
     information gain warrants at the current uncertainty.
     """
+    return StepPlan(STAGE_I, *_stage1_core(omega_est, delta_omega_est, Coupling(cfg.lam),
+                                           math.sqrt(2 * cfg.nbar + 1)))
+
+
+def _stage2_shots() -> int:
+    """Stage (ii)'s shot count per step."""
+    return max(nint(C**2 * KAPPA**4 / 4), 1)
+
+
+def _stage2_core(omega_est: float, delta_omega_est: float, lt: float,
+                 nu: int) -> tuple[int, float, int, float]:
+    """stage2_plan's (N, tau, nu, lambda_tilde_k), given the run's resonant
+    coupling rate lt = lambda_tilde_cpmg(lam, nbar) and nu = _stage2_shots()."""
     if not delta_omega_est > 0:
         raise ValueError(f"delta_omega_est must be positive, got {delta_omega_est}")
-    N = max(nint(omega_est / (KAPPA_I * delta_omega_est) - 1), MIN_PERIODS)
+    N = max(nint(omega_est / (KAPPA * math.sqrt(2 * np.pi * lt * delta_omega_est)) - 1),
+            MIN_PERIODS)
     tau = (2 * np.pi / omega_est) * (1 + 1 / N)
-    a1 = cpmg_displacement_abs(Coupling(cfg.lam), 1, omega_est, tau)
-    ltk = math.sqrt(2 * cfg.nbar + 1) * a1 / tau
-    eta_i = 4 * np.pi * G_RMS1 / KAPPA_I**2  # gain per unit lambda_tilde/dw
-    nu = max(nint(C_I**2 * delta_omega_est**2 / (ltk**2 * eta_i**2)), 1)
-    return StepPlan(stage=STAGE_I, n_units=N, tau=tau, repetitions=nu,
-                    lambda_tilde_k=float(ltk))
+    return N, tau, nu, lt
 
 
 def stage2_plan(omega_est: float, delta_omega_est: float,
                 cfg: AdaptiveConfig) -> StepPlan:
     """Scaling-regime step: evolution time grows as 1/sqrt(dw)."""
-    if not delta_omega_est > 0:
-        raise ValueError(f"delta_omega_est must be positive, got {delta_omega_est}")
-    lt = lambda_tilde_cpmg(cfg.lam, cfg.nbar)
-    N = max(nint(omega_est / (KAPPA * math.sqrt(2 * np.pi * lt * delta_omega_est)) - 1),
-            MIN_PERIODS)
-    tau = (2 * np.pi / omega_est) * (1 + 1 / N)
-    nu = max(nint(C**2 * KAPPA**4 / 4), 1)
-    return StepPlan(stage=STAGE_II, n_units=N, tau=tau, repetitions=nu,
-                    lambda_tilde_k=float(lt))
+    return StepPlan(STAGE_II, *_stage2_core(omega_est, delta_omega_est,
+                                            lambda_tilde_cpmg(cfg.lam, cfg.nbar), _stage2_shots()))
 
 
 def stage_transition(delta_omega_k: float, lambda_tilde_k: float) -> bool:
@@ -287,8 +334,10 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    lt_cpmg = lambda_tilde_cpmg(cfg.lam, cfg.nbar)
-    sqrt_occupation = math.sqrt(2 * cfg.nbar + 1)
+    # the plans' run constants: stage (i) takes the coupling and sqrt(2 nbar + 1),
+    # stage (ii) the resonant coupling rate and its shot count
+    coupling, sqrt_occupation = Coupling(cfg.lam), math.sqrt(2 * cfg.nbar + 1)
+    lt_cpmg, nu_ii = lambda_tilde_cpmg(cfg.lam, cfg.nbar), _stage2_shots()
     state = ThermalState(cfg.nbar)
 
     prior = gaussian_prior(cfg.omega0, cfg.delta_omega0, cfg.span_sigmas, cfg.n_points)
@@ -300,7 +349,8 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     stage = STAGE_II if stage_transition(cfg.delta_omega0, lt_cpmg) else STAGE_I
     probing = False
     t_total = 0.0
-    records: list[StepRecord] = []
+    # one list per column, in TRAJECTORY_COLUMNS order, made arrays at the end
+    columns = tuple([] for _ in TRAJECTORY_COLUMNS)
     diagnostic = ""
 
     def grid_scalars(grid):
@@ -335,8 +385,10 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         return a_true, int(npl), int(nu - npl)
 
     for k in range(cfg.max_steps):
-        plan = (stage1_plan if stage == STAGE_I else stage2_plan)(w_est, dw_est, cfg)
-        N, tau, nu, ltk = plan.n_units, plan.tau, plan.repetitions, plan.lambda_tilde_k
+        if stage == STAGE_I:
+            N, tau, nu, ltk = _stage1_core(w_est, dw_est, coupling, sqrt_occupation)
+        else:
+            N, tau, nu, ltk = _stage2_core(w_est, dw_est, lt_cpmg, nu_ii)
         if nu > MAX_SHOTS:
             diagnostic = (f"shot count beyond int64 at step {k}: the stage {stage} plan asks "
                           f"for nu={nu} shots of N={N}, tau={tau}")
@@ -369,13 +421,10 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
                           f"width window pi/T={np.pi / T}, grid spacing {spacing}")
             break
 
-        records.append(StepRecord(
-            plan=plan, n_plus=n_plus, n_minus=n_minus,
-            omega_k=w_hat, delta_omega_k=dw_hat,
-            zeta_k=zeta(N, cfg.omega_true, tau),
-            scaled_alpha_k=sqrt_occupation * a_t,
-            cumulative_time=t_total, probe_time=probe_time,
-        ))
+        for column, value in zip(columns, (stage, N, tau, nu, t_total, dw_hat,
+                                           zeta(N, cfg.omega_true, tau), sqrt_occupation * a_t,
+                                           w_hat, n_plus, n_minus, probe_time, ltk)):
+            column.append(value)
         w_est, dw_est = w_hat, dw_hat
         if stage == STAGE_I and stage_transition(dw_hat, ltk):
             stage = STAGE_II
@@ -399,7 +448,8 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
                 spacing, scale, w_min, step = grid_scalars(grid)
 
     return Trajectory(
-        records=tuple(records),
+        columns={name: np.array(values, dtype=np.int64 if name in INT_COLUMNS else float)
+                 for name, values in zip(TRAJECTORY_COLUMNS, columns)},
         final_estimate=Estimate(omega_hat=float(w_est), delta_omega=float(dw_est)),
         aborted=bool(diagnostic),
         diagnostic=diagnostic,

@@ -18,13 +18,12 @@ import numpy as np
 from .estimation import Posterior
 from .information import g_finite, g_sq_mean, g_universal
 from .model import interference_factor
-from .protocol import STAGE_II, AdaptiveConfig, run_adaptive
+from .protocol import STAGE_II, STEP_COLUMNS, TRAJECTORY_COLUMNS, AdaptiveConfig, run_adaptive
 
 # The slope is fitted over this trailing fraction of the all-stage-(ii) steps.
 FIT_TAIL_FRACTION = 0.6
 
 __all__ = [
-    "STEP_COLUMNS",
     "AggregateResult",
     "reference_config",
     "run_repetitions",
@@ -35,20 +34,19 @@ __all__ = [
 ]
 
 
-# The columns of the step table, in order: the plan's stage, N, tau and
-# nu, then the cumulative time, delta_omega, zeta and scaled alpha.
-STEP_COLUMNS = ("stage", "n_units", "tau", "nu", "mean_time", "mean_delta_omega",
-                "mean_zeta", "mean_scaled_alpha")
-
-
 @dataclass(frozen=True)
 class AggregateResult:
     """Step-aligned ensemble means over repeated adaptive runs.
 
-    steps maps each name in STEP_COLUMNS to its column over the
-    repetitions that did not abort, each of which records max_steps
-    steps; row k is step k. "stage" is 2 at a step only when every one
-    of them has entered stage (ii) there; the other columns are means.
+    rep_columns maps each name in TRAJECTORY_COLUMNS to a (reps x
+    max_steps) array: row i is the Trajectory column of the i-th
+    repetition that did not abort, each of which records max_steps
+    steps. The integer columns stay int64, since N reaches PERIODS_BOUND
+    = 2**55 and nu MAX_SHOTS, beyond float64's exact integers. steps
+    maps each name in STEP_COLUMNS to its column of the float64 step
+    table, whose entry k is over step k: "stage" is 2 there only when
+    every one of those repetitions has entered stage (ii), and the other
+    columns are the means of rep_columns over the repetitions.
     final_error, final_width and final_evolution_time hold, for each of
     those repetitions in order, the final omega_hat - omega_true, the
     final delta_omega and the last step's N*tau. aborted lists
@@ -58,6 +56,7 @@ class AggregateResult:
     """
 
     steps: dict[str, np.ndarray]
+    rep_columns: dict[str, np.ndarray]
     final_error: np.ndarray
     final_width: np.ndarray
     final_evolution_time: np.ndarray
@@ -76,17 +75,14 @@ def reference_config(nbar: float, max_steps: int = 250, seed: int = 12345) -> Ad
 def _run_one(args) -> tuple:
     cfg, r = args
     traj = run_adaptive(replace(cfg, seed=cfg.seed + r))
-    # one row per step, in STEP_COLUMNS order; the integer columns are exact in float64
-    steps = np.array([(s.plan.stage, s.plan.n_units, s.plan.tau, s.plan.repetitions,
-                       s.cumulative_time, s.delta_omega_k, s.zeta_k, s.scaled_alpha_k)
-                      for s in traj.records], dtype=float)
+    columns, est = traj.columns, traj.final_estimate
     # an aborted repetition sends back no final values
     final = None
     if not traj.aborted:
-        last, est = traj.records[-1].plan, traj.final_estimate
-        final = (est.omega_hat - cfg.omega_true, est.delta_omega, last.n_units * last.tau)
+        final = (est.omega_hat - cfg.omega_true, est.delta_omega,
+                 columns["n_units"][-1] * columns["tau"][-1])
     # only repetition 0's posterior is sent back across the pool
-    return steps, final, traj.diagnostic, traj.final_posterior if r == 0 else None
+    return columns, final, traj.diagnostic, traj.final_posterior if r == 0 else None
 
 
 def _usable_cpus() -> int:
@@ -137,17 +133,16 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int,
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_one, jobs, chunksize=max(1, n_reps // (4 * workers))))
 
-    steps, finals, diagnostics, posteriors = zip(*results)
+    runs, finals, diagnostics, posteriors = zip(*results)
     aborted = tuple((r, diagnostics[r]) for r, final in enumerate(finals) if final is None)
-    kept = [rows for rows, final in zip(steps, finals) if final is not None]
+    kept = [run for run, final in zip(runs, finals) if final is not None]
     if not kept:
         raise ValueError(f"all {n_reps} repetitions aborted; rep 0: {diagnostics[0]}")
     # a run that does not abort records max_steps steps
-    stacked = np.stack(kept)
-    n_steps = stacked.shape[1]
-    table = stacked.mean(axis=0)
-    table[:, 0] = np.where((stacked[:, :, 0] == STAGE_II).all(axis=0), STAGE_II, 1)
-    columns = dict(zip(STEP_COLUMNS, table.T))
+    per_rep = {name: np.stack([run[name] for run in kept]) for name in TRAJECTORY_COLUMNS}
+    n_steps = per_rep["stage"].shape[1]
+    columns = {name: per_rep[name].mean(axis=0) for name in STEP_COLUMNS}
+    columns["stage"] = np.where((per_rep["stage"] == STAGE_II).all(axis=0), float(STAGE_II), 1.0)
 
     # the slope needs 3 points; a shorter ensemble reports none
     window = slope = None
@@ -159,9 +154,10 @@ def run_repetitions(cfg: AdaptiveConfig, n_reps: int,
         slope = fit_loglog_slope(columns["mean_time"], columns["mean_delta_omega"], window)
 
     error, width, evolution_time = np.array([f for f in finals if f is not None]).T
-    return AggregateResult(steps=columns, final_error=error, final_width=width,
-                           final_evolution_time=evolution_time, fit_slope=slope,
-                           fit_window=window, aborted=aborted, rep0_posterior=posteriors[0])
+    return AggregateResult(steps=columns, rep_columns=per_rep, final_error=error,
+                           final_width=width, final_evolution_time=evolution_time,
+                           fit_slope=slope, fit_window=window, aborted=aborted,
+                           rep0_posterior=posteriors[0])
 
 
 def matched_time_ratio(cold: AggregateResult, hot: AggregateResult) -> tuple[float, float]:

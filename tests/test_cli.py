@@ -293,7 +293,9 @@ class TestAdapt:
         def aborting(cfg, rng=None):
             traj = real(cfg, rng)
             if cfg.seed == 2027:
-                return dataclasses.replace(traj, records=(), aborted=True,
+                # an abort at step 0 leaves every column empty
+                empty = {name: column[:0] for name, column in traj.columns.items()}
+                return dataclasses.replace(traj, columns=empty, aborted=True,
                                            diagnostic="non-finite estimate at step 0: stub")
             return traj
 

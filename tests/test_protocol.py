@@ -465,6 +465,91 @@ class TestRunLoop:
         assert len(agg.final_error) == 2
 
 
+def column_runs():
+    """A complete run through both stages, one that aborts at a regrid
+    after some steps, and one that aborts before its first step."""
+    return {
+        "complete": run_adaptive(reference_config(nbar=10.0, max_steps=60)),
+        "aborted": run_adaptive(AdaptiveConfig(omega_true=0.06, omega0=1.0, delta_omega0=0.12,
+                                               lam=0.1, nbar=10.0, span_sigmas=7.5)),
+        "aborted at step 0": run_adaptive(dataclasses.replace(
+            reference_config(nbar=0.0, max_steps=5), lam=1e-11)),
+    }
+
+
+def bits(values):
+    """Python ints as they are, floats as their exact hex."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestColumns:
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def runs():
+        return column_runs()
+
+    def test_layout(self, runs):
+        complete, aborted, empty = runs.values()
+        assert not complete.aborted and aborted.aborted and empty.aborted
+        # the regrid abort at step k keeps steps 0 to k
+        k = int(re.match(r"grid reaches omega <= 0 at step (\d+): ", aborted.diagnostic)[1])
+        assert 0 < k < 200
+        for traj, n_steps in ((complete, 60), (aborted, k + 1), (empty, 0)):
+            assert tuple(traj.columns) == protocol.TRAJECTORY_COLUMNS
+            for name, column in traj.columns.items():
+                assert column.shape == (n_steps,), name
+                assert column.dtype == (np.int64 if name in protocol.INT_COLUMNS
+                                        else np.float64), name
+
+    @pytest.mark.parametrize("run", ["complete", "aborted", "aborted at step 0"])
+    def test_records_view_equals_the_columns(self, runs, run):
+        traj = runs[run]
+        recs = traj.records
+        assert recs is traj.records  # built once
+        c = traj.columns
+        assert len(recs) == len(c["stage"])
+        for name, field in (("stage", "stage"), ("n_units", "n_units"), ("tau", "tau"),
+                            ("nu", "repetitions"), ("lambda_tilde_k", "lambda_tilde_k")):
+            assert bits(getattr(r.plan, field) for r in recs) == bits(c[name].tolist()), name
+        for name, field in (("n_plus", "n_plus"), ("n_minus", "n_minus"), ("omega_k", "omega_k"),
+                            ("mean_delta_omega", "delta_omega_k"), ("mean_zeta", "zeta_k"),
+                            ("mean_scaled_alpha", "scaled_alpha_k"),
+                            ("mean_time", "cumulative_time"), ("probe_time", "probe_time")):
+            assert bits(getattr(r, field) for r in recs) == bits(c[name].tolist()), name
+        # Python scalars, not numpy ones
+        for r in recs:
+            assert type(r.plan.n_units) is int and type(r.n_plus) is int
+            assert type(r.plan.tau) is float and type(r.omega_k) is float
+
+    def test_the_loop_builds_no_step_objects(self, monkeypatch):
+        made = []
+        for name in ("StepPlan", "StepRecord"):
+            monkeypatch.setattr(protocol, name, lambda *args, name=name, **kw: made.append(name))
+        traj = run_adaptive(reference_config(nbar=10.0, max_steps=40))
+        assert made == [] and len(traj.columns["stage"]) == 40
+
+
+class TestPlanReplay:
+    @pytest.mark.parametrize("nbar", [0.0, 10.0, 1000.0])
+    def test_plan_functions_reproduce_the_plan_columns(self, nbar):
+        # step k plans from step k-1's estimate and width (the prior's at
+        # step 0) in its recorded stage
+        cfg = reference_config(nbar=nbar, max_steps=80)
+        c = run_adaptive(cfg).columns
+        estimates = [(cfg.omega0, cfg.delta_omega0)] + list(zip(c["omega_k"].tolist(),
+                                                                c["mean_delta_omega"].tolist()))
+        plans = [(stage1_plan if stage == STAGE_I else stage2_plan)(w, dw, cfg)
+                 for stage, (w, dw) in zip(c["stage"].tolist(), estimates)]
+        # the cold runs start in stage (i), the hot one in stage (ii)
+        assert c["stage"][0] == (STAGE_II if nbar == 1000.0 else STAGE_I)
+        assert c["stage"][-1] == STAGE_II
+        assert [p.stage for p in plans] == c["stage"].tolist()
+        assert [p.n_units for p in plans] == c["n_units"].tolist()
+        assert bits(p.tau for p in plans) == bits(c["tau"].tolist())
+        assert [p.repetitions for p in plans] == c["nu"].tolist()
+        assert bits(p.lambda_tilde_k for p in plans) == bits(c["lambda_tilde_k"].tolist())
+
+
 def assert_same_decisions(monkeypatch, name, stand_in):
     """4 reps of the nbar-1000 reference scenario, run as they are and with
     protocol.<name> replaced by stand_in, make the same N, shot counts and

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qsense import simkit
-from qsense.protocol import run_adaptive
+from qsense.protocol import INT_COLUMNS, TRAJECTORY_COLUMNS, run_adaptive
 from qsense.simkit import (
     STEP_COLUMNS,
     fit_loglog_slope,
@@ -24,6 +24,11 @@ from qsense.simkit import (
     run_repetitions,
 )
 from qsense.information import g_sq_mean
+
+
+def cut(traj, n_steps):
+    """The trajectory's columns cut to their first n_steps steps, as an abort leaves them."""
+    return {name: column[:n_steps] for name, column in traj.columns.items()}
 
 
 def pool_size(monkeypatch, n_reps, n_workers, cpu_count=8):
@@ -107,6 +112,24 @@ class TestRunRepetitions:
         assert agg.final_width.tolist() == [traj.final_estimate.delta_omega]
         assert agg.final_evolution_time.tolist() == [last.n_units * last.tau]
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_rep_columns_are_the_trajectories_columns(self, n_workers):
+        # bit for bit, in repetition order, whatever the worker count
+        cfg = reference_config(nbar=10.0, max_steps=40, seed=321)
+        agg = run_repetitions(cfg, 3, n_workers=n_workers)
+        runs = [run_adaptive(dataclasses.replace(cfg, seed=321 + r)).columns for r in range(3)]
+        assert tuple(agg.rep_columns) == TRAJECTORY_COLUMNS
+        for name, stacked in agg.rep_columns.items():
+            assert stacked.dtype == (np.int64 if name in INT_COLUMNS else np.float64), name
+            assert stacked.shape == (3, 40), name
+            for row, run in zip(stacked, runs):
+                assert row.tobytes() == run[name].tobytes(), name
+        # the step table is their mean, with stage 2 where every rep has reached it
+        for name in STEP_COLUMNS[1:]:
+            assert agg.steps[name].tobytes() == agg.rep_columns[name].mean(axis=0).tobytes()
+        assert np.array_equal(agg.steps["stage"], 1 + (agg.rep_columns["stage"] == 2).all(axis=0))
+        assert agg.steps["stage"].dtype == np.float64
+
     def test_aggregation_linearity(self):
         cfg = reference_config(nbar=1000.0, max_steps=10, seed=4242)
         agg = run_repetitions(cfg, 3, n_workers=1)
@@ -172,8 +195,9 @@ class TestRunRepetitions:
         def aborting(cfg, rng=None):
             traj = real(cfg, rng)
             if cfg.seed == 41:
-                # an abort at step 0 leaves no records at all
-                return dataclasses.replace(traj, records=(), aborted=True, diagnostic=diag)
+                # an abort at step 0 leaves every column empty
+                return dataclasses.replace(traj, columns=cut(traj, 0), aborted=True,
+                                           diagnostic=diag)
             return traj
 
         monkeypatch.setattr(simkit, "run_adaptive", aborting)
@@ -185,7 +209,8 @@ class TestRunRepetitions:
                    for seed in (40, 42)]
         hand = np.array(singles).mean(axis=0)
         assert np.array_equal(agg.steps["mean_delta_omega"], hand)
-        # the per-rep final values hold the kept reps, in order
+        # the per-rep columns and final values hold the kept reps, in order
+        assert np.array_equal(agg.rep_columns["mean_delta_omega"], singles)
         finals = [run_adaptive(dataclasses.replace(cfg, seed=seed)).final_estimate
                   for seed in (40, 42)]
         assert agg.final_width.tolist() == [e.delta_omega for e in finals]
@@ -194,7 +219,8 @@ class TestRunRepetitions:
         real = simkit.run_adaptive
 
         def aborting(cfg, rng=None):
-            return dataclasses.replace(real(cfg, rng), records=(), aborted=True,
+            traj = real(cfg, rng)
+            return dataclasses.replace(traj, columns=cut(traj, 0), aborted=True,
                                        diagnostic=f"stub abort, seed {cfg.seed}")
 
         monkeypatch.setattr(simkit, "run_adaptive", aborting)
