@@ -465,18 +465,6 @@ class TestRunLoop:
         assert len(agg.final_error) == 2
 
 
-def column_runs():
-    """A complete run through both stages, one that aborts at a regrid
-    after some steps, and one that aborts before its first step."""
-    return {
-        "complete": run_adaptive(reference_config(nbar=10.0, max_steps=60)),
-        "aborted": run_adaptive(AdaptiveConfig(omega_true=0.06, omega0=1.0, delta_omega0=0.12,
-                                               lam=0.1, nbar=10.0, span_sigmas=7.5)),
-        "aborted at step 0": run_adaptive(dataclasses.replace(
-            reference_config(nbar=0.0, max_steps=5), lam=1e-11)),
-    }
-
-
 def bits(values):
     """Python ints as they are, floats as their exact hex."""
     return [v.hex() if isinstance(v, float) else v for v in values]
@@ -486,7 +474,16 @@ class TestColumns:
     @pytest.fixture(scope="class")
     @staticmethod
     def runs():
-        return column_runs()
+        # a complete run through both stages, one that aborts at a regrid
+        # after some steps, and one that aborts before its first step
+        return {
+            "complete": run_adaptive(reference_config(nbar=10.0, max_steps=60)),
+            "aborted": run_adaptive(AdaptiveConfig(omega_true=0.06, omega0=1.0,
+                                                   delta_omega0=0.12, lam=0.1, nbar=10.0,
+                                                   span_sigmas=7.5)),
+            "aborted at step 0": run_adaptive(dataclasses.replace(
+                reference_config(nbar=0.0, max_steps=5), lam=1e-11)),
+        }
 
     def test_layout(self, runs):
         complete, aborted, empty = runs.values()
