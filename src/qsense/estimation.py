@@ -51,7 +51,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# the fields hold arrays, which have no single truth value: == is identity
+@dataclass(frozen=True, eq=False)
 class Posterior:
     """Normalized posterior weights on a uniform frequency grid.
 
@@ -99,7 +100,7 @@ class Estimate:
 
 def _normalize(w: np.ndarray) -> np.ndarray:
     """A copy of w scaled to unit sum; w must have a positive finite sum."""
-    total = float(w.sum())
+    total = float(np.add.reduce(w))
     # the scale 1/total must be finite too: a sum below about 5.6e-309 is refused
     if not (0.0 < total < math.inf and 1.0 / total < math.inf):
         raise ValueError(f"weights must have a positive finite sum, got {total}")
@@ -158,16 +159,17 @@ def _times_power(w: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
 
 
 def _update(w: np.ndarray, c: np.ndarray, n_plus: int, n_minus: int) -> np.ndarray:
-    """bayes_update's product of the weights w and float contrasts c, unnormalized."""
-    # fmin/fmax skip NaN, as the elementwise comparisons c < -1, c > 1 do
-    lowest, highest = np.fmin.reduce(c), np.fmax.reduce(c)
-    if lowest < -1.0 or highest > 1.0:
-        raise ValueError("per-node contrasts must lie in [-1, 1]")
-    bound = 1.0 - 2.0 * P_CLAMP
-    # the clamp runs only when some L lies beyond it: L of the thermal law
-    # lies in [0, 1], and within 2*P_CLAMP of 1 only on a fringe's dark node
-    if lowest < -bound or highest > bound:
-        c = np.clip(c, -bound, bound)
+    """bayes_update's product of the weights w and float contrasts c, unnormalized.
+
+    Precondition: each c lies in [2*P_CLAMP - 1, 1] (or is NaN), as
+    bayes_update leaves it after its range check and lower clamp, and as
+    the thermal law's contrasts in [0, 1] are; only the upper clamp is
+    made here.
+    """
+    # the clamp runs only when some L lies beyond it: L of the thermal law is
+    # within 2*P_CLAMP of 1 only on a fringe's dark node; fmax skips NaN
+    if np.fmax.reduce(c) > 1.0 - 2.0 * P_CLAMP:
+        c = np.minimum(c, 1.0 - 2.0 * P_CLAMP)
     if (n_plus + n_minus) * _LOG_MIN_FACTOR - math.log(len(w)) < _LOG_MIN_NORMAL:
         with np.errstate(divide="ignore"):  # a zero weight is -inf, and stays 0
             lw = np.log(w)
@@ -206,6 +208,12 @@ def bayes_update(post: Posterior, contrast: np.ndarray, n_plus: int,
         raise ValueError(f"contrast has shape {c.shape}, grid has {post.n_points} nodes")
     if n_plus < 0 or n_minus < 0:
         raise ValueError("outcome counts must be nonnegative")
+    # fmin/fmax skip NaN, as the elementwise comparisons c < -1, c > 1 do
+    lowest = np.fmin.reduce(c)
+    if lowest < -1.0 or np.fmax.reduce(c) > 1.0:
+        raise ValueError("per-node contrasts must lie in [-1, 1]")
+    if lowest < 2.0 * P_CLAMP - 1.0:
+        c = np.maximum(c, 2.0 * P_CLAMP - 1.0)
     return Posterior(post.grid, _update(post.weights, c, n_plus, n_minus))
 
 
@@ -247,13 +255,13 @@ def mle(post: Posterior) -> float:
 
 def _rms(grid: np.ndarray, w: np.ndarray, omega_hat: float, spacing: float) -> float:
     """uncertainty over a window's nodes grid and weights w, at the grid's spacing."""
-    den = w.sum()
+    den = np.add.reduce(w)
     if not den > 0.0:
         raise ValueError("degenerate posterior: zero total weight")
     sq = np.subtract(grid, omega_hat)
     np.square(sq, out=sq)
     sq *= w
-    rms = math.sqrt(sq.sum() / den)
+    rms = math.sqrt(np.add.reduce(sq) / den)
     floor = spacing / math.sqrt(12.0)
     if rms < floor:
         warnings.warn("resolution-limited posterior: RMS below one grid cell")
@@ -289,7 +297,7 @@ def _far(grid: np.ndarray, w: np.ndarray, lo: int, hi: int) -> tuple[float, floa
     j = int(outer.argmax())
     if j >= lo:
         j += hi - lo
-    return float(outer.sum()), float(grid[j])
+    return float(np.add.reduce(outer)), float(grid[j])
 
 
 def mass_beyond(post: Posterior, center: float, radius: float) -> tuple[float, float]:

@@ -225,7 +225,8 @@ class StepRecord:
     probe_time: float = 0.0
 
 
-@dataclass(frozen=True)
+# the fields hold arrays, which have no single truth value: == is identity
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Complete record of one adaptive run, with its final posterior.
 
@@ -349,8 +350,8 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
     stage = STAGE_II if stage_transition(cfg.delta_omega0, lt_cpmg) else STAGE_I
     probing = False
     t_total = 0.0
-    # one list per column, in TRAJECTORY_COLUMNS order, made arrays at the end
-    columns = tuple([] for _ in TRAJECTORY_COLUMNS)
+    # one tuple per step, in TRAJECTORY_COLUMNS order, made columns at the end
+    rows = []
     diagnostic = ""
 
     def grid_scalars(grid):
@@ -374,7 +375,9 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
         frequency, fold the likelihood into the posterior, advance time.
 
         The kernel's buffer becomes the grid's contrast L in place, so
-        the true node's amplitude is read from it first."""
+        the true node's amplitude is read from it first. The thermal
+        law's L lies in [0, 1], within _update's precondition, so the
+        range check of bayes_update is not made here."""
         nonlocal w, raw, t_total
         a = _grid_displacement(scale, N, tau, w_min, step, cfg.omega_true)
         a_true = abs(a.item(-1))
@@ -421,10 +424,8 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
                           f"width window pi/T={np.pi / T}, grid spacing {spacing}")
             break
 
-        for column, value in zip(columns, (stage, N, tau, nu, t_total, dw_hat,
-                                           zeta(N, cfg.omega_true, tau), sqrt_occupation * a_t,
-                                           w_hat, n_plus, n_minus, probe_time, ltk)):
-            column.append(value)
+        rows.append((stage, N, tau, nu, t_total, dw_hat, zeta(N, cfg.omega_true, tau),
+                     sqrt_occupation * a_t, w_hat, n_plus, n_minus, probe_time, ltk))
         w_est, dw_est = w_hat, dw_hat
         if stage == STAGE_I and stage_transition(dw_hat, ltk):
             stage = STAGE_II
@@ -447,6 +448,8 @@ def run_adaptive(cfg: AdaptiveConfig, rng: np.random.Generator | None = None) ->
                 w = _normalize(raw)
                 spacing, scale, w_min, step = grid_scalars(grid)
 
+    # a run that aborts before its first step has no rows, and empty columns
+    columns = list(zip(*rows)) or [()] * len(TRAJECTORY_COLUMNS)
     return Trajectory(
         columns={name: np.array(values, dtype=np.int64 if name in INT_COLUMNS else float)
                  for name, values in zip(TRAJECTORY_COLUMNS, columns)},

@@ -34,7 +34,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# the fields hold arrays, which have no single truth value: == is identity
+@dataclass(frozen=True, eq=False)
 class AggregateResult:
     """Step-aligned ensemble means over repeated adaptive runs.
 

@@ -7,6 +7,7 @@ properties (node placement, |K| bound, symmetry, validation) are
 exercised with hypothesis.
 """
 
+import math
 import sys
 import threading
 import warnings
@@ -28,7 +29,7 @@ from qsense.model import (
 )
 from qsense import model
 from qsense.model import _contrast, _grid_displacement, _near_cos_zero
-from qsense.protocol import run_adaptive
+from qsense.protocol import PERIODS_BOUND, AdaptiveConfig, run_adaptive
 from qsense.simkit import reference_config
 from oracles import periods, quad_oracle, segment_displacement
 
@@ -616,6 +617,31 @@ class TestOutcomeProbability:
         buf = alpha.copy()
         assert _contrast(buf, state, out=buf) is buf
         assert np.array_equal((1.0 + buf) / 2.0, outcome_probability(np.abs(alpha), state))
+
+    @given(alpha=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+           nbar=st.sampled_from([0.0, 10.0, 1000.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_contrast_lies_in_unit_interval(self, alpha, nbar):
+        # the run loop hands L to the update core unchecked, whose precondition
+        # L in [2*P_CLAMP - 1, 1] it meets by lying in [0, 1]: for any finite
+        # real amplitude, at 0, at subnormal ones, and about the largest one
+        # AdaptiveConfig's lam bound admits, sqrt(max float / (2*(2*nbar+1)))
+        state = ThermalState(nbar)
+        edge = math.sqrt(sys.float_info.max / (2.0 * (2.0 * nbar + 1.0)))
+        x = np.array(alpha + [0.0, -0.0, 5e-324, -5e-324, 1e-310, sys.float_info.min,
+                              np.nextafter(edge, 0.0), edge, -edge, np.nextafter(edge, np.inf)])
+        with np.errstate(over="ignore"):
+            arrays = (_contrast(x, state), _contrast(x.copy(), state, out=np.empty_like(x)))
+            scalars = np.array([_contrast(v, state) for v in x.tolist()])
+        for c in (*arrays, scalars):
+            assert np.all((c >= 0.0) & (c <= 1.0))
+        # the edge is the bound's: the reference prior's lowest node is 46.5,
+        # and a lam that makes 4*PERIODS_BOUND*lam/46.5 about the edge is accepted
+        lam = edge * 46.5 / (4.0 * PERIODS_BOUND) * (1.0 - 1e-9)
+        AdaptiveConfig(omega_true=50.0, omega0=50.5, delta_omega0=0.5, lam=lam, nbar=nbar)
+        with pytest.raises(ValueError, match="lam must keep the contrast exponent"):
+            AdaptiveConfig(omega_true=50.0, omega0=50.5, delta_omega0=0.5, lam=lam * (1 + 1e-8),
+                           nbar=nbar)
 
     def test_array_matches_scalar_calls(self):
         # the loop's scalar call takes (1 + L)/2 in Python floats; it must

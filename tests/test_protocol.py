@@ -599,6 +599,40 @@ class TestGridKernelInLoop:
         assert_same_decisions(monkeypatch, "_update", probability_update)
 
 
+class TestUpdatePrecondition:
+    @pytest.mark.parametrize("nbar,lam", [(10.0, 0.1), (1000.0, 0.1), (0.0, 0.003)])
+    @pytest.mark.filterwarnings("ignore:resolution-limited posterior:UserWarning")
+    def test_loop_contrasts_lie_in_unit_interval(self, monkeypatch, nbar, lam):
+        # the loop hands the thermal contrasts to _update without bayes_update's
+        # range check and lower clamp: each lies in [0, 1], within the core's
+        # precondition; at lam 0.003 and nbar 0 batches of more than 25 shots
+        # take the log-domain branch
+        update, seen = protocol._update, []
+
+        def counted(w, c, n_plus, n_minus):
+            seen.append((bool(np.all((c >= 0.0) & (c <= 1.0))), n_plus + n_minus))
+            return update(w, c, n_plus, n_minus)
+
+        monkeypatch.setattr(protocol, "_update", counted)
+        traj = run_adaptive(dataclasses.replace(reference_config(nbar=nbar, max_steps=30),
+                                                lam=lam))
+        assert not traj.aborted and len(seen) >= 30
+        assert all(inside for inside, _ in seen)
+        if lam == 0.003:
+            assert max(nu for _, nu in seen) > 25
+
+
+class TestEquality:
+    def test_equality_is_identity(self):
+        # the fields hold arrays: == between two runs of one config is False,
+        # and raises nothing, and a run equals itself; so for their posteriors
+        cfg = reference_config(nbar=10.0, max_steps=10)
+        a, b = run_adaptive(cfg), run_adaptive(cfg)
+        for x, y in ((a, b), (a.final_posterior, b.final_posterior)):
+            assert (x == y) is False and (x != y) is True
+            assert x == x and hash(x) == hash(x)
+
+
 class TestEnsembleInvariants:
     def test_mean_uncertainty_contracts_after_settling(self, ensemble_nbar10):
         # single steps may widen the posterior on surprising data, but

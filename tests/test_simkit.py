@@ -148,6 +148,14 @@ class TestRunRepetitions:
         assert np.array_equal(a.steps["mean_time"], b.steps["mean_time"])
         assert a.fit_slope == b.fit_slope
 
+    def test_equality_is_identity(self):
+        # the fields hold arrays: == between two results of one config is False,
+        # and raises nothing, and a result equals itself
+        cfg = reference_config(nbar=1000.0, max_steps=4, seed=99)
+        a, b = run_repetitions(cfg, 2, n_workers=1), run_repetitions(cfg, 2, n_workers=1)
+        assert (a == b) is False and (a != b) is True
+        assert a == a and hash(a) == hash(a)
+
     def test_pool_matches_serial(self):
         cfg = reference_config(nbar=1000.0, max_steps=8, seed=5)
         serial = run_repetitions(cfg, 3, n_workers=1)
