@@ -220,8 +220,9 @@ def bayes_update(post: Posterior, contrast: np.ndarray, n_plus: int,
 def _mle(grid: np.ndarray, w: np.ndarray, spacing: float) -> float:
     """mle on the grid's normalized weights w; spacing is the grid's."""
     i = int(w.argmax())
-    ties = np.count_nonzero(w == w[i])
-    if ties > 1:
+    # argmax gives the first peak node, so a tie can only lie after it
+    if i + 1 < len(w) and np.maximum.reduce(w[i + 1:]) == w[i]:
+        ties = np.count_nonzero(w == w[i])
         center = 0.5 * (grid.item(0) + grid.item(-1))
         if ties == len(w):
             warnings.warn("degenerate posterior: all weights equal, returning grid center")

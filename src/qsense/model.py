@@ -187,16 +187,18 @@ class _TrigWork:
         self.steps = np.empty((4, 1))
         self.angles = np.empty(4 * b + 2)
         self.table_angles = self.angles[:4 * b].reshape(4, b)
-        # rows a*B*dtheta, a*B*dphi, c*dtheta, c*dphi (a, c = 0..B-1), then
-        # the last node's theta and phi; column 0 takes their cos, column 1 their sin
-        trig = np.empty((4 * b + 2, 2))
+        # angles a*B*dtheta, a*B*dphi, c*dtheta, c*dphi (a, c = 0..B-1), then
+        # the last node's theta and phi; row 0 takes their cos, row 1 their sin
+        trig = np.empty((2, 4 * b + 2))
         self.trig = trig
-        self.cos_col, self.sin_col = trig[:, 0], trig[:, 1]
-        # [cos u_a, sin u_a] (B x 2) and [cos v_c; sin v_c] (2 x B), theta's then phi's
-        self.rows = trig[:2 * b].reshape(2, b, 2)
-        self.cols = trig[2 * b:4 * b].reshape(2, b, 2).transpose(0, 2, 1)
+        # [cos u_a, sin u_a] (B x 2, a transposed view) and [cos v_c; sin v_c]
+        # (2 x B, row-major, one row of trig each), theta's then phi's
+        self.rows = trig[:, :2 * b].reshape(2, 2, b).transpose(1, 2, 0)
+        self.cols = trig[:, 2 * b:4 * b].reshape(2, 2, b).transpose(1, 0, 2)
         self.matrix = np.empty((2, 2, 2))
         self.product = np.empty((2, b, 2))
+        # flat views, which one slice assignment fills
+        self.steps_flat, self.matrix_flat = self.steps.reshape(4), self.matrix.reshape(8)
 
 
 # One _TrigWork per thread, for the B of that thread's last call, so that
@@ -236,26 +238,23 @@ def _grid_displacement(scale, n_units: int, tau: float, omega_min: float, step: 
     theta0, dtheta = omega_min * (tau / 4.0), step * (tau / 4.0)
     phi0, dphi = theta0 * (2 * n_units), dtheta * (2 * n_units)
     theta_last = omega_last * (tau / 4.0)
-    angles, steps = work.angles, work.steps
-    steps[0, 0], steps[1, 0], steps[2, 0], steps[3, 0] = b * dtheta, b * dphi, dtheta, dphi
-    np.multiply(steps, work.index, out=work.table_angles)
+    angles, trig = work.angles, work.trig
+    work.steps_flat[:] = b * dtheta, b * dphi, dtheta, dphi
+    np.multiply(work.steps, work.index, out=work.table_angles)
     angles[4 * b], angles[4 * b + 1] = theta_last, theta_last * (2 * n_units)
-    np.cos(angles, out=work.cos_col)
-    np.sin(angles, out=work.sin_col)
+    np.cos(angles, out=trig[0])
+    np.sin(angles, out=trig[1])
     ct, st = math.cos(theta0), math.sin(theta0)
     cp, sp = math.cos(phi0), math.sin(phi0)
     # cos(s + u + v) = cos(s + u) cos v - sin(s + u) sin v, and
     # sin(s + u + v) = sin(s + u) cos v + cos(s + u) sin v
-    m = work.matrix
-    m[0, 0, 0], m[0, 0, 1], m[0, 1, 0], m[0, 1, 1] = ct, -st, -st, -ct
-    m[1, 0, 0], m[1, 0, 1], m[1, 1, 0], m[1, 1, 1] = sp, cp, cp, -sp
+    work.matrix_flat[:] = ct, -st, -st, -ct, sp, cp, cp, -sp
     # rows 0 and 1 are cos theta and sin phi: B*B >= n grid nodes, then
     # one slot that the last node takes
     cos_theta, sin_phi = table = np.empty((2, b * b + 1))
-    np.matmul(work.rows, m, out=work.product)
+    np.matmul(work.rows, work.matrix, out=work.product)
     np.matmul(work.product, work.cols, out=table[:, :b * b].reshape(2, b, b))
-    trig = work.trig
-    cos_theta[n], sin_phi[n] = trig[4 * b, 0], trig[4 * b + 1, 1]
+    cos_theta[n], sin_phi[n] = trig.item(0, 4 * b), trig.item(1, 4 * b + 1)
     near_peak = (_near_cos_zero(theta0, theta0 + (n - 1) * dtheta)
                  or _near_cos_zero(theta_last, theta_last))
     return _amplitude(scale, n_units, cos_theta[:n + 1], sin_phi[:n + 1], near_peak)

@@ -410,7 +410,8 @@ class TestMleTailTie:
         ((5, 33), 33),         # a tie after the first maximum, nearer the center
         ((20, 43), 20),        # a symmetric tie
         ((3, 30, 60), 30),     # three equal maxima
-        ((63,), 63),           # a maximum at the last node
+        ((63,), 63),           # a lone peak at the last node: no node after it to tie
+        ((0,), 0),             # a lone peak at node 0: every node lies after it
         ((2, 63), 2),          # a tie at the last node
         ((0, 63), 0),          # the ends tie, equally far from the center
         ((40,), 40),           # no tie
@@ -779,6 +780,30 @@ class TestArrayCores:
         grid, raw = estimation._regrid(post.grid, post.weights, center, half_width, new_points)
         assert grid.tobytes() == want.grid.tobytes()
         assert estimation._normalize(raw).tobytes() == want.weights.tobytes()
+
+
+class TestRegridLog:
+    """_regrid against its log-linear formula written out, with LOG_FLOOR
+    for a zero weight, on posteriors with zero weights and without."""
+
+    # the center lies on the old grid [2, 4], so the windows overlap it
+    @given(**posterior_args, center=st.floats(min_value=2.0, max_value=4.0),
+           half_width=st.floats(min_value=1e-3, max_value=3.0),
+           new_points=st.sampled_from([64, 100, 4096]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_masked_log(self, seed, n_points, peak, kind, center, half_width,
+                                new_points):
+        post = drawn_posterior(seed, n_points, peak, kind)
+        grid, w = post.grid, post.weights
+        assert (w.min() == 0.0) == (kind in ("zeros beside", "one node"))
+        new, raw = estimation._regrid(grid, w, center, half_width, new_points)
+        lw = np.full(n_points, LOG_FLOOR)
+        np.log(w, out=lw, where=w > 0.0)
+        want = np.interp(new, grid, lw, left=LOG_FLOOR, right=LOG_FLOOR)
+        want = np.exp(want - want.max())
+        assert new.tobytes() == np.linspace(center - half_width, center + half_width,
+                                            new_points).tobytes()
+        np.testing.assert_array_max_ulp(raw, want, maxulp=1)
 
 
 class TestRegrid:

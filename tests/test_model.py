@@ -496,26 +496,27 @@ class TestGridKernelWorkArrays:
             assert not np.shares_memory(got, kept)
         assert kept.tobytes() == want.tobytes()
 
-    def test_threads_match_serial_calls(self):
-        # eight threads, more than the cores, run the kernel at once; the
-        # cases share B = 64, so a work array shared between threads would
-        # be refilled under another thread's call
-        cases = [(4096, 300, 50.0, 0.3), (4096, 20000, 52.0, 1e-4), (4000, 7, 49.0, 0.02),
-                 (4090, 2, 50.5, 4.0)]
+    @staticmethod
+    def threads_against_serial(cases, n_threads, calls):
+        """n_threads threads run the kernel at once, calls times each, thread
+        t on cases[(t + k * n_threads) % len(cases)] at its k-th call, so
+        that threads in step run different cases; returns each thread's
+        count of results whose bytes differ from the serial call's."""
         serial = [kernel_call(*case).tobytes() for case in cases]
-        wrong, done = [0] * 8, [0] * 8
-        start = threading.Barrier(8)
+        wrong, done = [0] * n_threads, [0] * n_threads
+        start = threading.Barrier(n_threads)
 
         def run(t):
             start.wait(timeout=60)
-            for _ in range(300):
-                wrong[t] += kernel_call(*cases[t % 4]).tobytes() != serial[t % 4]
+            for k in range(calls):
+                c = (t + k * n_threads) % len(cases)
+                wrong[t] += kernel_call(*cases[c]).tobytes() != serial[c]
                 done[t] += 1
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=run, args=(t,)) for t in range(8)]
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(n_threads)]
             for th in threads:
                 th.start()
             for th in threads:
@@ -523,7 +524,24 @@ class TestGridKernelWorkArrays:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        assert done == [300] * 8 and wrong == [0] * 8
+        assert done == [calls] * n_threads
+        return wrong
+
+    def test_threads_match_serial_calls(self):
+        # eight threads, more than the cores, run the kernel at once; the
+        # cases share B = 64, so a work array shared between threads would
+        # be refilled under another thread's call
+        cases = [(4096, 300, 50.0, 0.3), (4096, 20000, 52.0, 1e-4), (4000, 7, 49.0, 0.02),
+                 (4090, 2, 50.5, 4.0)]
+        assert self.threads_against_serial(cases, 8, 300) == [0] * 8
+
+    def test_two_threads_with_two_table_sizes(self):
+        # each thread alternates between B = 64 and B = 32, so it rebuilds
+        # its work arrays on every call; in step, the two threads run the same
+        # B on other (N, tau), which a shared work array would mix
+        cases = [(4096, 300, 50.0, 0.3), (4096, 20000, 52.0, 1e-4), (1000, 7, 49.0, 0.02),
+                 (1000, 2, 50.5, 4.0)]
+        assert self.threads_against_serial(cases, 2, 200) == [0, 0]
 
 
 class TestCoherence:
