@@ -197,8 +197,6 @@ class _TrigWork:
         self.cols = trig[:, 2 * b:4 * b].reshape(2, 2, b).transpose(1, 0, 2)
         self.matrix = np.empty((2, 2, 2))
         self.product = np.empty((2, b, 2))
-        # flat views, which one slice assignment fills
-        self.steps_flat, self.matrix_flat = self.steps.reshape(4), self.matrix.reshape(8)
 
 
 # One _TrigWork per thread, for the B of that thread's last call, so that
@@ -238,9 +236,9 @@ def _grid_displacement(scale, n_units: int, tau: float, omega_min: float, step: 
     theta0, dtheta = omega_min * (tau / 4.0), step * (tau / 4.0)
     phi0, dphi = theta0 * (2 * n_units), dtheta * (2 * n_units)
     theta_last = omega_last * (tau / 4.0)
-    angles, trig = work.angles, work.trig
-    work.steps_flat[:] = b * dtheta, b * dphi, dtheta, dphi
-    np.multiply(work.steps, work.index, out=work.table_angles)
+    angles, steps, trig = work.angles, work.steps, work.trig
+    steps[0, 0], steps[1, 0], steps[2, 0], steps[3, 0] = b * dtheta, b * dphi, dtheta, dphi
+    np.multiply(steps, work.index, out=work.table_angles)
     angles[4 * b], angles[4 * b + 1] = theta_last, theta_last * (2 * n_units)
     np.cos(angles, out=trig[0])
     np.sin(angles, out=trig[1])
@@ -248,11 +246,13 @@ def _grid_displacement(scale, n_units: int, tau: float, omega_min: float, step: 
     cp, sp = math.cos(phi0), math.sin(phi0)
     # cos(s + u + v) = cos(s + u) cos v - sin(s + u) sin v, and
     # sin(s + u + v) = sin(s + u) cos v + cos(s + u) sin v
-    work.matrix_flat[:] = ct, -st, -st, -ct, sp, cp, cp, -sp
+    m = work.matrix
+    m[0, 0, 0], m[0, 0, 1], m[0, 1, 0], m[0, 1, 1] = ct, -st, -st, -ct
+    m[1, 0, 0], m[1, 0, 1], m[1, 1, 0], m[1, 1, 1] = sp, cp, cp, -sp
     # rows 0 and 1 are cos theta and sin phi: B*B >= n grid nodes, then
     # one slot that the last node takes
     cos_theta, sin_phi = table = np.empty((2, b * b + 1))
-    np.matmul(work.rows, work.matrix, out=work.product)
+    np.matmul(work.rows, m, out=work.product)
     np.matmul(work.product, work.cols, out=table[:, :b * b].reshape(2, b, b))
     cos_theta[n], sin_phi[n] = trig.item(0, 4 * b), trig.item(1, 4 * b + 1)
     near_peak = (_near_cos_zero(theta0, theta0 + (n - 1) * dtheta)
